@@ -44,9 +44,10 @@ import statistics
 import tempfile
 import time
 
+from repro.cas import CACHE_DIR_ENV
 from repro.core.design import clear_mapping_cache
 from repro.experiments.base import EXPERIMENT_IDS, get_spec
-from repro.experiments.cache import CACHE_DIR_ENV, ResultCache
+from repro.experiments.cache import ResultCache
 from repro.experiments.runner import run_experiments
 from repro.mapping.store import MappingStore
 from repro.parallel import (

@@ -36,12 +36,11 @@ True
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
+from repro import cas
 from repro.engines import resolve_mapping_engine, resolve_netsim_engine
 
 #: Schema tag/version for every facade response envelope.
@@ -261,16 +260,12 @@ def query_key(
     Two requests share a key iff they would compute the same thing:
     same query fields, same *resolved* engines, same source tree.
     """
-    raw = json.dumps(
-        {
-            "query": query.to_dict(),
-            "engine": resolve_netsim_engine(engine),
-            "mapping_engine": resolve_mapping_engine(mapping_engine),
-            "source": _api_fingerprint(),
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:24]
+    descriptor = {
+        "query": query.to_dict(),
+        "engine": resolve_netsim_engine(engine),
+        "mapping_engine": resolve_mapping_engine(mapping_engine),
+    }
+    return cas.key(RESPONSE_SCHEMA_VERSION, descriptor, _api_fingerprint())
 
 
 # ----------------------------------------------------------------------
@@ -519,10 +514,11 @@ def execute(
     ``engine`` / ``mapping_engine`` pick the simulation and mapping
     kernels explicitly (:mod:`repro.engines` names; resolved once
     here). ``cache`` applies to sweep queries: ``"default"`` uses the
-    result cache at :func:`repro.paths.cache_root`, ``None`` disables
-    it, and any :class:`~repro.experiments.cache.ResultCache` instance
-    is used as-is. ``on_telemetry`` streams per-load telemetry reports
-    of a ``telemetry=True`` :class:`SimQuery` as they are produced.
+    result cache at :func:`repro.cas.cache_root`, ``None`` disables
+    it, any :class:`~repro.experiments.cache.ResultCache` instance is
+    used as-is, and a path is taken as the cache root. ``on_telemetry``
+    streams per-load telemetry reports of a ``telemetry=True``
+    :class:`SimQuery` as they are produced.
 
     Raises :class:`QueryError` for malformed queries; any other
     exception is a genuine execution failure.
@@ -551,7 +547,7 @@ def _resolve_cache(cache: Any):
         return ResultCache()
     if cache is None or isinstance(cache, ResultCache):
         return cache
-    return ResultCache(directory=cache)
+    return ResultCache(cache)
 
 
 def execute_payload(

@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument(
         "--cache-clear",
         action="store_true",
-        help="wipe .repro_cache/ (then exit unless ids are given)",
+        help="wipe .repro_cache/results/ (then exit unless ids are given)",
     )
     experiments.add_argument(
         "--profile",

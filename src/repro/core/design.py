@@ -17,7 +17,7 @@ from repro.mapping.exchange import (
 )
 from repro.mapping.grid import grid_for
 from repro.mapping.routing import IOStyle, available_bandwidth_per_port_gbps
-from repro.mapping.store import default_store, record_stat
+from repro.mapping.store import MappingStore, record_stat
 from repro.tech.external_io import ExternalIOTechnology, IOPlacement
 from repro.tech.wsi import WSITechnology
 
@@ -77,10 +77,8 @@ def cached_mapping(
         "max_sweeps": 30,
         "engine": engine,
     }
-    store = default_store()
-    result = (
-        store.load(topology, grid, io_style, params) if store is not None else None
-    )
+    store = MappingStore()
+    result = store.load(topology, grid, io_style, params)
     if result is not None:
         record_stat("store_hits")
     else:
@@ -95,8 +93,7 @@ def cached_mapping(
         )
         record_stat("optimized")
         record_stat("optimize_seconds", time.perf_counter() - started)
-        if store is not None:
-            store.store(result, topology, params)
+        store.store(result, topology, params)
     _MAPPING_CACHE[key] = result
     return result.copy()
 

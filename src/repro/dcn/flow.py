@@ -22,11 +22,11 @@ cycle-accurate probe runs on one pristine wafer
 (:func:`repro.netsim.partition.calibration_probe`): mean traversal
 latency at several offered loads, plus the delivered-throughput
 capacity at a saturating load.  Curves are cached as JSON under the
-shared content-addressed cache root
-(``.repro_cache/dcn/curve-<key>.json``), keyed on the wafer's
-geometry, the probe parameters, *and* the transitive source
-fingerprint of this module — edit the simulator and every curve
-recalibrates, exactly like the experiment result cache.
+shared content-addressed cache root (``.repro_cache/dcn/<key>.json``,
+see :mod:`repro.cas`), keyed on the wafer's geometry, the probe
+parameters, *and* the transitive source fingerprint of this module —
+edit the simulator and every curve recalibrates, exactly like the
+experiment result cache.
 
 **The flow model.**  For a packet entering a flow node at cycle ``c``
 with ``size`` flits toward exit terminal ``x``:
@@ -50,8 +50,6 @@ determinism tests in ``tests/dcn/test_flow.py`` pin this.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -60,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro import paths
+from repro import cas
 from repro.fingerprint import source_fingerprint, transitive_modules
 from repro.netsim.network import waferscale_clos_network
 from repro.netsim.partition import Event, calibration_probe
@@ -138,6 +136,10 @@ class ServiceCurve:
 # Calibration (content-addressed cache)
 # ----------------------------------------------------------------------
 
+#: Bump to invalidate every cached curve (serialization changes).
+CURVE_FORMAT_VERSION = 1
+
+
 def _curve_cache_key(
     wafer_terminals: int,
     ssc_radix: int,
@@ -145,7 +147,7 @@ def _curve_cache_key(
     buffer_flits: int,
     size_flits: int,
 ) -> str:
-    payload = {
+    descriptor = {
         "wafer_terminals": wafer_terminals,
         "ssc_radix": ssc_radix,
         "num_vcs": num_vcs,
@@ -155,15 +157,9 @@ def _curve_cache_key(
         "saturation_load": SATURATION_LOAD,
         "probe_cycles": PROBE_CYCLES,
         "probe_seed": PROBE_SEED,
-        "sources": source_fingerprint(transitive_modules("repro.dcn.flow")),
     }
-    canonical = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(canonical).hexdigest()[:24]
-
-
-def curve_cache_path(key: str, root=None):
-    """On-disk location of one calibrated curve entry."""
-    return paths.cache_root(root) / "dcn" / f"curve-{key}.json"
+    sources = source_fingerprint(transitive_modules("repro.dcn.flow"))
+    return cas.key(CURVE_FORMAT_VERSION, descriptor, sources)
 
 
 def calibrate_wafer(
@@ -184,15 +180,14 @@ def calibrate_wafer(
     read; the cache invalidates automatically when any transitively
     imported ``repro`` source changes.
     """
+    curves = cas.Store("dcn", cache_root)
     key = _curve_cache_key(
         wafer_terminals, ssc_radix, num_vcs, buffer_flits, size_flits
     )
-    path = curve_cache_path(key, cache_root)
-    if cache and path.exists():
-        try:
-            return ServiceCurve.from_dict(json.loads(path.read_text()))
-        except (ValueError, KeyError, TypeError):
-            pass  # corrupt entry: fall through and recalibrate
+    if cache:
+        cached = curves.get(key, ServiceCurve.from_dict)
+        if cached is not None:
+            return cached  # a corrupt entry is a miss: recalibrate
 
     def build():
         return waferscale_clos_network(
@@ -231,10 +226,7 @@ def calibrate_wafer(
         ),
     )
     if cache:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(curve.to_dict(), sort_keys=True) + "\n")
-        tmp.replace(path)
+        curves.put(key, curve.to_dict())
     return curve
 
 

@@ -8,15 +8,15 @@ Usage::
     python -m repro.experiments.runner --jobs 4         # parallel units
     python -m repro.experiments.runner --jobs auto      # effective cores
     python -m repro.experiments.runner --no-cache       # always recompute
-    python -m repro.experiments.runner --cache-clear    # wipe the cache
+    python -m repro.experiments.runner --cache-clear    # wipe the result cache
     python -m repro.experiments.runner --profile        # per-unit timings
     python -m repro.experiments.runner fig21 --telemetry[=DIR]
                                         # per-point telemetry artifacts
 
-Results are cached under ``.repro_cache/`` keyed by experiment id, run
-mode, and a source hash of every module the experiment imports, so an
-unchanged experiment returns instantly; editing any of its modules
-recomputes it (see :mod:`repro.experiments.cache`). ``--jobs N`` fans
+Results are cached under ``.repro_cache/results/`` keyed by experiment
+id, run mode, and a source hash of every module the experiment
+imports, so an unchanged experiment returns instantly; editing any of
+its modules recomputes it (see :mod:`repro.experiments.cache`). ``--jobs N`` fans
 the experiments' independent work units across N warm pool workers;
 the default (``--jobs auto``) detects the *effective* core count —
 CPU affinity and cgroup quotas respected — and small runs degrade to

@@ -27,12 +27,10 @@ True
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro.paths import cache_root
+from repro import cas
 
 #: File name of the cost book inside the cache root.
 COST_BOOK_NAME = "unit_costs.json"
@@ -59,19 +57,19 @@ class CostBook:
 
     ``path=None`` keeps the book in memory only (doctests, callers that
     must not touch the cache root). Otherwise the book lives at
-    ``<cache root>/unit_costs.json`` and :meth:`save` writes it
-    atomically (write-to-temp + rename), so concurrent runs can race on
-    the file without corrupting it — last writer wins, which is fine
+    ``<cache root>/unit_costs.json`` and :meth:`save` publishes it
+    atomically (:func:`repro.cas.publish`), so concurrent runs can race
+    on the file without corrupting it — last writer wins, which is fine
     for a hint.
     """
 
     def __init__(self, path: Optional[Path] = ...):  # type: ignore[assignment]
         if path is ...:
-            path = cache_root() / COST_BOOK_NAME
+            path = cas.cache_root() / COST_BOOK_NAME
         self.path = path
         self._costs: Dict[str, float] = {}
         self._dirty = False
-        if path is not None and path.is_file():
+        if path is not None:
             try:
                 raw = json.loads(path.read_text())
                 self._costs = {
@@ -97,15 +95,8 @@ class CostBook:
         """Persist atomically; a failed write never corrupts the book."""
         if self.path is None or not self._dirty:
             return
-        payload = json.dumps({"costs": self._costs}, sort_keys=True)
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=str(self.path.parent), suffix=".tmp"
-            )
-            with os.fdopen(fd, "w") as handle:
-                handle.write(payload)
-            os.replace(tmp, self.path)
+            cas.publish(self.path, json.dumps({"costs": self._costs}, sort_keys=True))
             self._dirty = False
         except OSError:
             pass

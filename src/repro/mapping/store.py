@@ -5,9 +5,8 @@ and many experiments (and every parallel worker) ask for mappings of
 the *same* wafer. The in-process memo in :mod:`repro.core.design`
 cannot cross a process boundary, so ``--jobs N`` used to re-optimize
 identical wafers in every worker. This store promotes those memo
-entries to JSON files under ``.repro_cache/mappings/`` (same root and
-``REPRO_CACHE_DIR`` override as the experiment result cache), shared
-by all processes and surviving across runs.
+entries to JSON files under ``.repro_cache/mappings/``, shared by all
+processes and surviving across runs.
 
 An entry is keyed by everything the optimized mapping depends on:
 
@@ -21,34 +20,26 @@ An entry is keyed by everything the optimized mapping depends on:
   (:mod:`repro.fingerprint`), so editing any mapping module silently
   invalidates old entries instead of serving stale placements.
 
-Like the result cache, the store is purely an accelerator: ``load``
-returns None on any miss or unreadable entry, writes are atomic
-(write-then-rename), and ``REPRO_MAPPING_STORE=0`` disables it
-entirely. Hit/miss/optimize counters feed the ``--profile`` table of
+Like the result cache, the store is a namespace (``mappings``) of the
+shared content-addressed store (:mod:`repro.cas`): ``load`` returns
+None on any miss or unreadable entry and writes are atomic.
+Hit/miss/optimize counters feed the ``--profile`` table of
 ``python -m repro experiments``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from functools import lru_cache
 from pathlib import Path
 from typing import Dict, Optional
 
-from repro import paths
+from repro import cas
 from repro.fingerprint import source_fingerprint, transitive_modules
 from repro.mapping.exchange import MappingResult
 from repro.mapping.grid import WaferGrid
 from repro.mapping.routing import IOStyle
 from repro.topology.base import LogicalTopology
-
-#: Deprecation shim — the resolver lives in :mod:`repro.paths` now.
-CACHE_DIR_ENV = paths.CACHE_DIR_ENV
-
-#: Set to "0" to disable the persistent store (memo still applies).
-STORE_ENV = "REPRO_MAPPING_STORE"
 
 #: Bump to invalidate every existing entry (serialization changes).
 #: v2: the mapping body moved to the shared MappingResult.to_dict form.
@@ -93,18 +84,6 @@ def reset_stats() -> None:
     _STATS.update(_zero_stats())
 
 
-def store_enabled() -> bool:
-    return os.environ.get(STORE_ENV, "1") != "0"
-
-
-def default_store_dir() -> Path:
-    """``$REPRO_CACHE_DIR/mappings`` if set, else ``.repro_cache/mappings``.
-
-    Deprecated alias for :func:`repro.paths.mapping_store_dir`.
-    """
-    return paths.mapping_store_dir()
-
-
 def topology_digest(topology: LogicalTopology) -> str:
     """Hash of everything about a topology that the mapping depends on.
 
@@ -146,38 +125,25 @@ def entry_key(
     params: Dict,
 ) -> str:
     """Content-addressed key for one optimized mapping."""
-    param_text = "|".join(f"{k}={params[k]}" for k in sorted(params))
-    raw = (
-        f"v{STORE_FORMAT_VERSION}|{topology_digest(topology)}|"
-        f"{grid.rows}x{grid.cols}|{io_style.value}|{param_text}|"
-        f"{mapping_source_fingerprint()}"
-    )
-    return hashlib.sha256(raw.encode()).hexdigest()[:16]
+    descriptor = [
+        topology_digest(topology),
+        f"{grid.rows}x{grid.cols}",
+        io_style.value,
+        {k: params[k] for k in sorted(params)},
+    ]
+    return cas.key(STORE_FORMAT_VERSION, descriptor, mapping_source_fingerprint())
 
 
 class MappingStore:
-    """Stores :class:`MappingResult` placements as JSON files.
+    """Stores :class:`MappingResult` placements in the ``mappings`` namespace.
 
-    File names embed the content key, so a source edit simply makes the
-    old entry unreachable (``clear`` reclaims the space). Loaded
-    results are freshly built objects — callers own them outright and
-    may mutate them freely.
+    ``root`` pins the cache root (default: :func:`repro.cas.cache_root`).
+    Loaded results are freshly built objects — callers own them
+    outright and may mutate them freely.
     """
 
-    def __init__(self, directory: Optional[Path] = None):
-        self.directory = (
-            Path(directory) if directory is not None else default_store_dir()
-        )
-
-    def entry_path(
-        self,
-        topology: LogicalTopology,
-        grid: WaferGrid,
-        io_style: IOStyle,
-        params: Dict,
-    ) -> Path:
-        key = entry_key(topology, grid, io_style, params)
-        return self.directory / f"mapping-{key}.json"
+    def __init__(self, root: Optional[cas.PathLike] = None):
+        self.entries = cas.Store("mappings", root)
 
     def load(
         self,
@@ -186,12 +152,10 @@ class MappingStore:
         io_style: IOStyle,
         params: Dict,
     ) -> Optional[MappingResult]:
-        path = self.entry_path(topology, grid, io_style, params)
-        try:
-            payload = json.loads(path.read_text())
-            return MappingResult.from_dict(payload["result"], topology)
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
+        return self.entries.get(
+            entry_key(topology, grid, io_style, params),
+            lambda payload: MappingResult.from_dict(payload, topology),
+        )
 
     def store(
         self,
@@ -199,36 +163,9 @@ class MappingStore:
         topology: LogicalTopology,
         params: Dict,
     ) -> Path:
-        grid = result.placement.grid
-        path = self.entry_path(topology, grid, result.io_style, params)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        # The mapping itself serializes through the shared
-        # MappingResult.to_dict path; this envelope only adds the
-        # store-level provenance.
-        payload = {
-            "format_version": STORE_FORMAT_VERSION,
-            "topology": topology.name,
-            "params": {k: params[k] for k in sorted(params)},
-            "result": result.to_dict(),
-        }
-        # Write-then-rename so a concurrent reader never sees a torn file.
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(payload) + "\n")
-        tmp.replace(path)
-        return path
+        key = entry_key(topology, result.placement.grid, result.io_style, params)
+        return self.entries.put(key, result.to_dict())
 
     def clear(self) -> int:
         """Delete every stored mapping; returns the number removed."""
-        removed = 0
-        if self.directory.is_dir():
-            for entry in self.directory.glob("mapping-*.json"):
-                entry.unlink()
-                removed += 1
-        return removed
-
-
-def default_store() -> Optional[MappingStore]:
-    """The store at the default location, or None when disabled."""
-    if not store_enabled():
-        return None
-    return MappingStore()
+        return self.entries.clear()

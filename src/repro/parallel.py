@@ -94,7 +94,6 @@ ENGINE_ENV_VARS = (
 #: around long after the warm workers were spawned.
 PROPAGATED_ENV_VARS = ENGINE_ENV_VARS + (
     "REPRO_CACHE_DIR",
-    "REPRO_MAPPING_STORE",
     "REPRO_TELEMETRY_DIR",
 )
 

@@ -36,14 +36,12 @@ surfaced by the server's ``/v1/stats`` endpoint and consumed by
 from __future__ import annotations
 
 import asyncio
-import json
-import os
 from concurrent.futures import Executor
 from functools import partial
 from pathlib import Path
 from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
-from repro import api, paths
+from repro import api, cas
 
 #: A dispatch outcome: (HTTP-ish status code, JSON-serializable body).
 Outcome = Tuple[int, Dict[str, Any]]
@@ -59,44 +57,22 @@ def error_body(status: int, kind: str, message: str) -> Dict[str, Any]:
 
 
 class ResponseCache:
-    """Persists completed serve responses as JSON files.
+    """Persists completed serve responses in the ``serve`` namespace.
 
-    Same discipline as the experiment and mapping caches: file names
-    embed the content key (so source edits strand old entries instead
-    of serving stale ones), ``load`` returns ``None`` on any miss or
-    unreadable file, and writes are atomic (write-then-rename). Only
-    successful responses are ever stored — see :class:`Dispatcher`.
+    ``root`` pins the cache root (default: :func:`repro.cas.cache_root`).
+    A hit is one file read plus one ``json.loads``; ``load`` returns
+    ``None`` on any miss or unreadable file. Only successful responses
+    are ever stored — see :class:`Dispatcher`.
     """
 
-    def __init__(self, directory: Optional[Path] = None):
-        self.directory = (
-            Path(directory) if directory is not None else paths.serve_cache_dir()
-        )
-
-    def entry_path(self, key: str) -> Path:
-        return self.directory / f"response-{key}.json"
+    def __init__(self, root: Optional[cas.PathLike] = None):
+        self.entries = cas.Store("serve", root)
 
     def load(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            return json.loads(self.entry_path(key).read_text())
-        except (OSError, ValueError):
-            return None
+        return self.entries.get(key)
 
     def store(self, key: str, response: Dict[str, Any]) -> Path:
-        path = self.entry_path(key)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp{os.getpid()}")
-        tmp.write_text(json.dumps(response) + "\n")
-        tmp.replace(path)
-        return path
-
-    def clear(self) -> int:
-        removed = 0
-        if self.directory.is_dir():
-            for entry in self.directory.glob("response-*.json"):
-                entry.unlink()
-                removed += 1
-        return removed
+        return self.entries.put(key, response)
 
 
 class Dispatcher:

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.cache import CACHE_DIR_ENV
+from repro.cas import CACHE_DIR_ENV
 from repro.tech.chiplet import tomahawk5
 from repro.topology.clos import folded_clos
 
 
 @pytest.fixture(autouse=True)
 def _isolated_result_cache(monkeypatch, tmp_path):
-    """Point the experiment result cache at a per-test directory so tests
+    """Point the shared cache root at a per-test directory so tests
     never read or write the working tree's ``.repro_cache/``."""
     monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "repro_cache"))
 

@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import os
+import threading
 
 import pytest
 
 from repro.api import DCNQuery, QueryError, execute
-from repro.dcn import DCNConfig, DCNShape, run_dcn
+from repro.dcn import DCNConfig, DCNShape, flow, run_dcn
 from repro.dcn.flow import (
     FlowWaferNode,
     ServiceCurve,
@@ -167,7 +169,7 @@ def test_curve_cache_roundtrip(tmp_path):
     first = calibrate_wafer(8, 8, cache=True, cache_root=tmp_path)
     cached = calibrate_wafer(8, 8, cache=True, cache_root=tmp_path)
     assert first == cached
-    files = list((tmp_path / "dcn").glob("curve-*.json"))
+    files = list((tmp_path / "dcn").glob("*.json"))
     assert len(files) == 1
     payload = json.loads(files[0].read_text())
     assert payload["wafer_terminals"] == 8
@@ -175,6 +177,47 @@ def test_curve_cache_roundtrip(tmp_path):
     files[0].write_text("{not json")
     again = calibrate_wafer(8, 8, cache=True, cache_root=tmp_path)
     assert again == first
+
+
+def test_concurrent_calibrations_of_one_key_all_return_a_curve(tmp_path, monkeypatch):
+    """Writers racing to publish the same curve never collide.
+
+    ``os.replace`` waits until every writer has written its temp file,
+    so all of them publish over each other at once.
+    """
+    writers = 4
+    barrier = threading.Barrier(writers)
+    real_replace = os.replace
+
+    def replace(src, dst):
+        barrier.wait(timeout=60)
+        real_replace(src, dst)
+
+    def probe(network, load, cycles, seed, size_flits, engine):
+        return {"mean_latency": 10.0 + load, "delivered_flits_per_cycle": 3.0}
+
+    monkeypatch.setattr(os, "replace", replace)
+    monkeypatch.setattr(flow, "calibration_probe", probe)
+    monkeypatch.setattr(flow, "waferscale_clos_network", lambda *a, **k: None)
+    curves, errors = [], []
+
+    def calibrate():
+        try:
+            curves.append(calibrate_wafer(8, 8, cache=True, cache_root=tmp_path))
+        except Exception as exc:  # a worker thread cannot fail the test itself
+            errors.append(exc)
+
+    threads = [threading.Thread(target=calibrate) for _ in range(writers)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert errors == []
+    assert len(curves) == writers and all(c == curves[0] for c in curves)
+    # Every temp file was published; only the entry is left behind.
+    assert [p.name for p in (tmp_path / "dcn").iterdir()] == [
+        f"{flow._curve_cache_key(8, 8, 4, 16, 4)}.json"
+    ]
 
 
 def test_curve_latency_is_clamped_and_congestion_sensitive():

@@ -5,15 +5,11 @@ import textwrap
 
 import pytest
 
-from repro.experiments import cache as cache_mod
+from repro import fingerprint
 from repro.experiments.base import ExperimentResult
-from repro.experiments.cache import (
-    ResultCache,
-    cache_key,
-    source_fingerprint,
-    transitive_modules,
-)
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.runner import run_experiments
+from repro.fingerprint import source_fingerprint, transitive_modules
 
 
 def _toy_result() -> ExperimentResult:
@@ -54,13 +50,6 @@ def test_clear_removes_entries(tmp_path):
     assert cache.load("fig01", fast=True) is None
 
 
-def test_corrupt_entry_is_a_miss(tmp_path):
-    cache = ResultCache(tmp_path)
-    path = cache.store("fig01", fast=True, result=_toy_result())
-    path.write_text("{not json")
-    assert cache.load("fig01", fast=True) is None
-
-
 def test_transitive_modules_track_real_dependencies():
     fig07_deps = transitive_modules("repro.experiments.fig07")
     assert "repro.experiments.fig07" in fig07_deps
@@ -98,9 +87,9 @@ def test_source_edit_busts_cache_key(tmp_path, monkeypatch):
     cache.store("fig01", fast=True, result=_toy_result())
     assert cache.load("fig01", fast=True) is not None
 
-    original = cache_mod.source_fingerprint
+    original = fingerprint.source_fingerprint
     monkeypatch.setattr(
-        cache_mod,
+        fingerprint,
         "source_fingerprint",
         lambda names: "edited" + original(names),
     )
@@ -138,8 +127,9 @@ def test_runner_without_cache_recomputes(monkeypatch):
 
 
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(cache_mod.CACHE_DIR_ENV, str(tmp_path / "alt"))
-    assert cache_mod.default_cache_dir() == tmp_path / "alt"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
+    path = ResultCache().store("fig01", fast=True, result=_toy_result())
+    assert path.parent == tmp_path / "alt" / "results"
 
 
 def test_entry_names_are_human_readable(tmp_path):

@@ -8,11 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.mapping import store as mapping_store
 from repro.mapping.exchange import optimize_mapping
 from repro.mapping.grid import grid_for
 from repro.mapping.routing import IOStyle
-from repro.mapping.store import MappingStore, default_store, entry_key
+from repro.mapping.store import MappingStore, entry_key
 from repro.topology.clos import folded_clos
 
 PARAMS = {
@@ -69,16 +68,6 @@ def test_key_distinguishes_params_and_topology(clos_1024):
     assert entry_key(other_topo, other_grid, IOStyle.PERIPHERY, PARAMS) != base
 
 
-def test_missing_and_corrupt_entries_load_as_none(tmp_path, clos_1024):
-    store = MappingStore(tmp_path)
-    grid = grid_for(clos_1024.chiplet_count)
-    assert store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS) is None
-    path = store.entry_path(clos_1024, grid, IOStyle.PERIPHERY, PARAMS)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("{not json")
-    assert store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS) is None
-
-
 def test_clear_removes_entries(tmp_path, clos_1024):
     store = MappingStore(tmp_path)
     result = optimize_mapping(clos_1024, restarts=1)
@@ -86,13 +75,6 @@ def test_clear_removes_entries(tmp_path, clos_1024):
     assert store.clear() == 1
     grid = grid_for(clos_1024.chiplet_count)
     assert store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS) is None
-
-
-def test_env_kill_switch_disables_store(monkeypatch):
-    monkeypatch.setenv(mapping_store.STORE_ENV, "0")
-    assert default_store() is None
-    monkeypatch.delenv(mapping_store.STORE_ENV)
-    assert default_store() is not None
 
 
 _SUBPROCESS_SCRIPT = """

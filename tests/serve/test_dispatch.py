@@ -130,7 +130,7 @@ def test_completed_response_is_cached_and_served_warm(tmp_path):
     assert dispatcher.counters["cache_hits"] == 1
     # The entry is plain JSON on disk under the content key.
     key = api.query_key(api.query_from_dict(dict(QUERY)))
-    entry = tmp_path / f"response-{key}.json"
+    entry = tmp_path / "serve" / f"{key}.json"
     assert json.loads(entry.read_text()) == {"answer": 42}
 
 
@@ -174,11 +174,3 @@ def test_distinct_queries_do_not_coalesce():
     assert dispatcher.counters["coalesced"] == 0
     assert {body["which"] for _, body in outcomes} == {"a", "b"}
 
-
-def test_unreadable_cache_entry_is_a_miss(tmp_path):
-    cache = ResponseCache(tmp_path)
-    key = api.query_key(api.query_from_dict(dict(QUERY)))
-    cache.directory.mkdir(parents=True, exist_ok=True)
-    cache.entry_path(key).write_text("{corrupt json")
-    assert cache.load(key) is None
-    assert cache.clear() == 1

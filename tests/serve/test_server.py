@@ -63,7 +63,7 @@ def run_with_server(scenario, tmp_path):
     """Boot a server around ``scenario(port, dispatcher)``, tear down."""
 
     async def body():
-        dispatcher = Dispatcher(cache=ResponseCache(tmp_path / "serve"))
+        dispatcher = Dispatcher(cache=ResponseCache(tmp_path))
         server = ServeServer(dispatcher, port=0)
         await server.start()
         try:

@@ -1,39 +1,31 @@
-"""Tests for the shared cache-path resolver (repro.paths)."""
+"""Tests for the shared cache-root resolver and layout (repro.cas)."""
 
 from pathlib import Path
 
-from repro import paths
+from repro import cas
+from repro.experiments.cache import ResultCache
+from repro.mapping.store import MappingStore
+from repro.serve.dispatch import ResponseCache
 
 
 def test_default_root_is_relative_repro_cache(monkeypatch):
-    monkeypatch.delenv(paths.CACHE_DIR_ENV, raising=False)
-    assert paths.cache_root() == Path(paths.DEFAULT_CACHE_DIR)
+    monkeypatch.delenv(cas.CACHE_DIR_ENV, raising=False)
+    assert cas.cache_root() == Path(cas.DEFAULT_CACHE_DIR)
 
 
 def test_env_var_overrides_default(monkeypatch, tmp_path):
-    monkeypatch.setenv(paths.CACHE_DIR_ENV, str(tmp_path))
-    assert paths.cache_root() == tmp_path
+    monkeypatch.setenv(cas.CACHE_DIR_ENV, str(tmp_path))
+    assert cas.cache_root() == tmp_path
 
 
 def test_explicit_override_beats_env(monkeypatch, tmp_path):
-    monkeypatch.setenv(paths.CACHE_DIR_ENV, str(tmp_path / "env"))
-    assert paths.cache_root(tmp_path / "arg") == tmp_path / "arg"
+    monkeypatch.setenv(cas.CACHE_DIR_ENV, str(tmp_path / "env"))
+    assert cas.cache_root(tmp_path / "arg") == tmp_path / "arg"
 
 
 def test_layer_subdirectories_share_one_root(monkeypatch, tmp_path):
-    monkeypatch.setenv(paths.CACHE_DIR_ENV, str(tmp_path))
-    assert paths.experiment_cache_dir() == tmp_path
-    assert paths.mapping_store_dir() == tmp_path / "mappings"
-    assert paths.serve_cache_dir() == tmp_path / "serve"
-
-
-def test_deprecation_shims_still_importable(monkeypatch, tmp_path):
-    """PR-3/4 call sites import these names from their old homes."""
-    from repro.experiments import cache as exp_cache
-    from repro.mapping import store as map_store
-
-    assert exp_cache.CACHE_DIR_ENV == paths.CACHE_DIR_ENV
-    assert map_store.CACHE_DIR_ENV == paths.CACHE_DIR_ENV
-    monkeypatch.setenv(paths.CACHE_DIR_ENV, str(tmp_path))
-    assert exp_cache.default_cache_dir() == paths.experiment_cache_dir()
-    assert map_store.default_store_dir() == tmp_path / "mappings"
+    monkeypatch.setenv(cas.CACHE_DIR_ENV, str(tmp_path))
+    assert ResultCache().entries.directory == tmp_path / "results"
+    assert MappingStore().entries.directory == tmp_path / "mappings"
+    assert ResponseCache().entries.directory == tmp_path / "serve"
+    assert cas.Store("dcn").directory == tmp_path / "dcn"
