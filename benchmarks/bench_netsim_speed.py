@@ -8,6 +8,9 @@ trace replay multiplies — on fixed workloads:
 * ``clos_256_uniform`` — a 256-terminal waferscale Clos at 0.3 load.
 * ``mesh_8x8_lowload`` — the same mesh at 0.02 load, where the
   active-set scheduler should shine (most components idle).
+* ``mesh_4x4_lulesh_replay`` — the golden-corpus LULESH trace (10
+  iterations instead of 3) replayed on the golden 4x4 mesh: the
+  kernel's replay mode, which runs the Figs 21-24 traces.
 
 Usage::
 
@@ -35,6 +38,11 @@ from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import waferscale_clos_network
 from repro.netsim.packet import reset_packet_ids
 from repro.netsim.sim import Simulator
+from repro.netsim.trace import (
+    SyntheticTraceSpec,
+    replay_trace,
+    synthetic_nersc_trace,
+)
 from repro.netsim.traffic import make_pattern
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -56,11 +64,63 @@ def _clos_256():
     return waferscale_clos_network(256, 32, num_vcs=4, buffer_flits_per_port=16)
 
 
-#: name -> (network factory, load, warmup, measure)
+def _golden_mesh():
+    """The golden corpus's 4x4 mesh (tests/netsim/golden_scenarios.py)."""
+    return mesh_network(
+        4,
+        4,
+        terminals_per_router=2,
+        neighbor_channels=2,
+        config=RouterConfig(num_vcs=2, buffer_flits_per_port=8),
+        io_latency=2,
+    )
+
+
+def _bernoulli(factory, load, warmup, measure):
+    """Uniform Bernoulli load point (warmup, measure, <=1000 drain)."""
+
+    def prepare():
+        network = factory()
+        pattern = make_pattern("uniform", network.n_terminals)
+        sim = Simulator(network, pattern, load, packet_size_flits=4, seed=7)
+        return network, lambda telemetry: sim.run(
+            warmup_cycles=warmup,
+            measure_cycles=measure,
+            drain_cycles=1000,
+            telemetry=telemetry,
+        )
+
+    return prepare
+
+
+def _replay(factory, trace, iterations, max_cycles):
+    """Synthetic mini-app trace replayed to completion (or the cap)."""
+
+    def prepare():
+        network = factory()
+        spec = SyntheticTraceSpec(
+            n_nodes=network.n_terminals,
+            iterations=iterations,
+            iteration_gap_cycles=120,
+            seed=21,
+        )
+        events = synthetic_nersc_trace(trace, spec)
+        return network, lambda telemetry: replay_trace(
+            network, events, max_cycles=max_cycles, telemetry=telemetry
+        )
+
+    return prepare
+
+
+#: name -> prepare() returning (network, run(telemetry) -> RunStats);
+#: only ``run`` is timed.
 WORKLOADS = {
-    "mesh_8x8_uniform": (_mesh_8x8, 0.30, 200, 1200),
-    "clos_256_uniform": (_clos_256, 0.30, 200, 800),
-    "mesh_8x8_lowload": (_mesh_8x8, 0.02, 200, 1200),
+    "mesh_8x8_uniform": _bernoulli(_mesh_8x8, 0.30, 200, 1200),
+    "clos_256_uniform": _bernoulli(_clos_256, 0.30, 200, 800),
+    "mesh_8x8_lowload": _bernoulli(_mesh_8x8, 0.02, 200, 1200),
+    # The golden LULESH trace runs 3 iterations (~600 cycles); 10 make
+    # the timed replay (~1800 cycles) long enough to gate on.
+    "mesh_4x4_lulesh_replay": _replay(_golden_mesh, "lulesh", 10, 20_000),
 }
 
 
@@ -70,21 +130,13 @@ def run_workload(name: str, repeats: int = 1, telemetry_factory=None) -> dict:
     ``telemetry_factory`` (e.g. ``lambda: Telemetry()``) attaches a
     fresh telemetry sink per run — used by the on/off overhead section.
     """
-    factory, load, warmup, measure = WORKLOADS[name]
     best = None
     for _ in range(repeats):
         reset_packet_ids()
-        network = factory()
-        pattern = make_pattern("uniform", network.n_terminals)
-        sim = Simulator(network, pattern, load, packet_size_flits=4, seed=7)
+        network, run = WORKLOADS[name]()
         telemetry = telemetry_factory() if telemetry_factory else None
         start = time.perf_counter()
-        stats = sim.run(
-            warmup_cycles=warmup,
-            measure_cycles=measure,
-            drain_cycles=1000,
-            telemetry=telemetry,
-        )
+        stats = run(telemetry)
         elapsed = time.perf_counter() - start
         flits_moved = sum(r.flits_forwarded for r in network.routers)
         result = {

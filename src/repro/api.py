@@ -23,8 +23,7 @@ it.
 Engine and cache selection is *explicit*: :func:`execute` takes
 ``engine=`` (netsim kernel), ``mapping_engine=`` and ``cache=``
 keywords instead of requiring callers to set ``REPRO_SCALAR_NETSIM`` /
-``REPRO_NETSIM_NO_CC`` / ``REPRO_SCALAR_MAPPING`` environment
-variables (those remain as CI overrides — see :mod:`repro.engines`).
+``REPRO_SCALAR_MAPPING`` environment variables (those remain as CI overrides — see :mod:`repro.engines`).
 
 >>> query = query_from_dict({"kind": "design", "substrate_mm": 100.0})
 >>> query.substrate_mm, query.family

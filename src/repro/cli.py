@@ -347,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     simulate.add_argument(
         "--engine",
-        choices=("auto", "c", "numpy", "scalar"),
+        choices=("auto", "c", "scalar"),
         default="auto",
         help="netsim kernel (default auto; see repro.engines)",
     )
@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per wafer partition",
     )
     dcn.add_argument(
-        "--engine", choices=("auto", "c", "numpy", "scalar"), default="auto"
+        "--engine", choices=("auto", "c", "scalar"), default="auto"
     )
     dcn.add_argument(
         "--fidelity",
@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8177, help="0 picks a free port")
     serve.add_argument(
-        "--engine", choices=("auto", "c", "numpy", "scalar"), default="auto"
+        "--engine", choices=("auto", "c", "scalar"), default="auto"
     )
     serve.add_argument(
         "--mapping-engine", choices=("auto", "fast", "scalar"), default="auto"

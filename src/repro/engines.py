@@ -1,23 +1,23 @@
 """Explicit engine selection for the netsim and mapping kernels.
 
-The repo carries three interchangeable netsim implementations (the
-scalar object oracle, the vectorized numpy loop, and the compiled C
-step kernel) and two mapping kernels (scalar oracle, delta-vectorized
-fast kernel). Historically the only way to pick one was an environment
-variable set before the run (``REPRO_SCALAR_NETSIM``,
-``REPRO_NETSIM_NO_CC``, ``REPRO_SCALAR_MAPPING``) — fine for CI parity
-jobs, hostile to programmatic callers. This module is the explicit
-front door: every simulation entry point now takes an ``engine=``
-keyword whose value is resolved here, **once per run**, before any
-dispatch happens.
+The repo carries two interchangeable netsim implementations (the
+scalar object oracle and the vectorized engine driven by the compiled
+C step kernel) and two mapping kernels (scalar oracle,
+delta-vectorized fast kernel). Historically the only way to pick one
+was an environment variable set before the run
+(``REPRO_SCALAR_NETSIM``, ``REPRO_SCALAR_MAPPING``) — fine for CI
+parity jobs, hostile to programmatic callers. This module is the
+explicit front door: every simulation entry point now takes an
+``engine=`` keyword whose value is resolved here, **once per run**,
+before any dispatch happens.
 
 Netsim engine names (``NETSIM_ENGINES``):
 
 * ``"auto"``   — the process default (normally ``"c"``); what you get
   when you don't care.
-* ``"c"``      — the vectorized engine with the compiled C step kernel;
-  falls back to ``"numpy"`` when no C toolchain is available.
-* ``"numpy"``  — the vectorized engine's pure-numpy step loop.
+* ``"c"``      — the vectorized engine with the compiled C step kernel.
+  It serves Bernoulli load points, trace replay and partition epochs at
+  any port count.
 * ``"scalar"`` — the object-model oracle.
 
 Mapping engine names (``MAPPING_ENGINES``): ``"auto"``, ``"fast"``
@@ -26,8 +26,7 @@ Mapping engine names (``MAPPING_ENGINES``): ``"auto"``, ``"fast"``
 Resolution order, most binding first:
 
 1. **Environment overrides** — ``REPRO_SCALAR_NETSIM=1`` forces
-   ``"scalar"``; ``REPRO_NETSIM_NO_CC=1`` demotes ``"c"`` to
-   ``"numpy"``; ``REPRO_SCALAR_MAPPING=1`` forces the scalar mapping
+   ``"scalar"``; ``REPRO_SCALAR_MAPPING=1`` forces the scalar mapping
    kernel. These exist so CI parity jobs can pin a whole test
    process (including subprocesses) without editing call sites.
 2. **The explicit ``engine=`` argument** of the entry point.
@@ -35,12 +34,12 @@ Resolution order, most binding first:
    pool-worker initializer in :mod:`repro.parallel` mirrors into
    workers so ``--jobs`` runs honor a top-level choice.
 
-A request the hardware cannot satisfy degrades gracefully in the same
-direction the env switches always have: ``"c"`` without a C toolchain
-runs the numpy loop; a network shape the vectorized engine does not
-support runs on the scalar oracle regardless of the request. All
-engines are held to bit-identical results by the differential harness,
-so degradation changes speed, never answers.
+A request the host cannot satisfy degrades to the scalar oracle: with
+no C toolchain, or for a network shape the vectorized engine does not
+support, :func:`repro.netsim.fast_core.engine_for` declines and the
+object simulator runs, whatever was requested. Both engines are held to
+bit-identical results by the differential harness, so degradation
+changes speed, never answers.
 """
 
 from __future__ import annotations
@@ -49,16 +48,13 @@ import os
 from typing import Dict, Optional
 
 #: Accepted ``engine=`` values for the netsim entry points.
-NETSIM_ENGINES = ("auto", "c", "numpy", "scalar")
+NETSIM_ENGINES = ("auto", "c", "scalar")
 
 #: Accepted ``engine=`` values for the mapping optimizer.
 MAPPING_ENGINES = ("auto", "fast", "scalar")
 
 #: Env switch forcing the scalar netsim oracle (CI parity override).
 SCALAR_NETSIM_ENV = "REPRO_SCALAR_NETSIM"
-
-#: Env switch disabling the compiled C kernel (CI parity override).
-NO_CC_ENV = "REPRO_NETSIM_NO_CC"
 
 #: Env switch forcing the scalar mapping kernel (CI parity override).
 SCALAR_MAPPING_ENV = "REPRO_SCALAR_MAPPING"
@@ -98,23 +94,19 @@ def _validate(engine: str, allowed, kind: str) -> str:
 
 
 def resolve_netsim_engine(engine: str = "auto") -> str:
-    """Resolve an ``engine=`` request to ``"c"``, ``"numpy"`` or ``"scalar"``.
+    """Resolve an ``engine=`` request to ``"c"`` or ``"scalar"``.
 
     >>> resolve_netsim_engine("scalar")
     'scalar'
-    >>> resolve_netsim_engine("numpy")
-    'numpy'
+    >>> resolve_netsim_engine("c")
+    'c'
     """
     _validate(engine, NETSIM_ENGINES, "netsim")
     if os.environ.get(SCALAR_NETSIM_ENV, "") == "1":
         return "scalar"
     if engine == "auto":
         engine = _DEFAULTS["netsim"]
-    if engine == "auto":
-        engine = "c"
-    if engine == "c" and os.environ.get(NO_CC_ENV, "") == "1":
-        return "numpy"
-    return engine
+    return "c" if engine == "auto" else engine
 
 
 def resolve_mapping_engine(engine: str = "auto") -> str:

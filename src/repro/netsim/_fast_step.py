@@ -1,35 +1,41 @@
-"""Compiled hot loop for the vectorized netsim engine.
+"""Compiled step kernel behind the vectorized netsim engine.
 
-:mod:`repro.netsim.fast_core` keeps the router pipeline in numpy
-struct-of-arrays, but at mesh/Clos sizes the per-cycle working sets are
-tens of rows: numpy's per-call overhead (~1-2us x ~150 calls/cycle)
-dominates and caps the speedup near 2x. This module compiles the same
-per-cycle semantics into a small C kernel that walks the *same* SoA
-buffers in place, which removes the interpreter from the hot loop
-entirely (the driver calls into C once per warmup/measure/drain span,
-not per cycle).
+:mod:`repro.netsim.fast_core` keeps every router, port, VC and
+terminal of a network in numpy struct-of-arrays. This module compiles
+the cycle semantics of the scalar object engine into a small C kernel
+that walks *those same* buffers in place, so no Python runs per cycle:
+Python calls into C once per run phase (warmup / measure / drain,
+a whole trace replay, or one partition epoch).
 
 Design constraints:
 
 * **No new dependencies.** The kernel is built with the system C
-  compiler through :mod:`cffi`'s ABI mode (``ffi.dlopen`` on a plain
-  shared object) — both already ship in the environment. When either
-  is missing, :func:`load_kernel` returns ``None`` and the engine runs
-  its pure-numpy step loop instead; the scalar object simulator remains
-  the oracle below that. ``REPRO_NETSIM_NO_CC=1`` forces the numpy
-  path (used by the differential tests to pin all three layers).
-* **Bit parity.** The C step is a transliteration of the *scalar*
-  object engine's cycle (which the numpy step already mirrors):
-  deliver link flits, deliver credits, inject, then VC-allocate and
-  switch-allocate per router in ascending order. Sequential C code
-  reproduces the object engine's iteration order directly — no batched
-  tie-breaking tricks are needed.
+  compiler and loaded with stdlib :mod:`ctypes` (a plain shared object,
+  no Python extension). When no toolchain exists, :func:`load_kernel`
+  returns ``None``, :func:`repro.netsim.fast_core.engine_for` declines,
+  and the run goes to the scalar object simulator — the oracle the
+  kernel is held bit-identical to.
+* **One struct declaration.** :class:`FastState`'s ``_fields_`` are the
+  only description of the state block; the C ``typedef`` is generated
+  from them, so the two cannot drift. Pointer fields are ``c_void_p``
+  subclasses set straight from ``ndarray.ctypes.data``, which keeps
+  per-run set-up to attribute stores.
+* **Bit parity.** The C step is a transliteration of the scalar object
+  engine's cycle: deliver link flits, deliver credits, inject, then
+  VC-allocate and switch-allocate per router in ascending order.
+  Sequential C reproduces the object engine's iteration order
+  directly — no batched tie-breaking tricks are needed.
 * **Shared state.** All SoA arrays are numpy buffers owned by
-  ``FastEngine``; C mutates them through raw pointers, so finalization
-  (stats + object-model writeback) is engine code reading the same
-  arrays it would have written itself. Auxiliary C state (event rings,
-  RC buckets, pending lists, the delivery log) is exported back into
-  the engine's Python-side structures after the run.
+  ``FastEngine``; C mutates them through raw pointers, so
+  finalization (stats + object-model writeback) is engine code reading
+  the arrays directly. Output-port and candidate sets are bitmask words
+  (``ceil(P/64)`` and ``ceil(P*V/64)`` per port group), so any port
+  count runs.
+
+Kernel modes (:func:`fast_run`): 0 offers and steps a fixed number of
+cycles (Bernoulli warmup/measure), 1 drains, 2 replays a trace
+schedule to completion or a cycle cap, 3 advances a partition epoch to
+a target cycle, skipping idle stretches.
 
 The compiled object is cached under ``_cc_cache/`` next to this file,
 keyed by a hash of the C source, so the toolchain runs once per source
@@ -38,6 +44,7 @@ revision, not once per process.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import os
 import subprocess
@@ -45,98 +52,104 @@ import tempfile
 from pathlib import Path
 from typing import Optional
 
-#: Set to ``"1"`` to skip the compiled kernel (pure-numpy fast path).
-NO_CC_ENV = "REPRO_NETSIM_NO_CC"
 
-# The struct below is both the cffi cdef and (verbatim) part of the C
-# source, so the two can never drift apart.
-_CDEF = """
-typedef struct {
-    /* shape + constants */
-    int64_t R, P, V, CAP, PV, PVW, T, RP, RPV, W;
-    int64_t full_mask, base, shift, idx_mask;
-    int64_t st_idle, st_route, st_active;
-    /* per-input-VC rows */
-    int64_t *qbuf, *qhead, *qlen;
-    int8_t  *state;
-    int64_t *rc_out, *rc_ovc, *gout;
-    /* per-port groups (g = router*P + port) */
-    int64_t *occ, *ocred;
-    int8_t  *oterm;
-    int64_t *ovc_mask, *vc_ptr, *sa_ptr, *fwd_g;
-    int64_t *rc_delay, *rc_delay_respawn;
-    int64_t *send_cls, *send_dest, *cred_cls, *cred_dest;
-    /* terminals */
-    int64_t *tcred, *tvc, *tsent, *tpsent, *trecv, *tbacklog;
-    int64_t *cur_pid, *cur_idx, *inj_cls, *inj_dest;
-    /* packet store (indexed by pidx = packet_id - base) */
-    int64_t *pk_dst, *pk_size, *pk_inject, *pk_arrive;
-    /* routing */
-    int64_t route_kind;   /* 0 mesh, 1 clos, 2 single */
-    int64_t rp0, rp1, rp2, rp3, rp4, rp5, rp6;
-    /* pre-generated offer events (ascending cycle) */
-    int64_t n_ev, ev_index;
-    int64_t *ev_when, *ev_term;
-    /* per-terminal pending-packet FIFO (linked by event index) */
-    int64_t *pend_next, *pend_head, *pend_tail;
-    /* delivery log (terminal, pidx) in arrival order */
-    int64_t *log_term, *log_pidx, log_count;
-    /* transport delay-class rings */
-    int64_t n_cls;
-    int64_t *cls_kind;    /* 0 rf, 1 tf, 2 inj, 3 rc, 4 tc */
-    int64_t *cls_delay, *cls_off, *cls_cap, *cls_head, *cls_tail;
-    int64_t *cls_hidx, *cls_tidx;   /* wrapped ring cursors */
-    int64_t *ring_cycle, *ring_dest, *ring_code, *ring_vc, *ring_src;
-    /* division-free lookups */
-    int64_t *pv_port;     /* PV:  pv -> input port (pv / V) */
-    int64_t *g_r, *g_p;   /* RP:  g -> router, g -> port */
-    int64_t *row_r;       /* RPV: row -> router */
-    /* RC completion buckets: ring of W slots, RPV rows each */
-    int64_t *bk_rows, *bk_cnt;
-    int64_t *stall_rows, stall_cnt;
-    int64_t RPVW;
-    uint64_t *va_mask;    /* RPVW words: rows pending VA this cycle */
-    /* SA bookkeeping */
-    uint64_t *cand;       /* RP * PVW candidate bitmask words */
-    uint64_t *aop;        /* R words: out ports with candidates */
-    int64_t *cg_stamp;    /* RP: cycle an input port last won SA */
-    /* run counters */
-    int64_t cycle, inflight, delivered_total, n_active, total_backlog;
-    /* telemetry (tel == 0: every instrumentation branch is skipped) */
-    int64_t tel, tel_interval;
-    int64_t *tel_rc_wait;      /* R:  rc_wait_cycles per router */
-    int64_t *tel_va_grants;    /* R */
-    int64_t *tel_va_stalls;    /* R */
-    int64_t *tel_rc_waiting;   /* R:  rows currently mid-RC-wait */
-    int64_t tel_waiting_total;
-    int64_t *tel_credit_stall; /* RP: credit_stall_cycles per port */
-    int64_t *tel_sa_requests;  /* RP */
-    int64_t *tel_channel_load; /* RP: SA grants per OUTPUT port */
-    int64_t *tel_vc_grants;    /* R*V: SA grants per input VC */
-    int64_t *tel_occ_sum;      /* RP: sampled, reset per window */
-    int64_t *tel_occ_peak;     /* RP */
-    int64_t *tel_vc_occ_sum;   /* R*V */
-    int64_t tel_samples;
-    int64_t tel_backlog_sum, tel_backlog_peak, tel_backlog_samples;
-    int64_t *tel_term_stall;   /* T: injection credit stalls */
-    /* error detail */
-    int64_t err_a;
-} FastState;
+class _I64Ptr(ctypes.c_void_p):
+    c_decl = "int64_t *"
 
-int64_t fast_run(FastState *s, int64_t mode, int64_t limit);
-int64_t pregen_uniform(uint32_t *mt, int64_t *mti_io, int64_t total,
-                       int64_t T, double probability,
-                       int64_t n_terminals, int64_t *ev_when,
-                       int64_t *ev_term, int64_t *ev_dst);
-"""
+
+class _U64Ptr(ctypes.c_void_p):
+    c_decl = "uint64_t *"
+
+
+class _I8Ptr(ctypes.c_void_p):
+    c_decl = "int8_t *"
+
+
+_I64 = ctypes.c_int64
+
+
+def _fields(ctype, names: str):
+    return [(name, ctype) for name in names.split()]
+
+
+class FastState(ctypes.Structure):
+    """The kernel's state block; pointer fields index engine arrays."""
+
+    _fields_ = (
+        # shape + constants (PW/PVW/RPVW: 64-bit words per bitmask)
+        _fields(_I64, "R P V CAP PV PVW PW T RP RPV W RPVW")
+        + _fields(_I64, "full_mask base shift idx_mask")
+        + _fields(_I64, "st_idle st_route st_active")
+        # per-input-VC rows
+        + _fields(_I64Ptr, "qbuf qhead qlen")
+        + _fields(_I8Ptr, "state")
+        + _fields(_I64Ptr, "rc_out rc_ovc gout")
+        # per-port groups (g = router*P + port)
+        + _fields(_I64Ptr, "occ ocred")
+        + _fields(_I8Ptr, "oterm")
+        + _fields(_I64Ptr, "ovc_mask vc_ptr sa_ptr fwd_g")
+        + _fields(_I64Ptr, "rc_delay rc_delay_respawn")
+        + _fields(_I64Ptr, "send_cls send_dest cred_cls cred_dest")
+        # terminals
+        + _fields(_I64Ptr, "tcred tvc tsent tpsent trecv tbacklog")
+        + _fields(_I64Ptr, "cur_pid cur_idx inj_cls inj_dest")
+        # packet store, indexed by pidx = packet_id - base; packet i
+        # is offer event i (ev_when = create cycle, ev_term = source)
+        + _fields(_I64Ptr, "pk_dst pk_size pk_inject pk_arrive")
+        + _fields(_I64, "n_ev ev_index")
+        + _fields(_I64Ptr, "ev_when ev_term")
+        # per-terminal pending-packet FIFO (linked by event index)
+        + _fields(_I64Ptr, "pend_next pend_head pend_tail")
+        # delivery log (terminal, pidx) in arrival order
+        + _fields(_I64Ptr, "log_term log_pidx")
+        + _fields(_I64, "log_count")
+        # routing: kind 0 mesh, 1 clos, 2 single; rp* its parameters
+        + _fields(_I64, "route_kind rp0 rp1 rp2 rp3 rp4 rp5")
+        # transport delay-class rings; kind 0 rf, 1 tf, 2 inj, 3 rc, 4 tc
+        + _fields(_I64, "n_cls")
+        + _fields(_I64Ptr, "cls_kind cls_delay cls_off cls_cap")
+        + _fields(_I64Ptr, "cls_head cls_tail cls_hidx cls_tidx")
+        + _fields(_I64Ptr, "ring_cycle ring_dest ring_code ring_vc ring_src")
+        # division-free lookups: pv -> port, g -> router/port, row -> router
+        + _fields(_I64Ptr, "pv_port g_r g_p row_r")
+        # RC completion buckets (ring of W slots, RPV rows each), VA
+        # stalls, and the rows pending VA this cycle
+        + _fields(_I64Ptr, "bk_rows bk_cnt stall_rows")
+        + _fields(_I64, "stall_cnt")
+        + _fields(_U64Ptr, "va_mask")
+        # SA: candidate (RP*PVW) and active-out-port (R*PW) bitmasks,
+        # and the cycle an input port last won SA (RP)
+        + _fields(_U64Ptr, "cand aop")
+        + _fields(_I64Ptr, "cg_stamp")
+        # run counters
+        + _fields(_I64, "cycle inflight delivered_total n_active")
+        + _fields(_I64, "total_backlog")
+        # telemetry (tel == 0: every instrumentation branch is skipped)
+        + _fields(_I64, "tel tel_interval")
+        + _fields(_I64Ptr, "tel_rc_wait tel_va_grants tel_va_stalls")
+        + _fields(_I64Ptr, "tel_rc_waiting")
+        + _fields(_I64, "tel_waiting_total")
+        + _fields(_I64Ptr, "tel_credit_stall tel_sa_requests")
+        + _fields(_I64Ptr, "tel_channel_load tel_vc_grants")
+        + _fields(_I64Ptr, "tel_occ_sum tel_occ_peak tel_vc_occ_sum")
+        + _fields(_I64, "tel_samples")
+        + _fields(_I64, "tel_backlog_sum tel_backlog_peak tel_backlog_samples")
+        + _fields(_I64Ptr, "tel_term_stall")
+        # error detail
+        + _fields(_I64, "err_a")
+    )
+
+
+def _typedef() -> str:
+    lines = [
+        f"    {getattr(ctype, 'c_decl', 'int64_t ')}{name};"
+        for name, ctype in FastState._fields_
+    ]
+    return "typedef struct {\n" + "\n".join(lines) + "\n} FastState;\n"
+
 
 _C_SOURCE = (
-    """
-#include <stdint.h>
-#include <stdlib.h>
-"""
-    + _CDEF.replace("int64_t fast_run", "extern int64_t fast_run")
-    + r"""
+    "#include <stdint.h>\n#include <stdlib.h>\n\n" + _typedef() + r"""
 /* Error codes (negative); >= 0 is a normal span result. */
 #define ERR_OVERFLOW   (-1)
 #define ERR_IDLE_BODY  (-2)
@@ -171,15 +184,19 @@ static inline void sched_rc(FastState *s, int64_t row, int64_t delay,
 }
 
 static inline void cand_set(FastState *s, int64_t g, int64_t pv) {
+    int64_t p = s->g_p[g];
     s->cand[g * s->PVW + (pv >> 6)] |= (uint64_t)1 << (pv & 63);
-    s->aop[s->g_r[g]] |= (uint64_t)1 << s->g_p[g];
+    s->aop[s->g_r[g] * s->PW + (p >> 6)] |= (uint64_t)1 << (p & 63);
 }
 
 static inline void cand_clear(FastState *s, int64_t g, int64_t pv) {
     s->cand[g * s->PVW + (pv >> 6)] &= ~((uint64_t)1 << (pv & 63));
     uint64_t any = 0;
     for (int64_t w = 0; w < s->PVW; w++) any |= s->cand[g * s->PVW + w];
-    if (!any) s->aop[s->g_r[g]] &= ~((uint64_t)1 << s->g_p[g]);
+    if (!any) {
+        int64_t p = s->g_p[g];
+        s->aop[s->g_r[g] * s->PW + (p >> 6)] &= ~((uint64_t)1 << (p & 63));
+    }
 }
 
 static int64_t route_port(FastState *s, int64_t r, int64_t dst,
@@ -412,11 +429,14 @@ static int64_t commit(FastState *s, int64_t r, int64_t g, int64_t pv,
 static int64_t switch_allocate(FastState *s, int64_t now) {
     /* Routers ascending, active out ports ascending, winner = minimum
        circular distance from the port's pointer among candidates whose
-       input port has not already been granted this cycle. */
+       input port has not already been granted this cycle. A commit
+       only clears its own port's bit, so walking a snapshot of each
+       out-port word is exact. */
     for (int64_t r = 0; r < s->R; r++) {
-        uint64_t m = s->aop[r];
+    for (int64_t pw = 0; pw < s->PW; pw++) {
+        uint64_t m = s->aop[r * s->PW + pw];
         while (m) {
-            int64_t p = __builtin_ctzll(m);
+            int64_t p = pw * 64 + __builtin_ctzll(m);
             m &= m - 1;
             int64_t g = r * s->P + p;
             if (!s->oterm[g] && s->ocred[g] <= 0) {
@@ -442,6 +462,7 @@ static int64_t switch_allocate(FastState *s, int64_t now) {
             int64_t rc = commit(s, r, g, best, now);
             if (rc) return rc;
         }
+    }
     }
     return 0;
 }
@@ -530,6 +551,17 @@ static void offers(FastState *s, int64_t now) {
     }
 }
 
+static int idle(FastState *s) {
+    /* Nothing in flight, queued for RC/VA, or on any wire: a step
+       would only advance the clock. */
+    if (s->inflight || s->n_active || s->stall_cnt) return 0;
+    for (int64_t w = 0; w < s->W; w++)
+        if (s->bk_cnt[w]) return 0;
+    for (int64_t ci = 0; ci < s->n_cls; ci++)
+        if (s->cls_head[ci] != s->cls_tail[ci]) return 0;
+    return 1;
+}
+
 /* ---- CPython-compatible Mersenne Twister -------------------------
    Bernoulli pre-generation consumes the bulk of the Python driver's
    time at scale. random.Random is MT19937 with a documented state
@@ -599,7 +631,12 @@ int64_t pregen_uniform(uint32_t *mt, int64_t *mti_io, int64_t total,
 int64_t fast_run(FastState *s, int64_t mode, int64_t limit) {
     /* mode 0: offer + step for `limit` cycles.
        mode 1: drain — step until in-flight empties (returns 1) or
-       `limit` cycles elapse (returns 0). */
+               `limit` cycles elapse (returns 0).
+       mode 2: trace replay — offer + step until every event is
+               offered and nothing is in flight, or the clock reaches
+               `limit` (the scalar replay loop, truncation included).
+       mode 3: partition epoch — offer + step until the clock reaches
+               `limit`, jumping over idle stretches to the next event. */
     if (mode == 0) {
         for (int64_t k = 0; k < limit; k++) {
             offers(s, s->cycle);
@@ -608,8 +645,31 @@ int64_t fast_run(FastState *s, int64_t mode, int64_t limit) {
         }
         return 0;
     }
-    for (int64_t k = 0; k < limit; k++) {
-        if (s->inflight == 0) return 1;
+    if (mode == 1) {
+        for (int64_t k = 0; k < limit; k++) {
+            if (s->inflight == 0) return 1;
+            int64_t rc = do_step(s);
+            if (rc) return rc;
+        }
+        return 0;
+    }
+    if (mode == 2) {
+        while (s->ev_index < s->n_ev || s->inflight > 0) {
+            offers(s, s->cycle);
+            int64_t rc = do_step(s);
+            if (rc) return rc;
+            if (s->cycle >= limit) break;
+        }
+        return 0;
+    }
+    while (s->cycle < limit) {
+        offers(s, s->cycle);
+        if (idle(s)) {
+            int64_t next = s->ev_index < s->n_ev ? s->ev_when[s->ev_index]
+                                                 : limit;
+            s->cycle = next < limit ? next : limit;
+            continue;
+        }
         int64_t rc = do_step(s);
         if (rc) return rc;
     }
@@ -618,32 +678,23 @@ int64_t fast_run(FastState *s, int64_t mode, int64_t limit) {
 """
 )
 
-#: Exact error messages, shared with the scalar and numpy engines.
-ERROR_MESSAGES = {
-    -2: "body flit reached an idle VC front",
-}
+_cache_dir = Path(__file__).resolve().parent / "_cc_cache"
+
+#: Optimization flags; folded into the cache key alongside the source.
+_CFLAGS = ["-O3", "-fomit-frame-pointer"]
 
 _kernel = None
 _kernel_tried = False
 
 
-def _cache_dir() -> Path:
-    return Path(__file__).resolve().parent / "_cc_cache"
-
-
-#: Optimization flags; folded into the cache key alongside the source.
-_CFLAGS = ["-O3", "-fomit-frame-pointer"]
-
-
-def _build(ffi) -> Optional[object]:
+def _build() -> ctypes.CDLL:
     key = _C_SOURCE + "\x00" + " ".join(_CFLAGS)
     digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-    cache = _cache_dir()
-    so_path = cache / f"faststep_{digest}.so"
+    so_path = _cache_dir / f"faststep_{digest}.so"
     if not so_path.exists():
-        cache.mkdir(parents=True, exist_ok=True)
+        _cache_dir.mkdir(parents=True, exist_ok=True)
         cc = os.environ.get("CC", "cc")
-        with tempfile.TemporaryDirectory(dir=str(cache)) as tmp:
+        with tempfile.TemporaryDirectory(dir=str(_cache_dir)) as tmp:
             c_path = Path(tmp) / "faststep.c"
             c_path.write_text(_C_SOURCE)
             tmp_so = Path(tmp) / so_path.name
@@ -655,30 +706,29 @@ def _build(ffi) -> Optional[object]:
                 timeout=120,
             )
             os.replace(tmp_so, so_path)  # atomic publish
-    return ffi.dlopen(str(so_path))
+    lib = ctypes.CDLL(str(so_path))
+    lib.fast_run.argtypes = [ctypes.POINTER(FastState), _I64, _I64]
+    lib.fast_run.restype = _I64
+    ptr = ctypes.c_void_p
+    lib.pregen_uniform.argtypes = [
+        ptr, ptr, _I64, _I64, ctypes.c_double, _I64, ptr, ptr, ptr,
+    ]
+    lib.pregen_uniform.restype = _I64
+    return lib
 
 
-def load_kernel():
-    """``(ffi, lib)`` for the compiled step kernel, or ``None``.
+def load_kernel() -> Optional[ctypes.CDLL]:
+    """The compiled step kernel, or ``None`` without a C toolchain.
 
-    ``None`` means "no C toolchain here" (or ``REPRO_NETSIM_NO_CC=1``):
-    callers fall back to the pure-numpy step loop. The result is cached
-    for the process; a failed build is not retried.
+    ``None`` sends every run to the scalar object simulator (see
+    :func:`repro.netsim.fast_core.engine_for`). The result is cached for
+    the process; a failed build is not retried.
     """
     global _kernel, _kernel_tried
-    if os.environ.get(NO_CC_ENV, "") == "1":
-        return None
-    if _kernel_tried:
-        return _kernel
-    _kernel_tried = True
-    try:
-        import cffi
-
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        lib = _build(ffi)
-        if lib is not None:
-            _kernel = (ffi, lib)
-    except Exception:
-        _kernel = None
+    if not _kernel_tried:
+        _kernel_tried = True
+        try:
+            _kernel = _build()
+        except (OSError, subprocess.SubprocessError):  # no cc, or no .so
+            _kernel = None
     return _kernel

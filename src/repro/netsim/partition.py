@@ -1,6 +1,6 @@
 """Incremental partition driver: step one wafer's network epoch by epoch.
 
-The batch engines in :mod:`repro.netsim.fast_core` run a whole
+The batch run methods in :mod:`repro.netsim.fast_core` run a whole
 simulation in one call (pregenerated Bernoulli stream or replay
 schedule, then ``_finish``).  Partitioned multi-wafer simulation
 (:mod:`repro.dcn`) needs something they don't offer: a *live* engine
@@ -12,10 +12,13 @@ delivered during this one.
 :class:`WaferPartition` wraps one pristine network in exactly that
 driver, on either engine:
 
-* the vectorized :class:`~repro.netsim.fast_core.FastEngine` (numpy
-  step loop) when the network compiles, or
-* the scalar object simulator otherwise (``REPRO_SCALAR_NETSIM=1``
-  keeps the usual oracle escape hatch).
+* the compiled kernel behind :class:`~repro.netsim.fast_core.FastEngine`
+  when the network compiles: each ``advance`` appends the epoch's
+  events to the engine's packet store and makes one kernel call
+  (:meth:`~repro.netsim.fast_core.FastEngine.run_epoch`) that steps to
+  the target cycle and skips idle stretches, or
+* the scalar object simulator otherwise (no C toolchain, or
+  ``REPRO_SCALAR_NETSIM=1`` — the usual oracle escape hatch).
 
 Packet ids are **partition-local** and assigned here, in deterministic
 offer order (events are consumed sorted by ``(cycle, source terminal,
@@ -62,7 +65,6 @@ class WaferPartition:
         self.engine_name = "scalar" if self.engine is None else resolved
         self._sched: deque = deque()
         self._tags: List[int] = []
-        self._next_gid = 0
         self.offered_flits = 0
         self.offered_packets = 0
         if self.engine is None:
@@ -114,8 +116,7 @@ class WaferPartition:
             self._advance_scalar(to_cycle)
             terms, tags, arrives = self._harvest_scalar()
         else:
-            self._advance_fast(to_cycle)
-            terms, tags, arrives = self._harvest_fast()
+            terms, tags, arrives = self._epoch_fast(to_cycle)
         if terms.size > 1:
             order = np.lexsort((tags, terms, arrives))
             terms, tags, arrives = terms[order], tags[order], arrives[order]
@@ -141,94 +142,40 @@ class WaferPartition:
             "delivered_packets": delivered_packets,
         }
 
-    # -- fast (vectorized) path ----------------------------------------
+    # -- fast (compiled kernel) path ----------------------------------
 
     _delivered_packets_fast = 0
 
-    def _grow_fast(self, need: int) -> None:
-        engine = self.engine
-        capacity = engine.pk_dst.size
-        if need <= capacity:
-            return
-        new_cap = max(256, capacity * 2, need)
-        for name, fill in (
-            ("pk_src", 0), ("pk_dst", 0), ("pk_size", 0),
-            ("pk_create", 0), ("pk_inject", -1), ("pk_arrive", -1),
-        ):
-            old = getattr(engine, name)
-            grown = np.full(new_cap, fill, dtype=np.int64)
-            grown[:old.size] = old
-            setattr(engine, name, grown)
-
-    def _offer_fast(self, event: Event) -> int:
-        cycle, src, dst, size, tag = event
-        engine = self.engine
-        gid = self._next_gid
-        self._next_gid += 1
-        self._grow_fast(self._next_gid)
-        engine.pk_src[gid] = src
-        engine.pk_dst[gid] = dst
-        engine.pk_size[gid] = size
-        engine.pk_create[gid] = cycle
-        engine.pk_inject[gid] = -1
-        engine.pk_arrive[gid] = -1
-        self._tags.append(tag)
-        self.offered_flits += size
-        self.offered_packets += 1
-        engine._offer(src, gid, size)
-        return gid
-
-    def _fast_idle(self) -> bool:
-        engine = self.engine
-        return (
-            engine.inflight == 0
-            and engine._n_active == 0
-            and not engine._rc_buckets
-            and engine._va_stalled is None
-            and all(not q for q in engine._cls_q)
-        )
-
-    def _advance_fast(self, to_cycle: int) -> None:
-        engine = self.engine
+    def _epoch_fast(self, to_cycle: int):
+        # Every event before ``to_cycle`` is offered this epoch, so it
+        # moves into the kernel's store now; packet ids (store indexes)
+        # follow offer order, as on the scalar path.
         sched = self._sched
-        step = engine._step
-        while engine.cycle < to_cycle:
-            now = engine.cycle
-            while sched and sched[0][0] <= now:
-                self._offer_fast(sched.popleft())
-            if not engine.inflight and self._fast_idle():
-                # Nothing in flight anywhere: cycles until the next
-                # scheduled event (or the epoch end) are pure no-ops.
-                engine.cycle = (
-                    min(sched[0][0], to_cycle) if sched else to_cycle
-                )
-                if engine.cycle >= to_cycle:
-                    return
-                continue
-            step()
-
-    def _harvest_fast(self):
+        batch = []
+        while sched and sched[0][0] < to_cycle:
+            batch.append(sched.popleft())
         engine = self.engine
-        log = engine._deliv_log
-        if not log:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, empty
-        terms = np.concatenate([t for t, _ in log])
-        gids = np.concatenate([p for _, p in log])
-        arrives = engine.pk_arrive[gids]
-        tags = np.asarray(self._tags, dtype=np.int64)[gids]
+        if batch:
+            cycle, src, dst, size, tag = zip(*batch)
+            self._tags.extend(tag)
+            self.offered_flits += sum(size)
+            self.offered_packets += len(batch)
+        else:
+            cycle = src = dst = size = ()
+        terms, gids = engine.run_epoch(src, dst, size, cycle, to_cycle)
+        tags = self._tags
         self._delivered_packets_fast += int(gids.size)
-        # The log only feeds this harvest; drop consumed entries so an
-        # arbitrarily long run holds O(in-flight) state, not O(total).
-        log.clear()
-        return terms, tags, arrives
+        return (
+            terms,
+            np.array([tags[g] for g in gids.tolist()], dtype=np.int64),
+            engine.pk_arrive[gids],
+        )
 
     # -- scalar (object oracle) path -----------------------------------
 
     def _offer_scalar(self, event: Event) -> None:
         cycle, src, dst, size, tag = event
-        gid = self._next_gid
-        self._next_gid += 1
+        gid = len(self._tags)
         packet = object.__new__(Packet)
         packet.packet_id = gid
         packet.src = src

@@ -169,9 +169,9 @@ def run_sim(
     optionally a :class:`~repro.netsim.config.SimConfig` for the
     window/seed parameters and a :class:`~repro.netsim.telemetry.
     Telemetry` sink for per-router instrumentation. ``engine`` picks
-    the simulation kernel explicitly (``"auto"``, ``"c"``, ``"numpy"``
-    or ``"scalar"`` — see :mod:`repro.engines`); the env switches
-    remain as CI overrides.
+    the simulation kernel explicitly (``"auto"``, ``"c"`` or
+    ``"scalar"`` — see :mod:`repro.engines`); the env switches remain
+    as CI overrides.
 
     >>> from repro.netsim.config import SimConfig
     >>> from repro.netsim.network import single_router_network

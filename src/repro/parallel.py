@@ -80,12 +80,11 @@ MAX_POOL_ATTEMPTS = 2
 PARALLEL_MODE_ENV = "REPRO_PARALLEL"
 
 #: Engine-selection switches forwarded to pool workers. A run forced
-#: onto the scalar netsim oracle (or the numpy loop, or the scalar
-#: mapping kernels) must not silently come back vectorized from a
-#: long-lived worker configured before the flag was set.
+#: onto the scalar netsim oracle (or the scalar mapping kernels) must
+#: not silently come back vectorized from a long-lived worker
+#: configured before the flag was set.
 ENGINE_ENV_VARS = (
     "REPRO_SCALAR_NETSIM",
-    "REPRO_NETSIM_NO_CC",
     "REPRO_SCALAR_MAPPING",
 )
 
@@ -98,7 +97,7 @@ PROPAGATED_ENV_VARS = ENGINE_ENV_VARS + (
 )
 
 #: Modules imported once per worker at spawn, before any task runs.
-#: Importing the experiments layer pulls in numpy, the cffi step-kernel
+#: Importing the experiments layer pulls in numpy, the ctypes step-kernel
 #: loader, and the vectorized mapping kernel — the bulk of cold-import
 #: cost for every real workload this pool serves.
 PRELOAD_MODULES = (

@@ -73,7 +73,7 @@ def _report_engine_env():
 
 
 def test_engine_switches_propagate_to_workers(force_pool):
-    """REPRO_SCALAR_NETSIM / REPRO_NETSIM_NO_CC reach pool workers.
+    """REPRO_SCALAR_NETSIM / REPRO_SCALAR_MAPPING reach pool workers.
 
     The switches travel per *task*, not per worker spawn: a persistent
     warm worker configured before the flag was set must still see it,
@@ -96,7 +96,7 @@ def test_engine_switches_propagate_to_workers(force_pool):
         if pid == os.getpid():
             continue  # serial-fallback cells prove nothing here
         assert env["REPRO_SCALAR_NETSIM"] == "1"
-        assert env["REPRO_NETSIM_NO_CC"] is None
+        assert env["REPRO_SCALAR_MAPPING"] == os.environ.get("REPRO_SCALAR_MAPPING")
 
 
 def test_worker_crash_falls_back_to_serial(force_pool, capfd):

@@ -1,12 +1,13 @@
 """Engine toggles shared by the parity and differential suites.
 
-Three implementations produce bit-identical runs:
+Two implementations produce bit-identical runs:
 
 * the scalar object simulator (the oracle, ``REPRO_SCALAR_NETSIM=1``),
-* the vectorized engine's numpy step loop (``REPRO_NETSIM_NO_CC=1``),
-* the vectorized engine's compiled C kernel (the default).
+* the vectorized engine driven by the compiled C kernel (the default;
+  on a host without a C toolchain it declines and the scalar oracle
+  runs, so both legs then pin the oracle against itself).
 
-These context managers flip the environment switches around a run and
+These context managers flip the environment switch around a run and
 restore whatever was set before, so tests can drive the same scenario
 through every engine from one process.
 """
@@ -16,31 +17,21 @@ from __future__ import annotations
 import contextlib
 import os
 
-from repro.netsim._fast_step import NO_CC_ENV
 from repro.netsim.fast_core import SCALAR_ENV
 
 
 @contextlib.contextmanager
-def _forced_env(name: str):
-    previous = os.environ.get(name)
-    os.environ[name] = "1"
+def scalar_oracle():
+    """Force the scalar object simulator (the parity oracle)."""
+    previous = os.environ.get(SCALAR_ENV)
+    os.environ[SCALAR_ENV] = "1"
     try:
         yield
     finally:
         if previous is None:
-            del os.environ[name]
+            del os.environ[SCALAR_ENV]
         else:
-            os.environ[name] = previous
-
-
-def scalar_oracle():
-    """Force the scalar object simulator (the parity oracle)."""
-    return _forced_env(SCALAR_ENV)
-
-
-def numpy_engine():
-    """Force the vectorized engine's numpy loop (no C kernel)."""
-    return _forced_env(NO_CC_ENV)
+            os.environ[SCALAR_ENV] = previous
 
 
 @contextlib.contextmanager
@@ -52,6 +43,5 @@ def default_engine():
 #: name -> context-manager factory, for parametrized cross-engine runs.
 ENGINES = {
     "scalar": scalar_oracle,
-    "numpy": numpy_engine,
     "compiled": default_engine,
 }

@@ -2,12 +2,14 @@
 
 Hypothesis draws random topologies (mesh / Clos / adaptive Clos /
 mapped Clos / single router), traffic patterns, loads and seeds, runs
-the identical workload through every engine — the scalar object
-simulator (``REPRO_SCALAR_NETSIM=1``), the vectorized numpy loop
-(``REPRO_NETSIM_NO_CC=1``) and the compiled C kernel — and requires
-bit-identical results: every latency sample, every per-terminal and
-per-router flit count, the final cycle and the leftover in-flight
-flits.
+the identical workload through both engines — the scalar object
+simulator (``REPRO_SCALAR_NETSIM=1``) and the compiled C kernel — and
+requires bit-identical results: every latency sample, every
+per-terminal and per-router flit count, the final cycle and the
+leftover in-flight flits. Every kernel mode is covered: Bernoulli load
+points, trace replay (truncation included) and partition epochs, plus
+a fixed corpus of shapes whose kernel bitmasks span several 64-bit
+words.
 
 The fast tier runs a small derandomized corpus (the same examples every
 run, so CI failures reproduce locally); ``-m slow`` widens the sweep to
@@ -22,9 +24,11 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from tests.dcn.test_partition import _drain
 from tests.netsim.engines import ENGINES
 
 from repro.netsim import fast_core
+from repro.netsim import packet as packet_module
 from repro.netsim.config import RouterConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import (
@@ -33,11 +37,13 @@ from repro.netsim.network import (
     waferscale_clos_network,
 )
 from repro.netsim.packet import reset_packet_ids
+from repro.netsim.partition import WaferPartition
 from repro.netsim.sim import Simulator
 from repro.netsim.trace import TraceEvent, replay_trace
 from repro.netsim.traffic import BernoulliInjector, make_pattern
 
-#: Patterns that are valid for every terminal count the specs produce.
+#: Patterns drawn for the Bernoulli fuzz (a terminal count a pattern
+#: rejects is assumed away).
 PATTERNS = ("uniform", "transpose", "hotspot", "tornado", "neighbor")
 
 
@@ -148,6 +154,11 @@ def _run_summary(spec, pattern_name, load, seed, psize, warmup, measure, drain):
 
 def _assert_engines_agree(spec, pattern_name, load, seed, psize, cycles):
     warmup, measure, drain = cycles
+    n_terminals = _build(spec).n_terminals
+    try:
+        make_pattern(pattern_name, n_terminals)
+    except ValueError:  # e.g. transpose on a non-power-of-two size
+        assume(False)
     results = {}
     for engine, ctx in ENGINES.items():
         with ctx():
@@ -183,8 +194,28 @@ def _assert_engines_agree(spec, pattern_name, load, seed, psize, cycles):
     suppress_health_check=[HealthCheck.too_slow],
 )
 def test_bernoulli_differential(spec, pattern_name, load, seed):
-    """Fast tier: a fixed fuzz corpus through all three engines."""
+    """Fast tier: a fixed fuzz corpus through both engines."""
     _assert_engines_agree(spec, pattern_name, load, seed, 4, (30, 100, 300))
+
+
+#: Shapes whose kernel bitmasks span several 64-bit words: a
+#: radix-128 Clos and a 128-port single router (out-port masks), and a
+#: router with 32 VCs (VC masks past the old 16-VC cap).
+WIDE_SPECS = {
+    "clos_radix128": {"kind": "clos", "n": 256, "k": 128, "V": 2, "buf": 8, "io": 1},
+    "single_128port": {"kind": "single", "n": 128, "V": 2, "buf": 8, "io": 1},
+    "single_32vc": {"kind": "single", "n": 8, "V": 32, "buf": 64, "io": 1},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_SPECS))
+@pytest.mark.parametrize("pattern_name", ["uniform", "hotspot"])
+def test_wide_router_differential(name, pattern_name):
+    """Multi-word bitmask shapes run bit-identically (P > 64 used to
+    crash the C path with an UnboundLocalError)."""
+    _assert_engines_agree(
+        WIDE_SPECS[name], pattern_name, 0.3, 5, 4, (20, 60, 200)
+    )
 
 
 @pytest.mark.slow
@@ -233,6 +264,37 @@ def test_flit_conservation_differential(spec, load, seed):
         )
 
 
+def _replay_summaries(events, compression, max_cycles):
+    """Replay ``events`` on every engine; each run summarised exactly."""
+    results = {}
+    for engine, ctx in ENGINES.items():
+        with ctx():
+            reset_packet_ids()
+            network = waferscale_clos_network(
+                32, 8, num_vcs=2, buffer_flits_per_port=8, io_latency=2
+            )
+            stats = replay_trace(
+                network,
+                events,
+                compression=compression,
+                max_cycles=max_cycles,
+            )
+            results[engine] = {
+                "latencies": list(stats.latencies_cycles),
+                "flits_offered": stats.flits_offered,
+                "flits_delivered": stats.flits_delivered,
+                "packets_created": stats.packets_created,
+                "final_cycle": network.cycle,
+                "in_flight": network.in_flight_flits(),
+                "per_terminal": [
+                    t.flits_received for t in network.terminals
+                ],
+                # Where the run left the global packet-id counter.
+                "next_packet_id": next(packet_module._packet_ids),
+            }
+    return results
+
+
 @given(
     workload=st.lists(
         st.tuples(
@@ -261,34 +323,96 @@ def test_trace_replay_differential(workload, compression, max_cycles):
         if src != dst
     ]
     assume(events)
-
-    results = {}
-    for engine, ctx in ENGINES.items():
-        with ctx():
-            reset_packet_ids()
-            network = waferscale_clos_network(
-                32, 8, num_vcs=2, buffer_flits_per_port=8, io_latency=2
-            )
-            stats = replay_trace(
-                network,
-                events,
-                compression=compression,
-                max_cycles=max_cycles,
-            )
-            results[engine] = {
-                "latencies": list(stats.latencies_cycles),
-                "flits_offered": stats.flits_offered,
-                "flits_delivered": stats.flits_delivered,
-                "packets_created": stats.packets_created,
-                "final_cycle": network.cycle,
-                "in_flight": network.in_flight_flits(),
-                "per_terminal": [
-                    t.flits_received for t in network.terminals
-                ],
-            }
+    results = _replay_summaries(events, compression, max_cycles)
     reference = results.pop("scalar")
     for engine, result in results.items():
         assert result == reference, (engine, compression, max_cycles)
+
+
+@pytest.mark.parametrize("max_cycles", [1, 40, 75])
+def test_truncated_replay_differential(max_cycles):
+    """A cap mid-schedule (or before its first event) stops both engines
+    at the same cycle, with the same packets offered and the packet-id
+    counter left at the same value."""
+    rng = random.Random(3)
+    events = [
+        TraceEvent(
+            cycle, src, (src + rng.randrange(1, 32)) % 32, rng.randint(1, 6)
+        )
+        for cycle in range(20, 140, 3)
+        for src in rng.sample(range(32), 4)
+    ]
+    results = _replay_summaries(events, 1.0, max_cycles)
+    reference = results.pop("scalar")
+    assert reference["packets_created"] < len(events)
+    for engine, result in results.items():
+        assert result == reference, (engine, max_cycles)
+
+
+def _partition_events(n, load, seed, gap):
+    """Two Bernoulli bursts ``gap`` idle cycles apart, mixed sizes."""
+    rng = random.Random(seed)
+    events = []
+    for start in (0, 40 + gap):
+        for cycle in range(start, start + 40):
+            for src in range(n):
+                if rng.random() < load / 3:
+                    dst = (src + rng.randrange(1, n)) % n
+                    events.append(
+                        (cycle, src, dst, rng.randint(1, 5), len(events))
+                    )
+    events.sort()
+    return events
+
+
+@given(
+    spec=network_specs(),
+    load=st.floats(min_value=0.05, max_value=0.6),
+    seed=st.integers(min_value=0, max_value=2**31),
+    epoch=st.sampled_from([1, 7, 32]),
+    gap=st.sampled_from([0, 150]),
+)
+@settings(
+    max_examples=8,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_partition_differential(spec, load, seed, epoch, gap):
+    """Partition epochs (idle skipping included) deliver identically."""
+    results = {}
+    for engine in ("scalar", "c"):
+        network = _build(spec)
+        events = _partition_events(network.n_terminals, load, seed, gap)
+        partition = WaferPartition(network, engine=engine)
+        bundles, counters = _drain(partition, events, epoch=epoch)
+        results[engine] = (
+            [[column.tolist() for column in bundle] for bundle in bundles],
+            counters,
+            partition.cycle,
+        )
+    assert results["c"] == results["scalar"], (spec, load, seed, epoch)
+
+
+def test_replay_and_partitions_reach_the_kernel(monkeypatch):
+    """Replay and partition runs use the kernel, not a silent fallback."""
+    spec = WIDE_SPECS["single_128port"]
+    if fast_core.engine_for(_build(spec)) is None:
+        pytest.skip("no C kernel on this host (or the scalar oracle forced)")
+    modes = []
+    run = fast_core.FastEngine._c_run
+
+    def spy(self, mode, limit):
+        modes.append(mode)
+        return run(self, mode, limit)
+
+    monkeypatch.setattr(fast_core.FastEngine, "_c_run", spy)
+    replay_trace(_build(spec), [TraceEvent(0, 0, 1, 4)])
+    partition = WaferPartition(_build(spec))
+    partition.enqueue([(0, 0, 1, 4, 7)])
+    partition.advance(64)
+    assert partition.engine_name == "c"
+    assert fast_core._REPLAY in modes and fast_core._EPOCH in modes
 
 
 @given(

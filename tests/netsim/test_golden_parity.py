@@ -126,7 +126,7 @@ def test_cross_engine_golden_parity(engine, name):
     The full corpus x engine product lives in the slow tier
     (``test_differential.py``); this smoke slice keeps one Bernoulli
     run, one adaptive run and one protocol-violation run under all
-    three engines in the fast tier.
+    engines in the fast tier.
     """
     runner = run_failure_scenario if name in FAILURE_SCENARIOS else run_scenario
     with ENGINES[engine]():

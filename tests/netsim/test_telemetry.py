@@ -330,34 +330,6 @@ def test_plain_hot_paths_reference_no_telemetry_names():
         assert "telemetry" in method.__code__.co_names
 
 
-def test_fast_engine_hot_paths_reference_no_telemetry_names():
-    """The vectorized numpy step loop carries zero telemetry bytecode.
-
-    Instrumented vectorized runs go through the compiled C kernel
-    (whose counters sit behind one ``s->tel`` flag); without a kernel
-    they fall back to the scalar oracle. The numpy loop therefore
-    never needs telemetry state, and keeping its bytecode clean is
-    what extends the zero-cost-when-off guarantee to the fast engine.
-    """
-    from repro.netsim.fast_core import FastEngine
-
-    for method in (
-        FastEngine._step,
-        FastEngine._recv_router,
-        FastEngine._recv_terminal,
-        FastEngine._inject,
-        FastEngine._va,
-        FastEngine._va_alloc,
-        FastEngine._sa,
-        FastEngine._commit,
-    ):
-        assert "telemetry" not in method.__code__.co_names, (
-            f"FastEngine.{method.__name__} touches telemetry state; "
-            "vectorized instrumentation belongs in the C kernel "
-            "(_fast_step) behind its tel flag"
-        )
-
-
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_STRICT") != "1",

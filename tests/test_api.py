@@ -60,7 +60,7 @@ def test_query_key_is_stable_and_engine_sensitive():
     same = api.query_from_dict(query.to_dict())
     assert api.query_key(query) == api.query_key(same)
     assert api.query_key(query, engine="scalar") != api.query_key(
-        query, engine="numpy"
+        query, engine="c"
     )
     assert api.query_key(query) != api.query_key(api.SimQuery(**{**TINY_SIM, "seed": 2}))
 
@@ -71,11 +71,11 @@ def test_query_key_is_stable_and_engine_sensitive():
 
 
 def test_execute_simulate_envelope_and_engines():
-    response = api.execute(api.SimQuery(**TINY_SIM), engine="numpy")
+    response = api.execute(api.SimQuery(**TINY_SIM), engine="c")
     json.dumps(response)  # strictly serializable
     assert response["schema"] == api.RESPONSE_SCHEMA
     assert response["kind"] == "simulate"
-    assert response["engines"]["netsim"] == "numpy"
+    assert response["engines"]["netsim"] == "c"
     assert len(response["result"]["points"]) == 1
     point = response["result"]["points"][0]
     assert point["offered_load"] == 0.2
@@ -83,9 +83,9 @@ def test_execute_simulate_envelope_and_engines():
 
 
 def test_execute_engine_forcing_is_bit_identical():
-    """scalar and numpy kernels must agree through the facade too."""
+    """scalar and C kernels must agree through the facade too."""
     a = api.execute(api.SimQuery(**TINY_SIM), engine="scalar")
-    b = api.execute(api.SimQuery(**TINY_SIM), engine="numpy")
+    b = api.execute(api.SimQuery(**TINY_SIM), engine="c")
     assert a["result"]["points"] == b["result"]["points"]
 
 
@@ -155,6 +155,6 @@ def test_execute_sweep_rejects_unknown_ids():
 
 def test_execute_payload_matches_execute():
     query = api.SimQuery(**TINY_SIM)
-    direct = api.execute(query, engine="numpy")
-    via_payload = api.execute_payload(query.to_dict(), engine="numpy")
+    direct = api.execute(query, engine="c")
+    via_payload = api.execute_payload(query.to_dict(), engine="c")
     assert via_payload == direct

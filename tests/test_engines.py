@@ -14,11 +14,7 @@ from repro.parallel import pool_map
 @pytest.fixture(autouse=True)
 def _pristine(monkeypatch):
     """Each test starts with no env overrides and 'auto' defaults."""
-    for name in (
-        engines.SCALAR_NETSIM_ENV,
-        engines.NO_CC_ENV,
-        engines.SCALAR_MAPPING_ENV,
-    ):
+    for name in (engines.SCALAR_NETSIM_ENV, engines.SCALAR_MAPPING_ENV):
         monkeypatch.delenv(name, raising=False)
     before = engines.default_engines()
     engines.set_default_engines(netsim="auto", mapping="auto")
@@ -26,10 +22,8 @@ def _pristine(monkeypatch):
     engines.set_default_engines(**before)
 
 
-def test_auto_resolves_to_c_then_numpy_then_scalar(monkeypatch):
+def test_auto_resolves_to_c_then_scalar(monkeypatch):
     assert engines.resolve_netsim_engine("auto") == "c"
-    monkeypatch.setenv(engines.NO_CC_ENV, "1")
-    assert engines.resolve_netsim_engine("auto") == "numpy"
     monkeypatch.setenv(engines.SCALAR_NETSIM_ENV, "1")
     assert engines.resolve_netsim_engine("auto") == "scalar"
 
@@ -37,17 +31,12 @@ def test_auto_resolves_to_c_then_numpy_then_scalar(monkeypatch):
 def test_explicit_argument_wins_over_process_default():
     engines.set_default_engines(netsim="scalar")
     assert engines.resolve_netsim_engine("auto") == "scalar"
-    assert engines.resolve_netsim_engine("numpy") == "numpy"
+    assert engines.resolve_netsim_engine("c") == "c"
 
 
 def test_env_override_wins_over_explicit_argument(monkeypatch):
     monkeypatch.setenv(engines.SCALAR_NETSIM_ENV, "1")
     assert engines.resolve_netsim_engine("c") == "scalar"
-    monkeypatch.delenv(engines.SCALAR_NETSIM_ENV)
-    monkeypatch.setenv(engines.NO_CC_ENV, "1")
-    assert engines.resolve_netsim_engine("c") == "numpy"
-    # NO_CC only demotes the C kernel; other requests are untouched.
-    assert engines.resolve_netsim_engine("scalar") == "scalar"
 
 
 def test_mapping_resolution_ladder(monkeypatch):
@@ -62,6 +51,8 @@ def test_mapping_resolution_ladder(monkeypatch):
 def test_unknown_engine_names_rejected():
     with pytest.raises(ValueError, match="unknown netsim engine"):
         engines.resolve_netsim_engine("turbo")
+    with pytest.raises(ValueError, match="unknown netsim engine"):
+        engines.resolve_netsim_engine("numpy")
     with pytest.raises(ValueError, match="unknown mapping engine"):
         engines.set_default_engines(mapping="turbo")
     # A failed set_default_engines must not partially apply.
@@ -76,6 +67,6 @@ def _resolved_in_worker(_dummy):
 
 def test_process_defaults_cross_pool_boundary():
     """set_default_engines in the parent pins workers too (satellite)."""
-    engines.set_default_engines(netsim="numpy", mapping="scalar")
+    engines.set_default_engines(netsim="scalar", mapping="scalar")
     results = pool_map(_resolved_in_worker, [(0,), (1,)], jobs=2)
-    assert results == [("numpy", "scalar"), ("numpy", "scalar")]
+    assert results == [("scalar", "scalar"), ("scalar", "scalar")]
