@@ -404,7 +404,16 @@ def _execute_sim(
         )
     if not query.loads:
         raise QueryError("simulate query needs at least one load")
-    factory = _sim_network_factory(query)
+    build = _sim_network_factory(query)
+
+    def factory():
+        # The network constructors validate the shape (radix parity,
+        # terminals a multiple of the radix); the first point's build
+        # is where an invalid one surfaces.
+        try:
+            return build()
+        except ValueError as exc:
+            raise QueryError(f"bad simulate query: {exc}") from exc
 
     reports: List[Dict[str, Any]] = []
     pending: List[Tuple[float, Telemetry]] = []

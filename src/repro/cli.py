@@ -1,18 +1,24 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Commands:
+One parser; each command turns its arguments into a call of the code
+that the HTTP server and Python callers already run, then formats the
+answer:
 
-* ``design``      — find and describe the max feasible switch for a
-                    substrate / technology combination.
-* ``experiments`` — run paper-artifact reproductions (same as
-                    ``python -m repro.experiments.runner``).
-* ``simulate``    — run the cycle-accurate WS-vs-network comparison.
-* ``usecases``    — print the deployment comparison tables.
-* ``serve``       — answer design/sweep/simulate queries over HTTP
-                    (coalescing + response cache; see docs/serve.md).
-* ``shard``       — run experiments through the queue-backed shard
-                    coordinator + runner processes (see
-                    docs/parallel.md, "Shard runner").
+* ``design``      — max feasible switch for a substrate / technology
+                    combination (a :class:`repro.api.DesignQuery`).
+* ``experiments`` — paper-artifact reproductions
+                    (:func:`repro.experiments.runner.run_experiments`).
+* ``simulate``    — cycle-accurate WS-vs-network comparison (one
+                    :class:`repro.api.SimQuery` per network).
+* ``usecases``    — the deployment comparison tables (``experiments``
+                    on tab03, tab07, tab08 and tab09).
+* ``dcn``         — partitioned multi-wafer DCN simulation (a
+                    :class:`repro.api.DCNQuery`).
+* ``serve``       — answer queries over HTTP; its options belong to
+                    :func:`repro.serve.server.main` (see docs/serve.md).
+
+A malformed query (:class:`repro.api.QueryError`) prints ``error: ...``
+and exits 2, like a usage error.
 """
 
 from __future__ import annotations
@@ -21,32 +27,47 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.tech.external_io import EXTERNAL_IO_TECHNOLOGIES
-from repro.tech.wsi import SI_IF_OVERDRIVEN, WSI_TECHNOLOGIES
+#: The experiments behind ``usecases``.
+USECASE_IDS = ("tab03", "tab07", "tab08", "tab09")
+
+
+def _write_json(path: str, document) -> None:
+    import json
+    import pathlib
+
+    target = pathlib.Path(path)
+    if target.parent != pathlib.Path("."):
+        target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    from repro.core.explorer import max_feasible_design
-    from repro.core.hetero import apply_heterogeneity
+    from repro.api import DesignQuery, execute
+    from repro.core.design import DesignPoint
     from repro.mapping.visualize import describe_mapping
 
-    wsi = WSI_TECHNOLOGIES[args.wsi]
-    external = EXTERNAL_IO_TECHNOLOGIES[args.external_io]
-    design = max_feasible_design(args.substrate, wsi=wsi, external_io=external)
-    if design is None:
+    query = DesignQuery(
+        substrate_mm=args.substrate,
+        wsi=args.wsi,
+        external_io=args.external_io,
+        hetero=args.hetero,
+    )
+    result = execute(query)["result"]
+    if not result["feasible"]:
         print("no feasible waferscale design for this configuration")
         return 1
+    design = DesignPoint.from_dict(result["design"])
     print(design.describe())
     print(
         f"power density {design.power_density_w_per_mm2:.2f} W/mm2; "
         f"I/O share {design.power.io_fraction * 100:.0f}%"
     )
-    if args.hetero:
-        hetero = apply_heterogeneity(design, leaf_split=4)
+    hetero = result.get("hetero")
+    if hetero is not None:
         print(
-            f"heterogeneous: {hetero.power.total_w / 1000:.1f} kW "
-            f"(-{hetero.power_reduction_fraction * 100:.1f}%), "
-            f"{hetero.cooling.name} cooling"
+            f"heterogeneous: {hetero['total_power_w'] / 1000:.1f} kW "
+            f"(-{hetero['power_reduction_fraction'] * 100:.1f}%), "
+            f"{hetero['cooling']} cooling"
         )
     if args.show_mapping and design.mapping is not None:
         print()
@@ -55,91 +76,109 @@ def _cmd_design(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import main as runner_main
+    import os
+    import time
 
-    forwarded = list(args.ids)
-    if args.full:
-        forwarded.append("--full")
-    if args.jobs != "auto":
-        forwarded.append(f"--jobs={args.jobs}")
-    if args.no_cache:
-        forwarded.append("--no-cache")
+    from repro.api import QueryError
+    from repro.experiments.base import EXPERIMENT_IDS
+    from repro.experiments.cache import ResultCache
+    from repro.experiments.runner import format_profile, run_experiments
+    from repro.experiments.telemetry_io import TELEMETRY_DIR_ENV
+
     if args.cache_clear:
-        forwarded.append("--cache-clear")
-    if args.profile:
-        forwarded.append("--profile")
-    if args.timeout is not None:
-        forwarded.append(f"--timeout={args.timeout}")
-    if args.telemetry is not None:
-        forwarded.append(
-            f"--telemetry={args.telemetry}" if args.telemetry else "--telemetry"
+        removed = ResultCache().clear()
+        print(f"cleared {removed} cache entr{'y' if removed == 1 else 'ies'}")
+        if not args.ids:
+            return 0
+    unknown = sorted(set(args.ids) - set(EXPERIMENT_IDS))
+    if unknown:
+        raise QueryError(
+            f"unknown experiment id(s): {', '.join(unknown)}\n"
+            f"known ids: {' '.join(EXPERIMENT_IDS)}"
         )
-    return runner_main(forwarded)
+
+    # A cached result would skip the simulations that write telemetry
+    # artifacts, so telemetry runs bypass the result cache. Pool workers
+    # receive the directory with every task.
+    telemetry_out = args.telemetry
+    if telemetry_out is not None:
+        telemetry_out = telemetry_out or "telemetry"
+    use_cache = not args.no_cache and telemetry_out is None
+    previous = os.environ.get(TELEMETRY_DIR_ENV)
+    if telemetry_out is not None:
+        os.environ[TELEMETRY_DIR_ENV] = telemetry_out
+    start = time.time()
+    profile_rows = [] if args.profile else None
+    try:
+        results = run_experiments(
+            args.ids or None,
+            fast=not args.full,
+            jobs=args.jobs,
+            cache=ResultCache() if use_cache else None,
+            unit_timeout=args.timeout,
+            profile_out=profile_rows,
+        )
+    finally:
+        if previous is None:
+            os.environ.pop(TELEMETRY_DIR_ENV, None)
+        else:
+            os.environ[TELEMETRY_DIR_ENV] = previous
+
+    for result in results:
+        print(result.format_table())
+        print()
+    if profile_rows is not None:
+        print(format_profile(profile_rows))
+        print()
+    if telemetry_out is not None:
+        print(f"[telemetry artifacts under {telemetry_out}/]")
+    if args.jobs is None:
+        from repro.parallel import effective_cpu_count
+
+        jobs_label = f"auto({effective_cpu_count()})"
+    else:
+        jobs_label = str(args.jobs)
+    print(
+        f"[{time.time() - start:.1f}s total, fast={not args.full}, "
+        f"jobs={jobs_label}]"
+    )
+    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.netsim.network import (
-        baseline_switch_network,
-        waferscale_clos_network,
-    )
-    from repro.netsim.sim import load_latency_sweep
-    from repro.netsim.telemetry import Telemetry
-    from repro.netsim.traffic import make_pattern
+    from repro.api import SimQuery, execute
 
-    common = dict(
-        n_terminals=args.terminals,
-        ssc_radix=args.radix,
-        num_vcs=args.vcs,
-        buffer_flits_per_port=args.buffer,
-    )
-    loads = [float(x) for x in args.loads.split(",")]
     reports = {}
-    for label, factory in (
-        ("waferscale", lambda: waferscale_clos_network(**common)),
-        ("switch-network", lambda: baseline_switch_network(**common)),
-    ):
-        sinks = []
-
-        def point_telemetry(load, _sinks=sinks):
-            telemetry = Telemetry()
-            _sinks.append((load, telemetry))
-            return telemetry
-
-        points = load_latency_sweep(
-            factory,
-            lambda n: make_pattern(args.pattern, n),
-            loads,
-            telemetry_factory=point_telemetry if args.telemetry else None,
-            engine=args.engine,
+    for network in ("waferscale", "switch-network"):
+        query = SimQuery(
+            network=network,
+            terminals=args.terminals,
+            radix=args.radix,
+            vcs=args.vcs,
+            buffer_flits=args.buffer,
+            pattern=args.pattern,
+            loads=args.loads,
+            telemetry=bool(args.telemetry),
         )
-        for load, telemetry in sinks:
-            reports[f"{label}/load={load:g}"] = telemetry.to_dict()
-        print(f"\n{label} ({args.pattern}):")
-        for point in points:
+        result = execute(query, engine=args.engine)["result"]
+        for entry in result.get("telemetry", ()):
+            reports[f"{network}/load={entry['load']:g}"] = entry["report"]
+        print(f"\n{network} ({args.pattern}):")
+        for point in result["points"]:
             print(
-                f"  load {point.offered_load:.2f}: "
-                f"{point.avg_latency_cycles:7.1f} cycles "
-                f"({point.avg_latency_ns:7.0f} ns), accepted "
-                f"{point.accepted_load:.3f}"
-                + ("  [saturated]" if point.saturated else "")
+                f"  load {point['offered_load']:.2f}: "
+                f"{point['avg_latency_cycles']:7.1f} cycles "
+                f"({point['avg_latency_ns']:7.0f} ns), accepted "
+                f"{point['accepted_load']:.3f}"
+                + ("  [saturated]" if point["saturated"] else "")
             )
     if args.telemetry:
         # One bundle file: a report per (network, load) sweep point.
-        import json
-        import pathlib
-
-        target = pathlib.Path(args.telemetry)
-        if target.parent != pathlib.Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(
-            json.dumps(
-                {"schema": "repro-netsim-telemetry-bundle", "reports": reports},
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n"
+        _write_json(
+            args.telemetry,
+            {"schema": "repro-netsim-telemetry-bundle", "reports": reports},
         )
-        print(f"\ntelemetry bundle written to {target}")
+        print(f"\ntelemetry bundle written to {args.telemetry}")
     return 0
 
 
@@ -161,9 +200,7 @@ def _cmd_dcn(args: argparse.Namespace) -> int:
         link_failure_prob=args.link_failure_prob,
         executor=args.executor,
         fidelity=args.fidelity,
-        cycle_wafers=tuple(
-            int(w) for w in args.cycle_wafers.split(",") if w.strip()
-        ),
+        cycle_wafers=args.cycle_wafers,
     )
     response = execute(query, engine=args.engine)
     result = response["result"]
@@ -201,73 +238,35 @@ def _cmd_dcn(args: argparse.Namespace) -> int:
         f"{result['wall_seconds']:.3f}s"
     )
     if args.json:
-        import json
-        import pathlib
-
-        target = pathlib.Path(args.json)
-        if target.parent != pathlib.Path("."):
-            target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(json.dumps(response, indent=1, sort_keys=True) + "\n")
-        print(f"  response written to {target}")
+        _write_json(args.json, response)
+        print(f"  response written to {args.json}")
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve.server import main as serve_main
+def _csv(cast):
+    """argparse ``type=`` for a comma-separated list of ``cast`` values."""
 
-    forwarded = [f"--host={args.host}", f"--port={args.port}"]
-    if args.engine != "auto":
-        forwarded.append(f"--engine={args.engine}")
-    if args.mapping_engine != "auto":
-        forwarded.append(f"--mapping-engine={args.mapping_engine}")
-    if args.no_cache:
-        forwarded.append("--no-cache")
-    return serve_main(forwarded)
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(cast(item) for item in text.split(",") if item.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {cast.__name__} values, got {text!r}"
+            ) from None
 
-
-def _cmd_shard(args: argparse.Namespace) -> int:
-    from repro import shard
-
-    if args.connect:
-        host, _, port = args.connect.rpartition(":")
-        if not host or not port.isdigit():
-            print("error: --connect needs HOST:PORT", file=sys.stderr)
-            return 2
-        if not args.authkey:
-            print("error: --connect requires --authkey", file=sys.stderr)
-            return 2
-        executed = shard.run_runner(
-            (host, int(port)), bytes.fromhex(args.authkey)
-        )
-        print(f"[runner executed {executed} unit(s)]")
-        return 0
-
-    stats: dict = {}
-    results = shard.coordinate(
-        args.ids,
-        fast=not args.full,
-        local_runners=args.runners,
-        result_timeout=args.timeout,
-        stats_out=stats,
-    )
-    for result in results:
-        print(result.format_table())
-        print()
-    print(
-        f"[{stats['units']} unit(s): {stats['sharded']} sharded over "
-        f"{args.runners} runner(s), {stats['local']} completed locally]"
-    )
-    return 0
+    return parse
 
 
-def _cmd_usecases(args: argparse.Namespace) -> int:
-    del args
-    from repro.experiments.runner import run_experiments
-
-    for result in run_experiments(["tab03", "tab07", "tab08", "tab09"]):
-        print(result.format_table())
-        print()
-    return 0
+def _jobs(text: str) -> Optional[int]:
+    """argparse ``type=`` for ``--jobs``: an integer, or None for 'auto'."""
+    if text == "auto":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "--jobs needs an integer or 'auto'"
+        ) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,13 +277,13 @@ def build_parser() -> argparse.ArgumentParser:
     design.add_argument("--substrate", type=float, default=300.0)
     design.add_argument(
         "--wsi",
-        choices=sorted(WSI_TECHNOLOGIES),
-        default=SI_IF_OVERDRIVEN.name,
+        default="Si-IF (x2 overdrive)",
+        help="WSI technology name (see repro.tech.wsi)",
     )
     design.add_argument(
         "--external-io",
-        choices=sorted(EXTERNAL_IO_TECHNOLOGIES),
         default="Optical I/O",
+        help="external I/O technology name (see repro.tech.external_io)",
     )
     design.add_argument("--hetero", action="store_true")
     design.add_argument("--show-mapping", action="store_true")
@@ -295,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument("--full", action="store_true")
     experiments.add_argument(
         "--jobs",
-        default="auto",
+        type=_jobs,
+        default=None,
         help="warm-pool workers to fan work units across; an integer, "
         "or 'auto' (default) for the effective core count",
     )
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--vcs", type=int, default=4)
     simulate.add_argument("--buffer", type=int, default=16)
     simulate.add_argument("--pattern", default="uniform")
-    simulate.add_argument("--loads", default="0.1,0.3,0.5,0.7")
+    simulate.add_argument("--loads", type=_csv(float), default="0.1,0.3,0.5,0.7")
     simulate.add_argument(
         "--telemetry",
         default=None,
@@ -409,6 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dcn.add_argument(
         "--cycle-wafers",
+        type=_csv(int),
         default="",
         metavar="W0,W1,...",
         help="comma-separated wafer indices kept cycle-accurate under "
@@ -420,63 +421,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dcn.set_defaults(func=_cmd_dcn)
 
-    serve = sub.add_parser("serve", help="query the model over HTTP")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8177, help="0 picks a free port")
-    serve.add_argument(
-        "--engine", choices=("auto", "c", "scalar"), default="auto"
+    # Every serve option belongs to repro.serve.server.main: main()
+    # hands it whatever follows the command, --help included.
+    sub.add_parser(
+        "serve", help="query the model over HTTP (see docs/serve.md)",
+        add_help=False,
     )
-    serve.add_argument(
-        "--mapping-engine", choices=("auto", "fast", "scalar"), default="auto"
-    )
-    serve.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the serve response cache (coalescing still applies)",
-    )
-    serve.set_defaults(func=_cmd_serve)
-
-    shard = sub.add_parser(
-        "shard", help="queue-backed shard coordinator / runner"
-    )
-    shard.add_argument("ids", nargs="*", help="experiment ids to coordinate")
-    shard.add_argument("--full", action="store_true")
-    shard.add_argument(
-        "--runners",
-        type=int,
-        default=2,
-        help="host-local runner processes to spawn (default 2)",
-    )
-    shard.add_argument(
-        "--timeout",
-        type=float,
-        default=300.0,
-        help="seconds to wait between result arrivals before finishing "
-        "stragglers locally (default 300)",
-    )
-    shard.add_argument(
-        "--connect",
-        default=None,
-        metavar="HOST:PORT",
-        help="run as a runner against an existing coordinator instead",
-    )
-    shard.add_argument(
-        "--authkey",
-        default=None,
-        metavar="HEX",
-        help="shared authkey (hex) for --connect",
-    )
-    shard.set_defaults(func=_cmd_shard)
 
     usecases = sub.add_parser("usecases", help="deployment tables")
-    usecases.set_defaults(func=_cmd_usecases)
+    usecases.set_defaults(
+        func=_cmd_experiments,
+        ids=list(USECASE_IDS),
+        full=False,
+        jobs=None,
+        no_cache=False,
+        cache_clear=False,
+        profile=False,
+        timeout=None,
+        telemetry=None,
+    )
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args, rest = parser.parse_known_args(argv)
+    if args.command == "serve":
+        from repro.serve.server import main as serve_main
+
+        return serve_main(rest)
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+
+    from repro.api import QueryError
+
+    try:
+        return args.func(args)
+    except QueryError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

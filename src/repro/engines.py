@@ -13,8 +13,7 @@ before any dispatch happens.
 
 Netsim engine names (``NETSIM_ENGINES``):
 
-* ``"auto"``   — the process default (normally ``"c"``); what you get
-  when you don't care.
+* ``"auto"``   — ``"c"``; what you get when you don't care.
 * ``"c"``      — the vectorized engine with the compiled C step kernel.
   It serves Bernoulli load points, trace replay and partition epochs at
   any port count.
@@ -28,11 +27,11 @@ Resolution order, most binding first:
 1. **Environment overrides** — ``REPRO_SCALAR_NETSIM=1`` forces
    ``"scalar"``; ``REPRO_SCALAR_MAPPING=1`` forces the scalar mapping
    kernel. These exist so CI parity jobs can pin a whole test
-   process (including subprocesses) without editing call sites.
+   process (including subprocesses and pool workers, which receive
+   them with every task) without editing call sites.
 2. **The explicit ``engine=`` argument** of the entry point.
-3. **The process default** (:func:`set_default_engines`), which the
-   pool-worker initializer in :mod:`repro.parallel` mirrors into
-   workers so ``--jobs`` runs honor a top-level choice.
+3. **The hard default** behind ``"auto"``: ``"c"`` for netsim,
+   ``"fast"`` for mapping.
 
 A request the host cannot satisfy degrades to the scalar oracle: with
 no C toolchain, or for a network shape the vectorized engine does not
@@ -45,7 +44,6 @@ changes speed, never answers.
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional
 
 #: Accepted ``engine=`` values for the netsim entry points.
 NETSIM_ENGINES = ("auto", "c", "scalar")
@@ -58,31 +56,6 @@ SCALAR_NETSIM_ENV = "REPRO_SCALAR_NETSIM"
 
 #: Env switch forcing the scalar mapping kernel (CI parity override).
 SCALAR_MAPPING_ENV = "REPRO_SCALAR_MAPPING"
-
-#: Process-wide defaults used when a caller passes ``engine="auto"``.
-_DEFAULTS: Dict[str, str] = {"netsim": "auto", "mapping": "auto"}
-
-
-def set_default_engines(
-    netsim: Optional[str] = None, mapping: Optional[str] = None
-) -> None:
-    """Set the process-wide engines behind ``engine="auto"``.
-
-    The :mod:`repro.parallel` pool initializer replays these defaults
-    into every worker, so one call before a ``--jobs`` run pins the
-    engine everywhere. Pass ``None`` to leave a default unchanged.
-    """
-    if netsim is not None:
-        _validate(netsim, NETSIM_ENGINES, "netsim")
-        _DEFAULTS["netsim"] = netsim
-    if mapping is not None:
-        _validate(mapping, MAPPING_ENGINES, "mapping")
-        _DEFAULTS["mapping"] = mapping
-
-
-def default_engines() -> Dict[str, str]:
-    """Copy of the process defaults (the pool initializer payload)."""
-    return dict(_DEFAULTS)
 
 
 def _validate(engine: str, allowed, kind: str) -> str:
@@ -104,8 +77,6 @@ def resolve_netsim_engine(engine: str = "auto") -> str:
     _validate(engine, NETSIM_ENGINES, "netsim")
     if os.environ.get(SCALAR_NETSIM_ENV, "") == "1":
         return "scalar"
-    if engine == "auto":
-        engine = _DEFAULTS["netsim"]
     return "c" if engine == "auto" else engine
 
 
@@ -118,6 +89,4 @@ def resolve_mapping_engine(engine: str = "auto") -> str:
     _validate(engine, MAPPING_ENGINES, "mapping")
     if os.environ.get(SCALAR_MAPPING_ENV, "") == "1":
         return "scalar"
-    if engine == "auto":
-        engine = _DEFAULTS["mapping"]
     return "fast" if engine == "auto" else engine

@@ -2,8 +2,9 @@
 
 Every module exposes ``run(fast: bool = True) -> ExperimentResult``;
 ``fast`` shrinks simulation sizes for test suites while the benchmark
-harness runs the full configurations. ``repro.experiments.runner`` can
-execute any subset and print the paper-style tables.
+harness runs the full configurations.
+:func:`repro.experiments.runner.run_experiments` executes any subset;
+``python -m repro experiments`` prints the paper-style tables.
 """
 
 from repro.experiments.base import ExperimentResult, available_experiments, get_experiment

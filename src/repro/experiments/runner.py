@@ -1,17 +1,8 @@
-"""Run experiments from the command line.
+"""Run paper-artifact experiments through the result cache and the pool.
 
-Usage::
-
-    python -m repro.experiments.runner                  # all, fast mode
-    python -m repro.experiments.runner fig07            # one experiment
-    python -m repro.experiments.runner --full           # full-scale runs
-    python -m repro.experiments.runner --jobs 4         # parallel units
-    python -m repro.experiments.runner --jobs auto      # effective cores
-    python -m repro.experiments.runner --no-cache       # always recompute
-    python -m repro.experiments.runner --cache-clear    # wipe the result cache
-    python -m repro.experiments.runner --profile        # per-unit timings
-    python -m repro.experiments.runner fig21 --telemetry[=DIR]
-                                        # per-point telemetry artifacts
+:func:`run_experiments` is the one execution path behind
+``python -m repro experiments`` and ``usecases`` (see :mod:`repro.cli`),
+the ``sweep`` queries of :mod:`repro.api` and the benchmarks.
 
 Results are cached under ``.repro_cache/results/`` keyed by experiment
 id, run mode, and a source hash of every module the experiment
@@ -33,16 +24,10 @@ artifacts.
 
 from __future__ import annotations
 
-import os
-import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from repro.experiments.base import (
-    EXPERIMENT_IDS,
-    ExperimentResult,
-    get_spec,
-)
+from repro.experiments.base import EXPERIMENT_IDS, ExperimentResult, get_spec
 from repro.experiments.cache import ResultCache
 from repro.experiments.scheduler import execute
 
@@ -159,108 +144,3 @@ def format_profile(rows: Sequence[dict]) -> str:
     lines.append("  ".join("-" * w for w in widths))
     lines.extend("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in table)
     return "\n".join(lines)
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    print(__doc__, file=sys.stderr)
-    return 2
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
-    fast = True
-    jobs: Optional[int] = None  # auto-detect effective cores
-    use_cache = True
-    cache_clear = False
-    profile = False
-    telemetry_out: Optional[str] = None
-    unit_timeout: Optional[float] = None
-    ids: List[str] = []
-
-    iterator = iter(args)
-    for arg in iterator:
-        if arg == "--full":
-            fast = False
-        elif arg == "--no-cache":
-            use_cache = False
-        elif arg == "--telemetry" or arg.startswith("--telemetry="):
-            value = arg.split("=", 1)[1] if "=" in arg else ""
-            telemetry_out = value or "telemetry"
-        elif arg == "--cache-clear":
-            cache_clear = True
-        elif arg == "--profile":
-            profile = True
-        elif arg == "--jobs" or arg.startswith("--jobs="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(iterator, None)
-            if value == "auto":
-                jobs = None
-            elif value is None or not value.lstrip("-").isdigit():
-                return _usage_error("--jobs needs an integer or 'auto'")
-            else:
-                jobs = int(value)
-        elif arg == "--timeout" or arg.startswith("--timeout="):
-            value = arg.split("=", 1)[1] if "=" in arg else next(iterator, None)
-            try:
-                unit_timeout = float(value)
-            except (TypeError, ValueError):
-                return _usage_error("--timeout needs a number of seconds")
-        elif arg.startswith("-"):
-            return _usage_error(f"unknown option {arg!r}")
-        else:
-            ids.append(arg)
-
-    if telemetry_out is not None:
-        # A cached result would skip the simulations that write the
-        # artifacts, so telemetry runs bypass the result cache. The env
-        # var is inherited by pool workers (set before the pool forks).
-        from repro.experiments.telemetry_io import TELEMETRY_DIR_ENV
-
-        os.environ[TELEMETRY_DIR_ENV] = telemetry_out
-        use_cache = False
-
-    cache = ResultCache() if use_cache else None
-    if cache_clear:
-        removed = ResultCache().clear()
-        print(f"cleared {removed} cache entr{'y' if removed == 1 else 'ies'}")
-        if not ids:
-            return 0
-
-    unknown = [i for i in ids if i not in EXPERIMENT_IDS]
-    if unknown:
-        print(
-            f"error: unknown experiment id(s): {', '.join(sorted(unknown))}\n"
-            f"known ids: {' '.join(EXPERIMENT_IDS)}",
-            file=sys.stderr,
-        )
-        return 2
-
-    start = time.time()
-    profile_rows: Optional[List[dict]] = [] if profile else None
-    for result in run_experiments(
-        ids or None,
-        fast=fast,
-        jobs=jobs,
-        cache=cache,
-        unit_timeout=unit_timeout,
-        profile_out=profile_rows,
-    ):
-        print(result.format_table())
-        print()
-    if profile_rows is not None:
-        print(format_profile(profile_rows))
-        print()
-    if telemetry_out is not None:
-        print(f"[telemetry artifacts under {telemetry_out}/]")
-    if jobs is None:
-        from repro.parallel import effective_cpu_count
-
-        jobs_label = f"auto({effective_cpu_count()})"
-    else:
-        jobs_label = str(jobs)
-    print(f"[{time.time() - start:.1f}s total, fast={fast}, jobs={jobs_label}]")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

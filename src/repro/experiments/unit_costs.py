@@ -7,8 +7,7 @@ machines; dispatch order is the whole scheduling knob we have). The
 cost of a unit is whatever the last run measured: every ``--profile``
 pass and every scheduled run records per-unit wall seconds here, keyed
 by the unit label (``"fig21[0]"``), persisted as one JSON book under
-the cache root so costs survive across runs and are shared with the
-shard coordinator.
+the cache root so costs survive across runs.
 
 Units never seen before fall back to a coarse prior: the simulation
 figures (fig21–fig24) run the cycle-accurate netsim and dominate every

@@ -43,8 +43,7 @@ Failure policy (unchanged from the old layer, enforced per task):
 5. an error that also reproduces serially propagates — the work is
    genuinely broken, not a scheduling casualty.
 
-Engine selection (``REPRO_SCALAR_NETSIM`` & co and the process defaults
-from :func:`repro.engines.set_default_engines`) plus the cache-root
+Engine selection (``REPRO_SCALAR_NETSIM`` & co) plus the cache-root
 switches travel **per task**, so a long-lived worker always sees the
 submitting process's current configuration, not a snapshot from spawn
 time. ``fn`` must be a module-level callable (or otherwise picklable)
@@ -66,8 +65,6 @@ from concurrent.futures import CancelledError, FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
-
-from repro import engines
 
 #: Placeholder for a result not yet produced.
 _UNSET = object()
@@ -198,25 +195,22 @@ def effective_jobs(jobs: Optional[int], n_tasks: int) -> int:
 # ----------------------------------------------------------------------
 
 
-def _apply_env(env: Dict[str, str], engine_defaults: Dict[str, str]) -> None:
-    """Mirror the submitting process's switches exactly (both layers:
-    the env escape hatches and the explicit process engine defaults)."""
+def _apply_env(env: Dict[str, str]) -> None:
+    """Mirror the submitting process's switches exactly."""
     for name in PROPAGATED_ENV_VARS:
         os.environ.pop(name, None)
     os.environ.update(env)
-    engines.set_default_engines(**engine_defaults)
 
 
 def _worker_main(
     conn,
     preload_modules: Sequence[str],
     env: Dict[str, str],
-    engine_defaults: Dict[str, str],
 ) -> None:
     """Persistent worker loop: preload once, then task after task."""
     from repro import wire
 
-    _apply_env(env, engine_defaults)
+    _apply_env(env)
     preload_start = time.monotonic()
     for name in preload_modules:
         try:
@@ -232,8 +226,8 @@ def _worker_main(
             break
         if message[0] == "stop":
             break
-        _, seq, t_send, task_env, task_defaults, fn, args = message
-        _apply_env(task_env, task_defaults)
+        _, seq, t_send, task_env, fn, args = message
+        _apply_env(task_env)
         modules_before = len(sys.modules)
         t_start = time.monotonic()
         try:
@@ -303,12 +297,11 @@ class _Item:
 
     __slots__ = (
         "seq", "fn", "args", "future", "cost", "label",
-        "env", "defaults", "attempts", "worker_pids", "t_send",
+        "env", "attempts", "worker_pids", "t_send",
         "affinity",
     )
 
-    def __init__(self, seq, fn, args, cost, label, env, defaults,
-                 affinity=None):
+    def __init__(self, seq, fn, args, cost, label, env, affinity=None):
         self.seq = seq
         self.fn = fn
         self.args = args
@@ -316,7 +309,6 @@ class _Item:
         self.cost = cost
         self.label = label
         self.env = env
-        self.defaults = defaults
         self.attempts = 0
         self.worker_pids: List[int] = []
         self.t_send = 0.0
@@ -420,8 +412,7 @@ class WorkerPool:
         item = _Item(
             next(self._seq), fn, tuple(args), cost,
             label or getattr(fn, "__name__", "task"),
-            _propagated_env(), engines.default_engines(),
-            affinity=affinity,
+            _propagated_env(), affinity=affinity,
         )
         with self._lock:
             if self._closed:
@@ -504,10 +495,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(
-                child_conn, self._preload,
-                _propagated_env(), engines.default_engines(),
-            ),
+            args=(child_conn, self._preload, _propagated_env()),
             name="repro-pool-worker",
         )
         proc.start()
@@ -633,7 +621,7 @@ class WorkerPool:
                 try:
                     idle.conn.send((
                         "task", item.seq, item.t_send,
-                        item.env, item.defaults, item.fn, item.args,
+                        item.env, item.fn, item.args,
                     ))
                 except (BrokenPipeError, OSError):
                     self._on_death(idle)

@@ -1,7 +1,7 @@
 """Compact binary encoding for results crossing process boundaries.
 
-The warm worker pool (:mod:`repro.parallel`) and the shard runner
-(:mod:`repro.shard`) both move work-unit results between processes.
+The warm worker pool (:mod:`repro.parallel`) moves work-unit results
+between processes.
 Pickling every result row is what the old dispatch layer did, and on
 small units the pickle traffic dominated the dispatch cost. This module
 is the replacement: a small msgpack-style tagged binary format for the

@@ -1,4 +1,4 @@
-"""Parallel scheduler: serial equality, failure fallback, CLI errors.
+"""Parallel scheduler: serial equality, failure fallback.
 
 The CI box (and most laptops) may report a single effective core, on
 which :func:`repro.parallel.effective_jobs` would degrade every
@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.experiments.base import ExperimentSpec, get_spec
-from repro.experiments.runner import main, run_experiments
+from repro.experiments.runner import run_experiments
 from repro.experiments.scheduler import execute
 
 #: Cheap analytical experiments for equality checks (one partitioned
@@ -131,31 +131,3 @@ def test_error_propagates_when_serial_also_fails(force_pool):
         execute([spec], fast=True, jobs=2)
     with pytest.raises(RuntimeError, match="always broken"):
         execute([spec], fast=True, jobs=1)
-
-
-def test_main_rejects_unknown_experiment(capsys):
-    code = main(["fig99"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "unknown experiment id(s): fig99" in err
-    assert "fig01" in err  # the known ids are listed
-
-
-def test_main_rejects_bad_flags(capsys):
-    assert main(["--jobs"]) == 2
-    assert main(["--jobs", "lots"]) == 2
-    assert main(["--frobnicate"]) == 2
-    assert "error" in capsys.readouterr().err
-
-
-def test_main_runs_parallel_with_cache_flags(capsys):
-    code = main(["--jobs", "2", "--no-cache", "tab06"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "tab06" in out
-    assert "jobs=2" in out
-
-
-def test_main_cache_clear_without_ids_exits(capsys):
-    assert main(["--cache-clear"]) == 0
-    assert "cleared" in capsys.readouterr().out

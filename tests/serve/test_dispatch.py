@@ -156,6 +156,27 @@ def test_malformed_queries_answered_without_submission():
     assert dispatcher.counters["errors"] == 4
 
 
+class InlineExecutor:
+    """Runs each submission immediately in this process."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # noqa: BLE001 — the future carries it
+            future.set_exception(exc)
+        return future
+
+
+def test_invalid_network_shape_answers_400():
+    dispatcher = Dispatcher(executor=InlineExecutor(), cache=None)
+    payload = {**QUERY, "network": "waferscale", "terminals": 30, "radix": 8}
+    status, body = asyncio.run(dispatcher.submit(payload))
+    assert status == 400
+    assert body["error"]["type"] == "QueryError"
+    assert "multiple of the SSC radix" in body["error"]["message"]
+
+
 def test_distinct_queries_do_not_coalesce():
     executor = FakeExecutor()
     dispatcher = Dispatcher(executor=executor, cache=None)

@@ -109,6 +109,16 @@ def test_execute_rejects_bad_sim_queries():
         api.execute(api.SimQuery(**{**TINY_SIM, "loads": ()}))
 
 
+
+@pytest.mark.parametrize("radix", [7, 8])
+def test_execute_rejects_invalid_network_shapes(radix):
+    """An odd radix, or terminals not a multiple of it, is a malformed
+    query (HTTP 400), not an execution failure."""
+    query = api.SimQuery(terminals=30, radix=radix, loads=(0.1,))
+    with pytest.raises(api.QueryError, match="bad simulate query"):
+        api.execute(query)
+
+
 @pytest.mark.slow
 def test_execute_design_rehydrates(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
