@@ -33,7 +33,8 @@ import tempfile
 import time
 
 from repro.core.design import cached_mapping, clear_mapping_cache
-from repro.mapping.exchange import SCALAR_ENV, optimize_mapping
+from repro.engines import SCALAR_MAPPING_ENV
+from repro.mapping.exchange import optimize_mapping
 from repro.mapping.grid import WaferGrid, grid_for
 from repro.mapping.routing import IOStyle
 from repro.topology.clos import folded_clos
@@ -43,8 +44,8 @@ ARTIFACT_PATH = REPO_ROOT / "BENCH_mapping.json"
 
 
 def _time_optimize(topology, grid, scalar: bool, restarts: int, jobs: int = 1):
-    previous = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1" if scalar else "0"
+    previous = os.environ.get(SCALAR_MAPPING_ENV)
+    os.environ[SCALAR_MAPPING_ENV] = "1" if scalar else "0"
     try:
         start = time.perf_counter()
         result = optimize_mapping(
@@ -53,9 +54,9 @@ def _time_optimize(topology, grid, scalar: bool, restarts: int, jobs: int = 1):
         return time.perf_counter() - start, result
     finally:
         if previous is None:
-            os.environ.pop(SCALAR_ENV, None)
+            os.environ.pop(SCALAR_MAPPING_ENV, None)
         else:
-            os.environ[SCALAR_ENV] = previous
+            os.environ[SCALAR_MAPPING_ENV] = previous
 
 
 def _store_timings(topology) -> dict:

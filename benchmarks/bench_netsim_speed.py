@@ -211,11 +211,11 @@ def engine_speedup(vectorized: dict, repeats: int = 1) -> dict:
     """
     import os
 
-    from repro.netsim.fast_core import SCALAR_ENV
+    from repro.engines import SCALAR_NETSIM_ENV
 
     section = {}
-    previous = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1"
+    previous = os.environ.get(SCALAR_NETSIM_ENV)
+    os.environ[SCALAR_NETSIM_ENV] = "1"
     try:
         for name in WORKLOADS:
             scalar = run_workload(name, repeats)
@@ -232,9 +232,9 @@ def engine_speedup(vectorized: dict, repeats: int = 1) -> dict:
             }
     finally:
         if previous is None:
-            del os.environ[SCALAR_ENV]
+            del os.environ[SCALAR_NETSIM_ENV]
         else:
-            os.environ[SCALAR_ENV] = previous
+            os.environ[SCALAR_NETSIM_ENV] = previous
     return section
 
 

@@ -28,7 +28,6 @@ serve dispatcher use, so restart fan-out reuses already-warm workers.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
@@ -50,9 +49,6 @@ Cost = Tuple[int, int]
 #: Schema tag/version for :meth:`MappingResult.to_dict` payloads.
 MAPPING_RESULT_SCHEMA = "repro-mapping-result"
 MAPPING_RESULT_SCHEMA_VERSION = 1
-
-#: Environment escape hatch: force the scalar oracle everywhere.
-SCALAR_ENV = "REPRO_SCALAR_MAPPING"
 
 
 def use_scalar_kernel(engine: str = "auto") -> bool:

@@ -27,10 +27,10 @@ Design constraints:
   directly — no batched tie-breaking tricks are needed.
 * **Shared state.** All SoA arrays are numpy buffers owned by
   ``FastEngine``; C mutates them through raw pointers, so
-  finalization (stats + object-model writeback) is engine code reading
-  the arrays directly. Output-port and candidate sets are bitmask words
-  (``ceil(P/64)`` and ``ceil(P*V/64)`` per port group), so any port
-  count runs.
+  finalization (stats + the counters written back to the object
+  model) is engine code reading the arrays directly. Output-port and
+  candidate sets are bitmask words (``ceil(P/64)`` and
+  ``ceil(P*V/64)`` per port group), so any port count runs.
 
 Kernel modes (:func:`fast_run`): 0 offers and steps a fixed number of
 cycles (Bernoulli warmup/measure), 1 drains, 2 replays a trace
@@ -109,7 +109,7 @@ class FastState(ctypes.Structure):
         + _fields(_I64, "n_cls")
         + _fields(_I64Ptr, "cls_kind cls_delay cls_off cls_cap")
         + _fields(_I64Ptr, "cls_head cls_tail cls_hidx cls_tidx")
-        + _fields(_I64Ptr, "ring_cycle ring_dest ring_code ring_vc ring_src")
+        + _fields(_I64Ptr, "ring_cycle ring_dest ring_code ring_vc")
         # division-free lookups: pv -> port, g -> router/port, row -> router
         + _fields(_I64Ptr, "pv_port g_r g_p row_r")
         # RC completion buckets (ring of W slots, RPV rows each), VA
@@ -158,8 +158,7 @@ _C_SOURCE = (
 #define ERR_RING_FULL  (-5)
 
 static inline int64_t ring_push(FastState *s, int64_t ci, int64_t now,
-                                int64_t dest, int64_t code, int64_t vc,
-                                int64_t src) {
+                                int64_t dest, int64_t code, int64_t vc) {
     if (s->cls_tail[ci] - s->cls_head[ci] >= s->cls_cap[ci])
         return ERR_RING_FULL;
     int64_t i = s->cls_off[ci] + s->cls_tidx[ci];
@@ -168,7 +167,6 @@ static inline int64_t ring_push(FastState *s, int64_t ci, int64_t now,
     s->ring_dest[i] = dest;
     s->ring_code[i] = code;
     s->ring_vc[i] = vc;
-    s->ring_src[i] = src;
     s->cls_tail[ci]++;
     return 0;
 }
@@ -284,7 +282,7 @@ static int64_t inject(FastState *s, int64_t now) {
         s->total_backlog--;
         int64_t code = ((s->base + pidx) << s->shift) | idx;
         int64_t rc = ring_push(s, s->inj_cls[t], now, s->inj_dest[t],
-                               code, s->tvc[t], -1 - t);
+                               code, s->tvc[t]);
         if (rc) return rc;
         s->cur_idx[t] = idx + 1;
         if (idx == s->pk_size[pidx] - 1) {
@@ -397,7 +395,7 @@ static int64_t commit(FastState *s, int64_t r, int64_t g, int64_t pv,
     }
     if (s->cred_cls[w] >= 0) {
         int64_t rc = ring_push(s, s->cred_cls[w], now, s->cred_dest[w],
-                               0, 0, 0);
+                               0, 0);
         if (rc) return rc;
     }
     int64_t out_vc = s->rc_ovc[row];
@@ -405,7 +403,7 @@ static int64_t commit(FastState *s, int64_t r, int64_t g, int64_t pv,
     if (!is_term) s->ocred[g]--;
     if (s->send_cls[g] < 0) { s->err_a = g; return ERR_UNWIRED; }
     int64_t rc = ring_push(s, s->send_cls[g], now, s->send_dest[g],
-                           code, out_vc, g);
+                           code, out_vc);
     if (rc) return rc;
     int64_t pidx = (code >> s->shift) - s->base;
     if ((code & s->idx_mask) == s->pk_size[pidx] - 1) {   /* tail */

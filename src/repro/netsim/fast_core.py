@@ -44,8 +44,6 @@ Set ``REPRO_SCALAR_NETSIM=1`` to force the object-model oracle
 from __future__ import annotations
 
 import itertools
-import os
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -53,19 +51,10 @@ import numpy as np
 from repro import engines
 from repro.netsim import _fast_step
 from repro.netsim import packet as packet_module
-from repro.netsim.packet import Flit, Packet
+from repro.netsim.packet import Packet
 from repro.netsim.router import ACTIVE, IDLE, ROUTE
 from repro.netsim.stats import RunStats
 from repro.netsim.telemetry import LatencyHistogram
-
-#: Set to ``"1"`` to force the scalar (object-model) simulator.
-SCALAR_ENV = "REPRO_SCALAR_NETSIM"
-
-
-def use_scalar_engine() -> bool:
-    """Whether the scalar oracle is forced via the environment."""
-    return os.environ.get(SCALAR_ENV, "") == "1"
-
 
 def netsim_engine_tag(engine: str = "auto") -> str:
     """Provenance tag for experiment outputs."""
@@ -166,9 +155,10 @@ def engine_for(network, telemetry=None, engine: str = "auto") -> Optional["FastE
     value through — resolution is idempotent). ``None`` falls back to
     the scalar object simulator: a ``"scalar"`` resolution (requested
     or env-forced), no C toolchain on this host, an un-tagged route
-    function (no ``route_spec``), a network that is not pristine, or a
-    shape outside the engine's support (non-uniform radix/VC/buffer
-    config, more than 63 VCs) all decline rather than risk divergence.
+    function (no ``route_spec``), a network that is not pristine (a
+    spent one included), or a shape outside the engine's support
+    (non-uniform radix/VC/buffer config, more than 63 VCs) all decline
+    rather than risk divergence.
     """
     if engines.resolve_netsim_engine(engine) == "scalar":
         return None
@@ -189,7 +179,11 @@ class FastEngine:
             raise _Incompatible("no C kernel on this host")
         if network.telemetry is not None:
             raise _Incompatible("a telemetry sink is already attached")
-        if network.cycle != 0 or network.in_flight_flits() != 0:
+        if (
+            network.spent_inflight is not None
+            or network.cycle != 0
+            or network.in_flight_flits() != 0
+        ):
             raise _Incompatible("network is not pristine")
         routers = network.routers
         terminals = network.terminals
@@ -301,19 +295,14 @@ class FastEngine:
         P = self.P
         router_index = {id(r): i for i, r in enumerate(routers)}
         term_index = {id(t): i for i, t in enumerate(terminals)}
-        self._link_index = {
-            id(link): i for i, (link, _, _, _) in enumerate(network.links)
-        }
         link_map = {
             id(link): (kind, sink, port)
             for link, kind, sink, port in network.links
         }
-        credit_router = {}
-        self._credit_sink_index = {}
-        for ci_, (channel, router, port) in enumerate(network._credit_sinks):
-            g = router_index[id(router)] * P + port
-            credit_router[id(channel)] = g
-            self._credit_sink_index[id(channel)] = ci_
+        credit_router = {
+            id(channel): router_index[id(router)] * P + port
+            for channel, router, port in network._credit_sinks
+        }
         term_credit = {
             id(t.credit_channel): i
             for i, t in enumerate(terminals)
@@ -405,11 +394,11 @@ class FastEngine:
         """Build the kernel's state block over this engine's arrays.
 
         The core SoA arrays are shared by pointer, so the kernel
-        advances exactly the buffers :meth:`_finish` / :meth:`_writeback`
-        read afterwards. Kernel-run-local structures (delay-class rings,
+        advances exactly the buffers :meth:`_finish` reads its counters
+        from afterwards. Kernel-run-local structures (delay-class rings,
         RC buckets, VA stalls, pending FIFOs, SA bitmasks, telemetry
-        counters) live in :attr:`aux`; :meth:`_c_export` reads them
-        back out.
+        counters) live in :attr:`aux`; only the telemetry bridge reads
+        them back.
         """
         R, P, V, CAP, PV, T = self.R, self.P, self.V, self.CAP, self.PV, self.T
         RP, RPV = R * P, R * PV
@@ -475,7 +464,6 @@ class FastEngine:
             "ring_dest": np.zeros(ring, dtype=np.int64),
             "ring_code": np.zeros(ring, dtype=np.int64),
             "ring_vc": np.zeros(ring, dtype=np.int64),
-            "ring_src": np.zeros(ring, dtype=np.int64),
             "pv_port": np.arange(PV, dtype=np.int64) // V,
             "g_r": np.arange(RP, dtype=np.int64) // P,
             "g_p": np.arange(RP, dtype=np.int64) % P,
@@ -680,8 +668,9 @@ class FastEngine:
         self._c_run(_DRAIN, drain_cycles)
         self._finish(stats)
         if tel is not None:
-            # _writeback restored the real terminal objects above, so
-            # the final boundary only refreshes the counter views.
+            # _finish wrote the terminal counters and packet lists
+            # back above, so the final boundary only refreshes the
+            # router counter views.
             self._tel_boundary(tel, terminals=False)
             self._tel_histograms(tel)
             tel.finish(st.cycle)
@@ -792,7 +781,7 @@ class FastEngine:
         if terminals:
             # Mid-run the object-model terminals are stale; mirror the
             # counters the terminal snapshot reads (sums only — the
-            # run-final writeback installs the real packet lists).
+            # run-final write-back installs the real packet lists).
             n_log = st.log_count
             received = np.bincount(
                 self.log_term[:n_log], minlength=T
@@ -851,55 +840,8 @@ class FastEngine:
                     histogram.add(one)
 
     # ------------------------------------------------------------------
-    # Finalization: stats + write the object model back
+    # Finalization: stats + counters written back; the network is spent
     # ------------------------------------------------------------------
-
-    def _c_export(self):
-        """Read the kernel's run-local state out for :meth:`_writeback`.
-
-        Returns ``(rc_rows, wires, pending)``: ``(row, ready cycle)``
-        pairs for heads waiting on RC or VA; per delay class, its live
-        ring entries ``(arrival, dest, code, vc, src)`` in arrival
-        order; per terminal, the packet indexes queued behind the one
-        it is sending.
-        """
-        st, aux = self.st, self.aux
-        now = st.cycle
-        W = st.W
-        RPV = self.R * self.PV
-        rc_rows = []
-        bk_cnt = aux["bk_cnt"].tolist()
-        bk_rows = aux["bk_rows"]
-        for w in range(W):
-            if bk_cnt[w]:
-                ready = now + ((w - now) % W)
-                rows = bk_rows[w * RPV:w * RPV + bk_cnt[w]].tolist()
-                rc_rows.extend((row, ready) for row in rows)
-        rc_rows.extend(
-            (row, now) for row in aux["stall_rows"][:st.stall_cnt].tolist()
-        )
-
-        columns = [
-            aux[name] for name in
-            ("ring_cycle", "ring_dest", "ring_code", "ring_vc", "ring_src")
-        ]
-        wires = []
-        for ci in range(st.n_cls):
-            head = int(aux["cls_head"][ci])
-            cap = int(aux["cls_cap"][ci])
-            live = int(aux["cls_tail"][ci]) - head
-            pos = aux["cls_off"][ci] + (head + np.arange(live)) % cap
-            wires.append(list(zip(*(col[pos].tolist() for col in columns))))
-
-        pend_next = self.pend_next
-        pending = []
-        for e in aux["pend_head"].tolist():
-            queue = []
-            while e >= 0:
-                queue.append(e)
-                e = int(pend_next[e])
-            pending.append(queue)
-        return rc_rows, wires, pending
 
     def _delivered_sorted(self):
         """Delivered ``(terminal, packet id)`` arrays, terminal-major.
@@ -930,7 +872,6 @@ class FastEngine:
         self._writeback(dterm, dpid)
 
     def _packet_factory(self):
-        cache = {}
         base = self.pk_base
         src = self.pk_src
         dst = self.pk_dst
@@ -940,154 +881,48 @@ class FastEngine:
         arrive = self.pk_arrive
 
         def mk(pid: int) -> Packet:
-            packet = cache.get(pid)
-            if packet is None:
-                i = pid - base
-                packet = object.__new__(Packet)
-                packet.packet_id = pid
-                packet.src = int(src[i])
-                packet.dst = int(dst[i])
-                packet.size_flits = int(size[i])
-                packet.create_cycle = int(create[i])
-                packet.inject_cycle = int(inject[i])
-                packet.arrive_cycle = int(arrive[i])
-                cache[pid] = packet
+            i = pid - base
+            packet = object.__new__(Packet)
+            packet.packet_id = pid
+            packet.src = int(src[i])
+            packet.dst = int(dst[i])
+            packet.size_flits = int(size[i])
+            packet.create_cycle = int(create[i])
+            packet.inject_cycle = int(inject[i])
+            packet.arrive_cycle = int(arrive[i])
             return packet
 
         return mk
 
     def _writeback(self, dterm, dpid) -> None:
-        """Write engine state back into the object model.
+        """Write the run's counters into the object model.
 
-        The written-back network is fully resumable: router queues, VC
-        allocation state, arbiter pointers, in-flight link/credit
-        traffic and the event calendars are all reconstructed, so a
-        caller stepping the network afterwards (or a second ``run``)
-        sees exactly what the scalar engine would have left behind.
+        Callers read the final cycle, per-router forwarded and buffered
+        flit totals, per-terminal send/receive counters and the
+        delivered packets (built on first touch). Router queues, VC
+        state, wires and source queues are not rebuilt, so the network
+        is left *spent*: ``spent_inflight`` carries the kernel's
+        in-flight count (source backlog included) and every run entry
+        point refuses the network from now on.
         """
         network = self.network
-        P, V, PV, CAP = self.P, self.V, self.PV, self.CAP
-        base = self.pk_base
+        network.cycle = self.cycle
+        network.spent_inflight = int(self.inflight)
+        per_router = (self.R, self.P)
+        forwarded = self.fwd_g.reshape(per_router).sum(axis=1).tolist()
+        buffered = self.occ.reshape(per_router).sum(axis=1).tolist()
+        for router, fwd, buf in zip(network.routers, forwarded, buffered):
+            router.flits_forwarded = fwd
+            router._buffered_total = buf
         mk = self._packet_factory()
-        now = self.cycle
-        network.cycle = now
-        rc_rows, wires, pending = self._c_export()
-
-        state = self.state
-        qlen = self.qlen
-        for ri, router in enumerate(network.routers):
-            base_g = ri * P
-            base_row = base_g * V
-            router.flits_forwarded = int(
-                self.fwd_g[base_g:base_g + P].sum()
-            )
-            router._buffered_total = int(self.occ[base_g:base_g + P].sum())
-            router.occupancy = self.occ[base_g:base_g + P].tolist()
-            router.out_credits = self.ocred[base_g:base_g + P].tolist()
-            router.rc_pending = set()
-            router.active_out_ports = set()
-            state_l = state[base_row:base_row + PV].tolist()
-            out_p_l = self.rc_out[base_row:base_row + PV].tolist()
-            out_v_l = self.rc_ovc[base_row:base_row + PV].tolist()
-            vc_ptr_l = self.vc_ptr[base_g:base_g + P].tolist()
-            sa_ptr_l = self.sa_ptr[base_g:base_g + P].tolist()
-            for p in range(P):
-                router._vc_arbiters[p]._pointer = vc_ptr_l[p]
-                router._sa_arbiters[p]._pointer = sa_ptr_l[p]
-                router.ovc_owner[p] = [None] * V
-                router.sa_candidates[p] = set()
-                s0 = p * V
-                router.ivc_state[p] = state_l[s0:s0 + V]
-                router.ivc_out_port[p] = out_p_l[s0:s0 + V]
-                router.ivc_out_vc[p] = out_v_l[s0:s0 + V]
-                router.queues[p] = [deque() for _ in range(V)]
-            # Buffered flits are sparse after a drain: rebuild only
-            # the occupied queues.
-            occupied = np.flatnonzero(qlen[base_row:base_row + PV])
-            for pv in occupied.tolist():
-                row = base_row + pv
-                p, v = divmod(pv, V)
-                queue = router.queues[p][v]
-                head = int(self.qhead[row])
-                for k in range(int(qlen[row])):
-                    code = int(self.qbuf[row * CAP + (head + k) % CAP])
-                    queue.append(Flit(mk(code >> _SHIFT), code & _IDX_MASK))
-            # Ownership and SA candidacy re-derive from ACTIVE rows.
-            rows = np.flatnonzero(
-                state[base_row:base_row + PV] == ACTIVE
-            )
-            for pv in rows.tolist():
-                row = base_row + pv
-                p, v = divmod(pv, V)
-                out_port = out_p_l[pv]
-                out_vc = out_v_l[pv]
-                if not router.out_is_terminal[out_port]:
-                    router.ovc_owner[out_port][out_vc] = (p, v)
-                if qlen[row] > 0:
-                    router.sa_candidates[out_port].add((p, v))
-                    router.active_out_ports.add(out_port)
-        # Heads pending RC (by ready cycle) or stalled in VA (ready now).
-        for row, ready in rc_rows:
-            r, pv = divmod(row, PV)
-            p, v = divmod(pv, V)
-            router = network.routers[r]
-            router.rc_pending.add((p, v))
-            router.rc_ready[p][v] = ready
-
-        network._link_events.clear()
-        network._credit_events.clear()
-        for link, _, _, _ in network.links:
-            link._in_flight.clear()
-        for channel, _, _ in network._credit_sinks:
-            channel._in_flight.clear()
-        bounds = np.searchsorted(dterm, np.arange(self.T + 1))
+        bounds = np.searchsorted(dterm, np.arange(self.T + 1)).tolist()
+        sent = self.tsent.tolist()
+        packets_sent = self.tpsent.tolist()
+        received = self.trecv.tolist()
         for ti, terminal in enumerate(network.terminals):
-            if terminal.credit_channel is not None:
-                terminal.credit_channel._in_flight.clear()
-            terminal.flits_sent = int(self.tsent[ti])
-            terminal.packets_sent = int(self.tpsent[ti])
-            terminal.flits_received = int(self.trecv[ti])
-            terminal.credits = int(self.tcred[ti])
-            terminal._next_vc = int(self.tvc[ti])
+            terminal.flits_sent = sent[ti]
+            terminal.packets_sent = packets_sent[ti]
+            terminal.flits_received = received[ti]
             terminal.packets_received = _LazyPackets(
                 mk, dpid[bounds[ti]:bounds[ti + 1]]
             )
-            queue = deque()
-            if self.tbacklog[ti] > 0:
-                packet = mk(base + int(self.cur_pid[ti]))
-                for k in range(int(self.cur_idx[ti]), packet.size_flits):
-                    queue.append(Flit(packet, k))
-                for pidx in pending[ti]:
-                    packet = mk(base + pidx)
-                    for k in range(packet.size_flits):
-                        queue.append(Flit(packet, k))
-            terminal.source_queue = queue
-        # In-flight flits and credits back onto their wires.
-        routers = network.routers
-        terminals = network.terminals
-        link_events = network._link_events
-        credit_events = network._credit_events
-        for kind, entries in zip(self._cls_kind, wires):
-            for arrival, dest, code, vc, src in entries:
-                if kind in ("rf", "tf", "inj"):
-                    if src >= 0:
-                        link = routers[src // P].out_link[src % P]
-                    else:
-                        link = terminals[-1 - src].inject_link
-                    flit = Flit(mk(code >> _SHIFT), code & _IDX_MASK)
-                    flit.vc = vc
-                    if not link._in_flight:
-                        link_events.setdefault(arrival, []).append(
-                            self._link_index[id(link)]
-                        )
-                    link._in_flight.append((arrival, flit))
-                elif kind == "rc":
-                    channel = routers[dest // P].out_credit_channel[dest % P]
-                    if not channel._in_flight:
-                        credit_events.setdefault(arrival, []).append(
-                            self._credit_sink_index[id(channel)]
-                        )
-                    channel._in_flight.append((arrival, 1))
-                else:  # 'tc'
-                    channel = terminals[dest].credit_channel
-                    channel._in_flight.append((arrival, 1))

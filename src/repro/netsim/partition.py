@@ -59,6 +59,7 @@ class WaferPartition:
     """One wafer's network, steppable in externally bounded epochs."""
 
     def __init__(self, network: NetworkModel, engine: str = "auto"):
+        network.require_unspent()
         resolved = resolve_netsim_engine(engine)
         self.engine = fast_core.engine_for(network, None, engine=resolved)
         self.network = network

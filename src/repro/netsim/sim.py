@@ -98,6 +98,7 @@ class Simulator:
         :class:`~repro.netsim.stats.RunStats`.
         """
         network = self.network
+        network.require_unspent()
         # Engine selection happens once per run, resolved ahead of the
         # env-var escape hatches (repro.engines): the vectorized
         # struct-of-arrays core when requested and supported, the

@@ -87,7 +87,3 @@ class Terminal:
             tele = self.telemetry
             if tele is not None:
                 tele.record_latency(packet)
-
-    @property
-    def backlog_flits(self) -> int:
-        return len(self.source_queue)

@@ -255,6 +255,7 @@ def replay_trace(
     """
     if compression <= 0:
         raise ValueError("compression must be positive")
+    network.require_unspent()
     from repro.engines import resolve_netsim_engine
 
     engine = resolve_netsim_engine(engine)

@@ -17,21 +17,21 @@ from __future__ import annotations
 import contextlib
 import os
 
-from repro.netsim.fast_core import SCALAR_ENV
+from repro.engines import SCALAR_NETSIM_ENV
 
 
 @contextlib.contextmanager
 def scalar_oracle():
     """Force the scalar object simulator (the parity oracle)."""
-    previous = os.environ.get(SCALAR_ENV)
-    os.environ[SCALAR_ENV] = "1"
+    previous = os.environ.get(SCALAR_NETSIM_ENV)
+    os.environ[SCALAR_NETSIM_ENV] = "1"
     try:
         yield
     finally:
         if previous is None:
-            del os.environ[SCALAR_ENV]
+            del os.environ[SCALAR_NETSIM_ENV]
         else:
-            os.environ[SCALAR_ENV] = previous
+            os.environ[SCALAR_NETSIM_ENV] = previous
 
 
 @contextlib.contextmanager

@@ -27,9 +27,10 @@ from hypothesis import strategies as st
 from tests.dcn.test_partition import _drain
 from tests.netsim.engines import ENGINES
 
-from repro.netsim import fast_core
+from repro.engines import resolve_netsim_engine
+from repro.netsim import _fast_step, fast_core
 from repro.netsim import packet as packet_module
-from repro.netsim.config import RouterConfig
+from repro.netsim.config import RouterConfig, SimConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import (
     clos_network,
@@ -38,7 +39,8 @@ from repro.netsim.network import (
 )
 from repro.netsim.packet import reset_packet_ids
 from repro.netsim.partition import WaferPartition
-from repro.netsim.sim import Simulator
+from repro.netsim.sim import Simulator, run_sim
+from repro.netsim.telemetry import Telemetry
 from repro.netsim.trace import TraceEvent, replay_trace
 from repro.netsim.traffic import BernoulliInjector, make_pattern
 
@@ -179,6 +181,7 @@ def _assert_engines_agree(spec, pattern_name, load, seed, psize, cycles):
             seed,
         )
         assert result == reference, (engine, spec, pattern_name, load, seed)
+    return reference
 
 
 @given(
@@ -216,6 +219,56 @@ def test_wide_router_differential(name, pattern_name):
     _assert_engines_agree(
         WIDE_SPECS[name], pattern_name, 0.3, 5, 4, (20, 60, 200)
     )
+
+
+#: A saturated Clos stopped with no drain: the run ends with flits
+#: still queued at the sources and in the network, which no golden
+#: scenario does (they all drain to zero).
+BACKLOG_SPEC = {"kind": "clos", "n": 32, "k": 8, "V": 2, "buf": 8, "io": 1}
+
+
+@pytest.mark.parametrize("pattern_name", ["uniform", "hotspot"])
+def test_backlogged_run_differential(pattern_name):
+    """A run cut off mid-saturation leaves the same in-flight count
+    (source backlog included) and counters on every engine."""
+    reference = _assert_engines_agree(
+        BACKLOG_SPEC, pattern_name, 1.0, 3, 4, (50, 200, 0)
+    )
+    assert reference["in_flight"] > 0
+
+
+def test_spent_network_is_refused():
+    """A compiled run writes back counters only, so the network it
+    leaves is spent: every run entry point refuses it, and its
+    in-flight count is the oracle's."""
+    if _fast_step.load_kernel() is None or resolve_netsim_engine() == "scalar":
+        pytest.skip("no C kernel on this host (or the scalar oracle forced)")
+    config = SimConfig(
+        warmup_cycles=50, measure_cycles=200, drain_cycles=0, seed=3
+    )
+
+    def run(engine):
+        reset_packet_ids()
+        network = _build(BACKLOG_SPEC)
+        run_sim(network, "uniform", 1.0, config=config, engine=engine)
+        return network
+
+    oracle = run("scalar")
+    network = run("c")
+    assert network.in_flight_flits() == oracle.in_flight_flits() > 0
+    assert fast_core.engine_for(network) is None
+    pattern = make_pattern("uniform", network.n_terminals)
+    events = [TraceEvent(0, 0, 1, 4)]
+    with pytest.raises(RuntimeError, match="spent"):
+        Simulator(network, pattern, 0.1).run(10, 10, 10)
+    with pytest.raises(RuntimeError, match="spent"):
+        replay_trace(network, events)
+    with pytest.raises(RuntimeError, match="spent"):
+        replay_trace(network, events, telemetry=Telemetry())
+    with pytest.raises(RuntimeError, match="spent"):
+        WaferPartition(network)
+    # The scalar oracle leaves its network resumable, as before.
+    Simulator(oracle, pattern, 0.1).run(10, 10, 10)
 
 
 @pytest.mark.slow
