@@ -36,7 +36,6 @@ import time
 from repro.netsim.config import RouterConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import waferscale_clos_network
-from repro.netsim.packet import reset_packet_ids
 from repro.netsim.sim import Simulator
 from repro.netsim.trace import (
     SyntheticTraceSpec,
@@ -132,7 +131,6 @@ def run_workload(name: str, repeats: int = 1, telemetry_factory=None) -> dict:
     """
     best = None
     for _ in range(repeats):
-        reset_packet_ids()
         network, run = WORKLOADS[name]()
         telemetry = telemetry_factory() if telemetry_factory else None
         start = time.perf_counter()

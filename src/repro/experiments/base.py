@@ -13,13 +13,12 @@ the parallel scheduler (:mod:`repro.experiments.scheduler`):
   final table from per-unit partials, preserving unit order.
 
 ``run`` must equal ``merge([run_unit(u) for u in units()])`` so serial
-and parallel execution produce identical tables. Hermeticity is the
-unit author's job: reset any process-global state the computation
-reads (the simulation figures call
-:func:`repro.netsim.packet.reset_packet_ids`, because packet ids feed
-spine selection) so a unit's result cannot depend on which units ran
-before it in the same process. Modules without the protocol are
-scheduled as a single opaque unit.
+and parallel execution produce identical tables. A unit's result cannot
+depend on which units ran before it in the same process: no state
+carries over (packet ids, which feed spine selection, come from a
+:class:`repro.netsim.packet.PacketIds` source each run owns), and
+``tests/experiments/test_unit_order.py`` runs every unit in two orders.
+Modules without the protocol are scheduled as a single opaque unit.
 """
 
 from __future__ import annotations

@@ -13,7 +13,6 @@ from repro.experiments.common import sim_scale
 from repro.experiments.telemetry_io import telemetry_sink, write_point_telemetry
 from repro.netsim.fast_core import netsim_engine_tag
 from repro.netsim.network import clos_network
-from repro.netsim.packet import reset_packet_ids
 from repro.netsim.config import RouterConfig
 from repro.netsim.sim import saturation_throughput
 from repro.netsim.traffic import make_pattern
@@ -48,9 +47,6 @@ def units(fast: bool = True):
 
 def run_unit(unit, fast: bool = True):
     latency, buffer_size = unit
-    # Packet ids feed the Clos spine selection, so each unit must start
-    # from a fresh counter or serial and parallel runs would diverge.
-    reset_packet_ids()
     scale = sim_scale(fast)
 
     def factory():

@@ -13,7 +13,7 @@ from repro.experiments.telemetry_io import telemetry_sink, write_point_telemetry
 from repro.netsim.config import RouterConfig
 from repro.netsim.fast_core import netsim_engine_tag
 from repro.netsim.network import clos_network
-from repro.netsim.packet import reset_packet_ids
+from repro.netsim.packet import PacketIds
 from repro.netsim.sim import load_latency_sweep, saturation_throughput
 from repro.netsim.traffic import make_pattern
 
@@ -55,9 +55,7 @@ def run_unit(unit, fast: bool = True):
     label, routing_delay, ingress_delay = next(
         config for config in CONFIGS if config[0] == unit
     )
-    # Packet ids feed the Clos spine selection, so each unit must start
-    # from a fresh counter or serial and parallel runs would diverge.
-    reset_packet_ids()
+    packet_ids = PacketIds()  # one numbering for sweep and saturation
     scale = sim_scale(fast)
     factory = _factory(scale, routing_delay, ingress_delay)
 
@@ -74,6 +72,7 @@ def run_unit(unit, fast: bool = True):
         loads=scale["loads"],
         warmup_cycles=scale["warmup_cycles"],
         measure_cycles=scale["measure_cycles"],
+        packet_ids=packet_ids,
         telemetry_factory=point_telemetry,
     )
     for load, telemetry in sweep_sinks:
@@ -96,6 +95,7 @@ def run_unit(unit, fast: bool = True):
         lambda n: make_pattern("uniform", n),
         warmup_cycles=scale["warmup_cycles"],
         measure_cycles=scale["measure_cycles"],
+        packet_ids=packet_ids,
         telemetry=telemetry,
     )
     write_point_telemetry(telemetry, "fig22", f"rc{routing_delay}_saturation")

@@ -13,7 +13,7 @@ from repro.experiments.common import sim_scale
 from repro.experiments.telemetry_io import telemetry_sink, write_point_telemetry
 from repro.netsim.fast_core import netsim_engine_tag
 from repro.netsim.network import baseline_switch_network, waferscale_clos_network
-from repro.netsim.packet import reset_packet_ids
+from repro.netsim.packet import PacketIds
 from repro.netsim.sim import load_latency_sweep, saturation_throughput
 from repro.netsim.traffic import make_pattern
 
@@ -47,9 +47,7 @@ def units(fast: bool = True):
 
 def run_unit(unit, fast: bool = True):
     pattern_name, label = unit
-    # Packet ids feed the Clos spine selection, so each unit must start
-    # from a fresh counter or serial and parallel runs would diverge.
-    reset_packet_ids()
+    packet_ids = PacketIds()  # one numbering for sweep and saturation
     scale = sim_scale(fast)
     factory = _factory(scale, label)
     points = load_latency_sweep(
@@ -58,6 +56,7 @@ def run_unit(unit, fast: bool = True):
         loads=scale["loads"][:3],
         warmup_cycles=scale["warmup_cycles"],
         measure_cycles=scale["measure_cycles"],
+        packet_ids=packet_ids,
     )
     telemetry = telemetry_sink()
     throughput = saturation_throughput(
@@ -65,6 +64,7 @@ def run_unit(unit, fast: bool = True):
         lambda n: make_pattern(pattern_name, n),
         warmup_cycles=scale["warmup_cycles"],
         measure_cycles=scale["measure_cycles"],
+        packet_ids=packet_ids,
         telemetry=telemetry,
     )
     write_point_telemetry(

@@ -15,7 +15,7 @@ from repro.experiments.common import sim_scale
 from repro.experiments.telemetry_io import telemetry_sink, write_point_telemetry
 from repro.netsim.fast_core import netsim_engine_tag
 from repro.netsim.network import baseline_switch_network, waferscale_clos_network
-from repro.netsim.packet import reset_packet_ids
+from repro.netsim.packet import PacketIds
 from repro.netsim.trace import (
     SyntheticTraceSpec,
     duplicate_trace,
@@ -34,11 +34,13 @@ def _sustained_throughput(
 ):
     """Highest delivered flit rate across compression levels."""
     best = 0.0
+    packet_ids = PacketIds()  # one numbering across the replays
     for compression in compressions:
         network = network_factory()
         telemetry = telemetry_sink()
         stats = replay_trace(
-            network, events, compression=compression, telemetry=telemetry
+            network, events, compression=compression, telemetry=telemetry,
+            packet_ids=packet_ids,
         )
         if point_slug is not None:
             write_point_telemetry(
@@ -58,9 +60,6 @@ def units(fast: bool = True):
 
 def run_unit(unit, fast: bool = True):
     trace_name, label = unit
-    # Packet ids feed the Clos spine selection, so each unit must start
-    # from a fresh counter or serial and parallel runs would diverge.
-    reset_packet_ids()
     scale = sim_scale(fast)
     n = scale["n_terminals"]
     trace_nodes = n // 2  # traces are generated at half scale then duplicated

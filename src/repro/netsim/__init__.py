@@ -19,7 +19,7 @@ from repro.netsim.network import (
     single_router_network,
     waferscale_clos_network,
 )
-from repro.netsim.packet import Flit, Packet
+from repro.netsim.packet import Flit, Packet, PacketIds
 from repro.netsim.sim import (
     LoadLatencyPoint,
     Simulator,
@@ -44,6 +44,7 @@ __all__ = [
     "LoadLatencyPoint",
     "NetworkModel",
     "Packet",
+    "PacketIds",
     "RouterConfig",
     "RunStats",
     "SimConfig",

@@ -43,14 +43,12 @@ Set ``REPRO_SCALAR_NETSIM=1`` to force the object-model oracle
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 import numpy as np
 
 from repro import engines
 from repro.netsim import _fast_step
-from repro.netsim import packet as packet_module
 from repro.netsim.packet import Packet
 from repro.netsim.router import ACTIVE, IDLE, ROUTE
 from repro.netsim.stats import RunStats
@@ -546,21 +544,22 @@ class FastEngine:
     # ------------------------------------------------------------------
 
     def run_bernoulli(
-        self, injector, warmup_cycles: int, measure_cycles: int,
+        self, injector, packet_ids, warmup_cycles: int, measure_cycles: int,
         drain_cycles: int,
     ) -> RunStats:
         """Mirror of ``Simulator.run``, telemetry windows included."""
         # Pre-generate the whole Bernoulli stream. The RNG consumption
-        # order is identical to the scalar driver's per-cycle loop, and
-        # packet ids are drawn from the same global counter.
+        # order is identical to the scalar driver's per-cycle loop, which
+        # takes one id per packet in stream order: one block of ``n``
+        # consecutive ids from the run's source is the same numbering.
         total = warmup_cycles + measure_cycles
-        ev_when, ev_term, ev_dst, ev_gid = (
+        ev_when, ev_term, ev_dst = (
             self._c_pregen(injector, total)
             or self._py_pregen(injector, total)
         )
-        n = len(ev_gid)
+        n = len(ev_when)
         self._set_packets(
-            ev_gid[0] if n else 0, ev_term, ev_dst,
+            packet_ids.take(n), ev_term, ev_dst,
             np.full(n, injector.packet_size_flits, dtype=np.int64), ev_when,
         )
         return self._c_run_bernoulli(
@@ -574,11 +573,9 @@ class FastEngine:
         draw = rng.random
         probability = injector.packet_probability
         destination = injector.pattern.destination
-        ids = packet_module._packet_ids
         ev_when = []
         ev_term = []
         ev_dst = []
-        ev_gid = []
         terminals = range(self.T)
         for c in range(total):
             for src in terminals:
@@ -590,8 +587,7 @@ class FastEngine:
                 ev_when.append(c)
                 ev_term.append(src)
                 ev_dst.append(dst)
-                ev_gid.append(next(ids))
-        return ev_when, ev_term, ev_dst, ev_gid
+        return ev_when, ev_term, ev_dst
 
     def _c_pregen(self, injector, total: int):
         """Pre-generate the Bernoulli stream in C, or ``None``.
@@ -599,9 +595,7 @@ class FastEngine:
         Only the ``uniform`` pattern is transliterated (the kernel
         replays CPython's MT19937 bit-for-bit and hands the advanced
         state back to the Python RNG); every other pattern uses
-        :meth:`_py_pregen`. Packet ids are drawn afterwards — the global
-        counter is sequential, so consuming ``n`` ids in one slice is
-        identical to drawing them inside the loop.
+        :meth:`_py_pregen`.
         """
         if self.T < 2:
             return None
@@ -631,8 +625,7 @@ class FastEngine:
         rng.setstate(
             (3, tuple(int(x) for x in mt) + (int(mti[0]),), gauss)
         )
-        ev_gid = list(itertools.islice(packet_module._packet_ids, n))
-        return ev_when[:n], ev_term[:n], ev_dst[:n], ev_gid
+        return ev_when[:n], ev_term[:n], ev_dst[:n]
 
     def _c_run_bernoulli(
         self, size, warmup_cycles, measure_cycles, drain_cycles,
@@ -676,21 +669,19 @@ class FastEngine:
             tel.finish(st.cycle)
         return stats
 
-    def run_replay(self, schedule, max_cycles: int):
+    def run_replay(self, schedule, max_cycles: int, packet_ids):
         """Mirror of ``replay_trace``'s driving loop (no telemetry).
 
         ``schedule`` is the sorted list of ``(inject_cycle, event)``
-        pairs; packet index = schedule index. The scalar loop creates
-        each packet (drawing a global id) when it offers it, so the ids
-        are ``base, base+1, ...`` in schedule order: ``base`` is drawn
-        up front and the counter is left after the last *offered*
-        event — under ``max_cycles`` truncation that is short of the
-        schedule's end, exactly where the scalar loop stops.
+        pairs; packet index = schedule index. The scalar loop takes an
+        id from ``packet_ids`` when it offers a packet, so the ids are
+        ``base, base+1, ...`` in schedule order and the source is left
+        after the last *offered* event — under ``max_cycles``
+        truncation that is short of the schedule's end, exactly where
+        the scalar loop stops.
         """
-        n = len(schedule)
-        base = next(packet_module._packet_ids) if n else 0
         self._set_packets(
-            base,
+            packet_ids.next,
             [event.src for _, event in schedule],
             [event.dst for _, event in schedule],
             [event.size_flits for _, event in schedule],
@@ -698,8 +689,7 @@ class FastEngine:
         )
         self._c_run(_REPLAY, max_cycles)
         offered = self.st.ev_index
-        if n:
-            packet_module._packet_ids = itertools.count(base + offered)
+        packet_ids.take(offered)
         stats = RunStats(
             measure_start=0, measure_end=self.cycle, n_terminals=self.T
         )
@@ -882,12 +872,9 @@ class FastEngine:
 
         def mk(pid: int) -> Packet:
             i = pid - base
-            packet = object.__new__(Packet)
-            packet.packet_id = pid
-            packet.src = int(src[i])
-            packet.dst = int(dst[i])
-            packet.size_flits = int(size[i])
-            packet.create_cycle = int(create[i])
+            packet = Packet(
+                int(src[i]), int(dst[i]), int(size[i]), int(create[i]), pid
+            )
             packet.inject_cycle = int(inject[i])
             packet.arrive_cycle = int(arrive[i])
             return packet

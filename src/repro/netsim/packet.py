@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
-import itertools
 
-_packet_ids = itertools.count()
+class PacketIds:
+    """Packet numbering owned by a run (ids feed Clos spine selection)."""
 
+    __slots__ = ("next",)
 
-def reset_packet_ids() -> None:
-    """Restart packet numbering (test isolation)."""
-    global _packet_ids
-    _packet_ids = itertools.count()
+    def __init__(self) -> None:
+        self.next = 0
+
+    def take(self, n: int = 1) -> int:
+        """Hand out ``n`` consecutive ids; return the first."""
+        base = self.next
+        self.next = base + n
+        return base
 
 
 class Packet:
@@ -26,12 +31,15 @@ class Packet:
         "arrive_cycle",
     )
 
-    def __init__(self, src: int, dst: int, size_flits: int, create_cycle: int):
+    def __init__(
+        self, src: int, dst: int, size_flits: int, create_cycle: int,
+        packet_id: int,
+    ):
         if size_flits < 1:
             raise ValueError("packet must contain at least one flit")
         if src == dst:
             raise ValueError("source and destination terminals must differ")
-        self.packet_id = next(_packet_ids)
+        self.packet_id = packet_id
         self.src = src
         self.dst = dst
         self.size_flits = size_flits

@@ -22,12 +22,11 @@ driver, on either engine:
 
 Packet ids are **partition-local** and assigned here, in deterministic
 offer order (events are consumed sorted by ``(cycle, source terminal,
-tag)``), *not* drawn from the global counter in
-:mod:`repro.netsim.packet`.  That is what makes a partitioned run
-bit-identical to a monolithic one: Clos routing hashes the packet id
-across spines/channels, so the id sequence each wafer sees must depend
-only on that wafer's injection history, never on how many other
-partitions share the process.
+tag)``), with no source shared between partitions.  That is what
+makes a partitioned run bit-identical to a monolithic one: Clos
+routing hashes the packet id across spines/channels, so the id
+sequence each wafer sees must depend only on that wafer's injection
+history, never on how many other partitions share the process.
 
 Both engines produce identical deliveries for identical event streams
 (the differential harness pins them to each other); ``advance`` sorts
@@ -176,15 +175,7 @@ class WaferPartition:
 
     def _offer_scalar(self, event: Event) -> None:
         cycle, src, dst, size, tag = event
-        gid = len(self._tags)
-        packet = object.__new__(Packet)
-        packet.packet_id = gid
-        packet.src = src
-        packet.dst = dst
-        packet.size_flits = size
-        packet.create_cycle = cycle
-        packet.inject_cycle = -1
-        packet.arrive_cycle = -1
+        packet = Packet(src, dst, size, cycle, len(self._tags))
         self._tags.append(tag)
         self.offered_flits += size
         self.offered_packets += 1

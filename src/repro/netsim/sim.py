@@ -17,7 +17,7 @@ from repro.engines import resolve_netsim_engine
 from repro.netsim import fast_core
 from repro.netsim.config import SimConfig
 from repro.netsim.network import NetworkModel
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, PacketIds
 from repro.netsim.stats import RunStats
 from repro.netsim.telemetry import Telemetry
 from repro.netsim.traffic import BernoulliInjector, TrafficPattern, make_pattern
@@ -34,7 +34,10 @@ ACCEPTED_TRACKING_FACTOR = 0.75
 
 
 class Simulator:
-    """Drives one network instance under Bernoulli traffic."""
+    """Drives one network instance under Bernoulli traffic.
+
+    Packet ids come from ``packet_ids``, a fresh source when ``None``.
+    """
 
     def __init__(
         self,
@@ -43,6 +46,7 @@ class Simulator:
         load: float,
         packet_size_flits: int = 4,
         seed: int = 1,
+        packet_ids: Optional[PacketIds] = None,
     ):
         if pattern.n_terminals != network.n_terminals:
             raise ValueError(
@@ -54,6 +58,7 @@ class Simulator:
         )
         self.load = load
         self.packet_size_flits = packet_size_flits
+        self.packet_ids = packet_ids or PacketIds()
 
     def _generate(self, now: int, count_stats: Optional[RunStats]) -> None:
         # Inlined BernoulliInjector.generate: one rng.random() per
@@ -66,13 +71,16 @@ class Simulator:
         probability = injector.packet_probability
         destination = injector.pattern.destination
         size = injector.packet_size_flits
+        take_id = self.packet_ids.take
         offered = 0
         created = 0
         for terminal in self.network.terminals:
             if draw() >= probability:
                 continue
             src = terminal.terminal_id
-            terminal.offer_packet(Packet(src, destination(src, rng), size, now))
+            terminal.offer_packet(
+                Packet(src, destination(src, rng), size, now, take_id())
+            )
             offered += size
             created += 1
         if count_stats is not None:
@@ -108,7 +116,8 @@ class Simulator:
         engine = fast_core.engine_for(network, telemetry, engine=engine_name)
         if engine is not None:
             return engine.run_bernoulli(
-                self.injector, warmup_cycles, measure_cycles, drain_cycles
+                self.injector, self.packet_ids, warmup_cycles,
+                measure_cycles, drain_cycles,
             )
         if telemetry is not None:
             telemetry.attach(network)
@@ -227,6 +236,7 @@ def load_latency_sweep(
     seed: int = 1,
     telemetry_factory: Optional[Callable[[float], Optional[Telemetry]]] = None,
     engine: str = "auto",
+    packet_ids: Optional[PacketIds] = None,
 ) -> List[LoadLatencyPoint]:
     """Average latency vs offered load (Figs 22, 23, 24 style curves).
 
@@ -241,14 +251,21 @@ def load_latency_sweep(
     :class:`~repro.netsim.telemetry.Telemetry` sink per load point
     (or ``None`` to skip a point); the caller keeps the references —
     typically a closure that writes each report to disk.
+
+    The load points share one packet-id source (``packet_ids``, fresh
+    when ``None``).
     """
     points: List[LoadLatencyPoint] = []
     zero_load_latency: Optional[float] = None
     engine = resolve_netsim_engine(engine)
+    packet_ids = packet_ids or PacketIds()
     for load in loads:
         network = network_factory()
         pattern = pattern_factory(network.n_terminals)
-        sim = Simulator(network, pattern, load, packet_size_flits, seed=seed)
+        sim = Simulator(
+            network, pattern, load, packet_size_flits, seed=seed,
+            packet_ids=packet_ids,
+        )
         telemetry = (
             telemetry_factory(load) if telemetry_factory is not None else None
         )
@@ -292,6 +309,7 @@ def saturation_throughput(
     seed: int = 1,
     telemetry: Optional[Telemetry] = None,
     engine: str = "auto",
+    packet_ids: Optional[PacketIds] = None,
 ) -> float:
     """Accepted throughput at an offered load far past saturation.
 
@@ -299,10 +317,14 @@ def saturation_throughput(
     Booksim's standard estimate of saturation throughput. An optional
     ``telemetry`` sink captures the saturated network's stall
     attribution (there is no drain window: drain is skipped here).
+    ``packet_ids`` as for :class:`Simulator`.
     """
     network = network_factory()
     pattern = pattern_factory(network.n_terminals)
-    sim = Simulator(network, pattern, offered_load, packet_size_flits, seed=seed)
+    sim = Simulator(
+        network, pattern, offered_load, packet_size_flits, seed=seed,
+        packet_ids=packet_ids,
+    )
     stats = sim.run(
         warmup_cycles=warmup_cycles,
         measure_cycles=measure_cycles,

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.netsim.network import NetworkModel
-from repro.netsim.packet import Packet
+from repro.netsim.packet import Packet, PacketIds
 from repro.netsim.stats import RunStats
 
 
@@ -242,6 +242,7 @@ def replay_trace(
     max_cycles: int = 200_000,
     telemetry=None,
     engine: str = "auto",
+    packet_ids: Optional[PacketIds] = None,
 ) -> RunStats:
     """Replay a trace to completion and return its statistics.
 
@@ -252,10 +253,15 @@ def replay_trace(
     no warmup/measurement split — every packet counts). ``engine``
     picks the simulation kernel explicitly (see :mod:`repro.engines`);
     resolved once here, ahead of the env-var escape hatches.
+
+    Packets take ids from ``packet_ids`` (fresh when ``None``) in
+    schedule order; a ``max_cycles`` cutoff leaves the source just past
+    the last packet offered.
     """
     if compression <= 0:
         raise ValueError("compression must be positive")
     network.require_unspent()
+    packet_ids = packet_ids or PacketIds()
     from repro.engines import resolve_netsim_engine
 
     engine = resolve_netsim_engine(engine)
@@ -268,7 +274,7 @@ def replay_trace(
 
         fast = fast_core.engine_for(network, engine=engine)
         if fast is not None:
-            return fast.run_replay(schedule, max_cycles)
+            return fast.run_replay(schedule, max_cycles, packet_ids)
     stats = RunStats(measure_start=0, measure_end=0, n_terminals=network.n_terminals)
     if telemetry is not None:
         telemetry.attach(network)
@@ -278,7 +284,9 @@ def replay_trace(
         now = network.cycle
         while index < len(schedule) and schedule[index][0] <= now:
             _, event = schedule[index]
-            packet = Packet(event.src, event.dst, event.size_flits, now)
+            packet = Packet(
+                event.src, event.dst, event.size_flits, now, packet_ids.take()
+            )
             network.terminals[event.src].offer_packet(packet)
             stats.flits_offered += event.size_flits
             stats.packets_created += 1

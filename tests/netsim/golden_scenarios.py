@@ -18,7 +18,6 @@ from __future__ import annotations
 from repro.netsim.config import RouterConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import clos_network, waferscale_clos_network
-from repro.netsim.packet import reset_packet_ids
 from repro.netsim.sim import Simulator
 from repro.netsim.trace import (
     SyntheticTraceSpec,
@@ -100,7 +99,6 @@ DRAIN_CYCLES = 800
 def run_scenario(name: str) -> dict:
     """Run one scenario from a clean slate and summarise it exactly."""
     factory, pattern_name, load, seed = SCENARIOS[name]
-    reset_packet_ids()  # packet ids feed the routing hash; must restart
     network = factory()
     pattern = make_pattern(pattern_name, network.n_terminals)
     sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)
@@ -131,7 +129,8 @@ def run_scenario(name: str) -> dict:
 #: name -> (network factory, trace name, compression, max_cycles).
 #: ``trace_multigrid_truncated`` stops injection mid-schedule: its
 #: golden pins the truncation contract (offered counts stop at the
-#: cutoff, and so does the global packet-id counter).
+#: cutoff; ``test_truncated_replay_differential`` pins that the run's
+#: packet-id source stops there too).
 TRACE_SCENARIOS = {
     "trace_lulesh_mesh": (_small_mesh, "lulesh", 1.0, 20_000),
     "trace_nekbone_clos": (_small_clos, "nekbone", 2.0, 20_000),
@@ -142,7 +141,6 @@ TRACE_SCENARIOS = {
 def run_trace_scenario(name: str) -> dict:
     """Replay one synthetic mini-app trace and summarise it exactly."""
     factory, trace_name, compression, max_cycles = TRACE_SCENARIOS[name]
-    reset_packet_ids()
     network = factory()
     spec = SyntheticTraceSpec(
         n_nodes=network.n_terminals,
@@ -209,7 +207,6 @@ def run_failure_scenario(name: str) -> dict:
     corrupt results silently; the golden freezes the exact error.
     """
     factory, pattern_name, load, seed = FAILURE_SCENARIOS[name]
-    reset_packet_ids()
     network = factory()
     pattern = make_pattern(pattern_name, network.n_terminals)
     sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)

@@ -21,7 +21,7 @@ def test_adaptive_network_delivers():
     network = clos_network(
         "adaptive", 64, 16, _config(), 1, 2, spine_selection="adaptive"
     )
-    packet = Packet(0, 63, 4, 0)
+    packet = Packet(0, 63, 4, 0, 0)
     network.terminals[0].offer_packet(packet)
     for _ in range(300):
         network.step()

@@ -29,7 +29,6 @@ from tests.netsim.engines import ENGINES
 
 from repro.engines import resolve_netsim_engine
 from repro.netsim import _fast_step, fast_core
-from repro.netsim import packet as packet_module
 from repro.netsim.config import RouterConfig, SimConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import (
@@ -37,7 +36,7 @@ from repro.netsim.network import (
     single_router_network,
     waferscale_clos_network,
 )
-from repro.netsim.packet import reset_packet_ids
+from repro.netsim.packet import PacketIds
 from repro.netsim.partition import WaferPartition
 from repro.netsim.sim import Simulator, run_sim
 from repro.netsim.telemetry import Telemetry
@@ -132,15 +131,20 @@ def network_specs(draw, deep: bool = False):
 
 def _run_summary(spec, pattern_name, load, seed, psize, warmup, measure, drain):
     """One clean-slate run, summarised down to every observable bit."""
-    reset_packet_ids()
     network = _build(spec)
     pattern = make_pattern(pattern_name, network.n_terminals)
-    sim = Simulator(network, pattern, load, packet_size_flits=psize, seed=seed)
+    packet_ids = PacketIds()
+    sim = Simulator(
+        network, pattern, load, packet_size_flits=psize, seed=seed,
+        packet_ids=packet_ids,
+    )
     stats = sim.run(
         warmup_cycles=warmup, measure_cycles=measure, drain_cycles=drain
     )
     return {
         "latencies": list(stats.latencies_cycles),
+        # One id per packet created over warmup and measurement.
+        "next_packet_id": packet_ids.next,
         "flits_offered": stats.flits_offered,
         "flits_delivered": stats.flits_delivered,
         "packets_created": stats.packets_created,
@@ -248,7 +252,6 @@ def test_spent_network_is_refused():
     )
 
     def run(engine):
-        reset_packet_ids()
         network = _build(BACKLOG_SPEC)
         run_sim(network, "uniform", 1.0, config=config, engine=engine)
         return network
@@ -322,15 +325,16 @@ def _replay_summaries(events, compression, max_cycles):
     results = {}
     for engine, ctx in ENGINES.items():
         with ctx():
-            reset_packet_ids()
             network = waferscale_clos_network(
                 32, 8, num_vcs=2, buffer_flits_per_port=8, io_latency=2
             )
+            packet_ids = PacketIds()
             stats = replay_trace(
                 network,
                 events,
                 compression=compression,
                 max_cycles=max_cycles,
+                packet_ids=packet_ids,
             )
             results[engine] = {
                 "latencies": list(stats.latencies_cycles),
@@ -342,8 +346,8 @@ def _replay_summaries(events, compression, max_cycles):
                 "per_terminal": [
                     t.flits_received for t in network.terminals
                 ],
-                # Where the run left the global packet-id counter.
-                "next_packet_id": next(packet_module._packet_ids),
+                # Where the run left its packet-id source.
+                "next_packet_id": packet_ids.next,
             }
     return results
 
@@ -386,7 +390,7 @@ def test_trace_replay_differential(workload, compression, max_cycles):
 def test_truncated_replay_differential(max_cycles):
     """A cap mid-schedule (or before its first event) stops both engines
     at the same cycle, with the same packets offered and the packet-id
-    counter left at the same value."""
+    source left at the offered count."""
     rng = random.Random(3)
     events = [
         TraceEvent(
@@ -398,6 +402,7 @@ def test_truncated_replay_differential(max_cycles):
     results = _replay_summaries(events, 1.0, max_cycles)
     reference = results.pop("scalar")
     assert reference["packets_created"] < len(events)
+    assert reference["next_packet_id"] == reference["packets_created"]
     for engine, result in results.items():
         assert result == reference, (engine, max_cycles)
 
@@ -481,7 +486,6 @@ def test_pregen_uniform_matches_python_rng(seed, load, cycles):
     rejection loop; this pins its event stream *and* the handed-back
     RNG state against a pure-Python replay of the same draws.
     """
-    reset_packet_ids()
     network = mesh_network(
         2,
         2,
@@ -503,7 +507,7 @@ def test_pregen_uniform_matches_python_rng(seed, load, cycles):
     pre = engine._c_pregen(injector, cycles)
     if pre is None:
         pytest.skip("no C toolchain in this environment")
-    ev_when, ev_term, ev_dst, ev_gid = pre
+    ev_when, ev_term, ev_dst = pre
 
     expected = []
     probability = injector.packet_probability
@@ -518,4 +522,3 @@ def test_pregen_uniform_matches_python_rng(seed, load, cycles):
     )
     assert got == expected
     assert injector.rng.getstate() == reference_rng.getstate()
-    assert ev_gid == sorted(ev_gid) and len(ev_gid) == len(expected)

@@ -27,7 +27,6 @@ from tests.netsim.golden_scenarios import (
     run_trace_scenario,
 )
 
-from repro.netsim.packet import reset_packet_ids
 from repro.netsim.sim import Simulator
 from repro.netsim.traffic import make_pattern
 
@@ -72,7 +71,6 @@ def test_flit_conservation(name):
     factory, pattern_name, load, seed = SCENARIOS[name]
     for engine, ctx in ENGINES.items():
         with ctx():
-            reset_packet_ids()
             network = factory()
             pattern = make_pattern(pattern_name, network.n_terminals)
             sim = Simulator(
@@ -112,7 +110,7 @@ def test_trace_golden_parity(name):
 
     ``trace_multigrid_truncated`` pins the truncation contract: when
     ``max_cycles`` cuts the schedule short, the offered counts (and the
-    global packet-id counter behind them) stop at the cutoff.
+    run's packet-id source behind them) stop at the cutoff.
     """
     golden = _golden(name)
     result = run_trace_scenario(name)

@@ -7,7 +7,7 @@ from repro.netsim.packet import Packet, flits_of
 
 
 def _flit():
-    return flits_of(Packet(0, 1, 1, 0))[0]
+    return flits_of(Packet(0, 1, 1, 0, 0))[0]
 
 
 def test_link_delivers_after_latency():

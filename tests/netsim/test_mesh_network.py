@@ -23,7 +23,7 @@ def test_mesh_structure():
 
 def test_mesh_local_delivery():
     network = mesh_network(3, 3, terminals_per_router=2)
-    packet = Packet(0, 1, 2, 0)  # both on router (0,0)
+    packet = Packet(0, 1, 2, 0, 0)  # both on router (0,0)
     network.terminals[0].offer_packet(packet)
     _run(network, 100)
     assert network.terminals[1].flits_received == 2
@@ -31,7 +31,7 @@ def test_mesh_local_delivery():
 
 def test_mesh_corner_to_corner():
     network = mesh_network(3, 3, terminals_per_router=2)
-    packet = Packet(0, 17, 2, 0)  # (0,0) -> (2,2)
+    packet = Packet(0, 17, 2, 0, 0)  # (0,0) -> (2,2)
     network.terminals[0].offer_packet(packet)
     _run(network, 300)
     assert packet.arrive_cycle > 0
@@ -43,7 +43,7 @@ def test_mesh_conservation():
     for i in range(15):
         src = (i * 5) % 18
         dst = (src + 7) % 18
-        network.terminals[src].offer_packet(Packet(src, dst, 3, 0))
+        network.terminals[src].offer_packet(Packet(src, dst, 3, 0, i))
         injected += 3
     _run(network, 800)
     assert sum(t.flits_received for t in network.terminals) == injected
@@ -52,11 +52,11 @@ def test_mesh_conservation():
 
 def test_mesh_latency_grows_with_distance():
     near_net = mesh_network(4, 4, terminals_per_router=1)
-    near = Packet(0, 1, 2, 0)  # one hop east
+    near = Packet(0, 1, 2, 0, 0)  # one hop east
     near_net.terminals[0].offer_packet(near)
     _run(near_net, 200)
     far_net = mesh_network(4, 4, terminals_per_router=1)
-    far = Packet(0, 15, 2, 0)  # six hops
+    far = Packet(0, 15, 2, 0, 0)  # six hops
     far_net.terminals[0].offer_packet(far)
     _run(far_net, 200)
     assert far.latency_cycles > near.latency_cycles

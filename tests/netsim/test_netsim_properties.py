@@ -42,7 +42,7 @@ def test_conservation_and_completion(workload, num_vcs):
             index += 1
             if src == dst:
                 continue
-            packet = Packet(src, dst, size, now)
+            packet = Packet(src, dst, size, now, index)
             packets.append(packet)
             network.terminals[src].offer_packet(packet)
             injected_flits += size
@@ -66,7 +66,7 @@ def test_single_packet_latency_bounded(src, dst, size):
     if src == dst:
         dst = (dst + 1) % 32
     network = waferscale_clos_network(32, 8, num_vcs=2, buffer_flits_per_port=8)
-    packet = Packet(src, dst, size, 0)
+    packet = Packet(src, dst, size, 0, 0)
     network.terminals[src].offer_packet(packet)
     for _ in range(500):
         network.step()

@@ -38,7 +38,7 @@ def test_network_router_count():
 
 def test_same_leaf_delivery_single_hop():
     network = waferscale_clos_network(64, 16, num_vcs=2, buffer_flits_per_port=8)
-    packet = Packet(0, 1, 2, 0)  # both on leaf 0
+    packet = Packet(0, 1, 2, 0, 0)  # both on leaf 0
     network.terminals[0].offer_packet(packet)
     _run(network, 100)
     assert network.terminals[1].flits_received == 2
@@ -46,7 +46,7 @@ def test_same_leaf_delivery_single_hop():
 
 def test_cross_leaf_delivery_via_spine():
     network = waferscale_clos_network(64, 16, num_vcs=2, buffer_flits_per_port=8)
-    packet = Packet(0, 63, 2, 0)  # leaf 0 -> leaf 7
+    packet = Packet(0, 63, 2, 0, 0)  # leaf 0 -> leaf 7
     network.terminals[0].offer_packet(packet)
     _run(network, 200)
     assert network.terminals[63].flits_received == 2
@@ -57,7 +57,7 @@ def test_all_pairs_eventually_delivered():
     packets = []
     for src in range(0, 32, 5):
         dst = (src + 11) % 32
-        packet = Packet(src, dst, 2, 0)
+        packet = Packet(src, dst, 2, 0, src)
         packets.append(packet)
         network.terminals[src].offer_packet(packet)
     _run(network, 400)
@@ -67,11 +67,11 @@ def test_all_pairs_eventually_delivered():
 
 def test_cross_leaf_slower_than_same_leaf():
     net1 = waferscale_clos_network(64, 16, num_vcs=2, buffer_flits_per_port=8)
-    same = Packet(0, 1, 2, 0)
+    same = Packet(0, 1, 2, 0, 0)
     net1.terminals[0].offer_packet(same)
     _run(net1, 200)
     net2 = waferscale_clos_network(64, 16, num_vcs=2, buffer_flits_per_port=8)
-    cross = Packet(0, 63, 2, 0)
+    cross = Packet(0, 63, 2, 0, 0)
     net2.terminals[0].offer_packet(cross)
     _run(net2, 200)
     assert cross.latency_cycles > same.latency_cycles
@@ -82,7 +82,7 @@ def test_baseline_has_higher_latency_than_waferscale():
     discrete switch network."""
     ws = waferscale_clos_network(64, 16, num_vcs=2, buffer_flits_per_port=8)
     bl = baseline_switch_network(64, 16, num_vcs=2, buffer_flits_per_port=8)
-    p_ws, p_bl = Packet(0, 63, 2, 0), Packet(0, 63, 2, 0)
+    p_ws, p_bl = Packet(0, 63, 2, 0, 0), Packet(0, 63, 2, 0, 0)
     ws.terminals[0].offer_packet(p_ws)
     bl.terminals[0].offer_packet(p_bl)
     _run(ws, 400)
@@ -97,7 +97,7 @@ def test_conservation_no_duplication():
     for i in range(30):
         src = (i * 7) % 64
         dst = (src + 13) % 64
-        network.terminals[src].offer_packet(Packet(src, dst, 3, 0))
+        network.terminals[src].offer_packet(Packet(src, dst, 3, 0, i))
         injected += 3
     _run(network, 1000)
     delivered = sum(t.flits_received for t in network.terminals)

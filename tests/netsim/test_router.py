@@ -14,7 +14,7 @@ def _run(network, cycles):
 
 def test_single_packet_delivery():
     network = single_router_network(4)
-    packet = Packet(0, 2, 4, 0)
+    packet = Packet(0, 2, 4, 0, 0)
     network.terminals[0].offer_packet(packet)
     _run(network, 60)
     assert network.terminals[2].flits_received == 4
@@ -26,7 +26,7 @@ def test_zero_load_latency_components():
     network = single_router_network(
         4, routing_delay=1, pipeline_delay=1, io_latency=1
     )
-    packet = Packet(0, 1, 1, 0)
+    packet = Packet(0, 1, 1, 0, 0)
     network.terminals[0].offer_packet(packet)
     _run(network, 20)
     # inject(1) + RC(1) + SA + ST(1+1) + eject(1) ~ 5-6 cycles
@@ -36,7 +36,7 @@ def test_zero_load_latency_components():
 def test_routing_delay_adds_latency():
     fast = single_router_network(4, routing_delay=1)
     slow = single_router_network(4, routing_delay=8)
-    p_fast, p_slow = Packet(0, 1, 2, 0), Packet(0, 1, 2, 0)
+    p_fast, p_slow = Packet(0, 1, 2, 0, 0), Packet(0, 1, 2, 0, 0)
     fast.terminals[0].offer_packet(p_fast)
     slow.terminals[0].offer_packet(p_slow)
     _run(fast, 40)
@@ -46,7 +46,7 @@ def test_routing_delay_adds_latency():
 
 def test_flits_stay_in_order():
     network = single_router_network(4)
-    packet = Packet(0, 3, 6, 0)
+    packet = Packet(0, 3, 6, 0, 0)
     network.terminals[0].offer_packet(packet)
     received = []
     original_receive = network.terminals[3].receive
@@ -62,7 +62,7 @@ def test_flits_stay_in_order():
 
 def test_two_sources_one_destination_all_delivered():
     network = single_router_network(4)
-    p1, p2 = Packet(0, 2, 4, 0), Packet(1, 2, 4, 0)
+    p1, p2 = Packet(0, 2, 4, 0, 0), Packet(1, 2, 4, 0, 1)
     network.terminals[0].offer_packet(p1)
     network.terminals[1].offer_packet(p2)
     _run(network, 80)
@@ -74,7 +74,7 @@ def test_no_flit_loss_under_burst():
     network = single_router_network(4, buffer_flits_per_port=8, num_vcs=2)
     total = 0
     for i in range(10):
-        network.terminals[0].offer_packet(Packet(0, 1 + i % 3, 3, 0))
+        network.terminals[0].offer_packet(Packet(0, 1 + i % 3, 3, 0, i))
         total += 3
     _run(network, 300)
     delivered = sum(t.flits_received for t in network.terminals)
@@ -88,7 +88,7 @@ def test_buffer_never_overflows():
     network = single_router_network(6, buffer_flits_per_port=4, num_vcs=2)
     for i in range(20):
         network.terminals[i % 6].offer_packet(
-            Packet(i % 6, (i + 1) % 6, 4, 0)
+            Packet(i % 6, (i + 1) % 6, 4, 0, i)
         )
     _run(network, 500)  # would raise on protocol violation
     assert network.in_flight_flits() == 0
@@ -96,7 +96,7 @@ def test_buffer_never_overflows():
 
 def test_router_counts_forwarded_flits():
     network = single_router_network(4)
-    network.terminals[0].offer_packet(Packet(0, 1, 5, 0))
+    network.terminals[0].offer_packet(Packet(0, 1, 5, 0, 0))
     _run(network, 60)
     assert network.routers[0].flits_forwarded == 5
 

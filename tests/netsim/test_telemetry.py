@@ -27,7 +27,6 @@ import pytest
 from repro.netsim.config import RouterConfig, SimConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import single_router_network, waferscale_clos_network
-from repro.netsim.packet import reset_packet_ids
 from repro.netsim.sim import run_sim, saturation_throughput
 from repro.netsim.telemetry import (
     LatencyHistogram,
@@ -59,7 +58,6 @@ CFG = SimConfig(
 
 
 def run_mesh(telemetry=None, load=0.35, seed=11):
-    reset_packet_ids()
     cfg = SimConfig(
         warmup_cycles=CFG.warmup_cycles,
         measure_cycles=CFG.measure_cycles,
@@ -167,7 +165,6 @@ def test_channel_load_conservation():
 
 def test_saturated_clos_attributes_stalls():
     """At saturation the telemetry must name a non-trivial bottleneck."""
-    reset_packet_ids()
     telemetry = Telemetry(sample_interval=16)
     saturation_throughput(
         lambda: waferscale_clos_network(
@@ -243,7 +240,6 @@ def test_validator_rejects_malformed_reports():
 
 
 def test_trace_replay_window(tmp_path):
-    reset_packet_ids()
     telemetry = Telemetry(sample_interval=16)
     events = synthetic_nersc_trace(
         "nekbone", SyntheticTraceSpec(n_nodes=16, iterations=1)

@@ -22,7 +22,6 @@ from tests.netsim.golden_scenarios import (
 )
 
 from repro.netsim.network import single_router_network
-from repro.netsim.packet import reset_packet_ids
 from repro.netsim.sim import Simulator
 from repro.netsim.telemetry import Telemetry, validate_telemetry
 from repro.netsim.traffic import make_pattern
@@ -31,7 +30,6 @@ from repro.netsim.traffic import make_pattern
 def _run(name, telemetry, drain_cycles=DRAIN_CYCLES):
     """One clean-slate golden-scenario run with a telemetry sink."""
     factory, pattern_name, load, seed = SCENARIOS[name]
-    reset_packet_ids()
     network = factory()
     pattern = make_pattern(pattern_name, network.n_terminals)
     sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)
@@ -88,7 +86,6 @@ def test_telemetry_report_parity(name, interval, flows, drain):
 def test_telemetry_parity_single_router():
     """Smallest network: every port is terminal-facing."""
     def run(telemetry):
-        reset_packet_ids()
         network = single_router_network(4)
         pattern = make_pattern("uniform", 4)
         sim = Simulator(network, pattern, 0.5, packet_size_flits=4, seed=3)
@@ -109,7 +106,6 @@ def test_telemetry_parity_single_router():
 def test_telemetry_attach_conflicts_still_raise():
     """Engine dispatch must not weaken the attach contract."""
     factory, pattern_name, load, seed = SCENARIOS["mesh_low"]
-    reset_packet_ids()
     network = factory()
     telemetry = Telemetry()
     telemetry.attach(network)

@@ -89,6 +89,22 @@ def test_execute_engine_forcing_is_bit_identical():
     assert a["result"]["points"] == b["result"]["points"]
 
 
+@pytest.mark.parametrize("network", ["switch-network", "waferscale"])
+def test_simulate_is_hermetic(network):
+    """A query's answer cannot depend on what the process ran before:
+    packet ids feed Clos spine selection, and each run owns its ids."""
+    query = api.SimQuery(
+        network=network, terminals=32, radix=8, vcs=2, buffer_flits=8,
+        loads=(0.3, 0.7), warmup_cycles=200, measure_cycles=600,
+    )
+    first = api.execute(query, cache=None)
+    again = api.execute(query, cache=None)
+    api.execute(api.SimQuery(**TINY_SIM), cache=None)
+    after_other = api.execute(query, cache=None)
+    assert again["result"] == first["result"]
+    assert after_other["result"] == first["result"]
+
+
 def test_execute_simulate_streams_telemetry():
     seen = []
     response = api.execute(

@@ -163,12 +163,9 @@ def test_parser_defaults_match_the_facade():
 def test_simulate_prints_what_the_facade_computes(capsys):
     """CLI/API parity: the printed latencies are execute()'s points."""
     from repro.api import SimQuery, execute
-    from repro.netsim.packet import reset_packet_ids
 
     argv = ["--terminals", "32", "--radix", "8", "--vcs", "2",
             "--buffer", "8", "--loads", "0.1,0.3"]
-    # Packet ids feed route hashes: both sides start from the same id.
-    reset_packet_ids()
     assert main(["simulate", *argv]) == 0
     printed = [
         float(line.split(":")[1].split("cycles")[0])
@@ -176,7 +173,6 @@ def test_simulate_prints_what_the_facade_computes(capsys):
         if line.strip().startswith("load ")
     ]
     expected = []
-    reset_packet_ids()
     for network in ("waferscale", "switch-network"):
         query = SimQuery(network=network, terminals=32, radix=8, vcs=2,
                          buffer_flits=8, loads=(0.1, 0.3))
