@@ -106,7 +106,7 @@ def run_smoke_gate(
             cycle_wafers=(0, 1) if fidelity == "hybrid" else (),
         )
         started = time.perf_counter()
-        runs[fidelity] = run_dcn(config, executor="serial")
+        runs[fidelity] = run_dcn(config)
         print(
             f"  smoke {fidelity:>6}: {_throughput(runs[fidelity]):7.3f} "
             f"flits/cycle, mean latency "
@@ -213,7 +213,7 @@ def run_scale(
             fidelity="flow",
         )
         started = time.perf_counter()
-        result = run_dcn(config, executor="serial")
+        result = run_dcn(config)
         wall = time.perf_counter() - started
         total_wall += wall
         conserved = result.flits_offered == result.flits_delivered

@@ -140,11 +140,10 @@ class SimQuery:
 class DCNQuery:
     """Partitioned multi-wafer DCN simulation (see :mod:`repro.dcn`).
 
-    ``executor`` defaults to ``"serial"`` — the safe choice on the
-    serve path, where queries already run inside pool workers and must
-    not open nested pools.  Direct callers wanting partition-level
-    parallelism pass ``"pool"`` (or ``"auto"``).  ``failure_seed < 0``
-    disables failure injection entirely.
+    Every wafer is stepped in the process that executes the query.
+    ``executor`` accepts ``"serial"`` (the default) or ``"auto"``; both
+    run that one path, and any other value is a :class:`QueryError`.
+    ``failure_seed < 0`` disables failure injection entirely.
 
     ``fidelity`` selects the rung of the fidelity ladder
     (docs/dcn_scale.md): ``"cycle"`` holds every wafer cycle-accurate,
@@ -457,12 +456,12 @@ def _execute_sim(
 
 def _execute_dcn(query: DCNQuery, engine: str) -> Dict[str, Any]:
     from repro.dcn import DCNConfig, DCNShape, FailureConfig, run_dcn
-    from repro.dcn.sim import EXECUTORS, FIDELITIES
+    from repro.dcn.sim import FIDELITIES
     from repro.dcn.traffic import PATTERNS
 
-    if query.executor not in EXECUTORS:
+    if query.executor not in ("auto", "serial"):
         raise QueryError(
-            f"unknown executor {query.executor!r}; choose from {EXECUTORS}"
+            f"unknown executor {query.executor!r}; choose 'auto' or 'serial'"
         )
     if query.fidelity not in FIDELITIES:
         raise QueryError(
@@ -507,7 +506,7 @@ def _execute_dcn(query: DCNQuery, engine: str) -> Dict[str, Any]:
         )
     except ValueError as exc:
         raise QueryError(f"bad dcn query: {exc}") from exc
-    return run_dcn(config, executor=query.executor).to_dict()
+    return run_dcn(config).to_dict()
 
 
 def execute(

@@ -198,7 +198,6 @@ def _cmd_dcn(args: argparse.Namespace) -> int:
         inter_wafer_latency=args.inter_wafer_latency,
         failure_seed=args.failure_seed,
         link_failure_prob=args.link_failure_prob,
-        executor=args.executor,
         fidelity=args.fidelity,
         cycle_wafers=args.cycle_wafers,
     )
@@ -214,7 +213,7 @@ def _cmd_dcn(args: argparse.Namespace) -> int:
             "wafers cycle-accurate)"
         )
     print(
-        f"dcn: {result['n_wafers']} wafers, executor={result['executor']}, "
+        f"dcn: {result['n_wafers']} wafers, "
         f"engine={result['engine']}{fidelity_note}"
     )
     print(
@@ -389,13 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="yield-model failure injection seed (negative disables)",
     )
     dcn.add_argument("--link-failure-prob", type=float, default=0.0)
-    dcn.add_argument(
-        "--executor",
-        choices=("auto", "serial", "pool"),
-        default="auto",
-        help="serial = monolithic reference; pool = one warm worker "
-        "per wafer partition",
-    )
     dcn.add_argument(
         "--engine", choices=("auto", "c", "scalar"), default="auto"
     )

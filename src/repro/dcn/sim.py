@@ -1,73 +1,46 @@
 """Hierarchical DCN simulation: N wafer partitions, one epoch barrier.
 
-Every wafer in the fabric runs as its own cycle-accurate
-:class:`~repro.netsim.partition.WaferPartition`.  The coordinator
-synchronizes them with a **conservative epoch barrier**: with
+Every wafer in the fabric is its own epoch-driven node, built and
+stepped in the calling process.  The coordinator synchronizes them
+with a **conservative epoch barrier**: with
 ``lookahead = inter_wafer_link_latency`` (the minimum cycles any flit
 spends between wafers), a packet leaving wafer A during epoch ``k``
-cannot reach wafer B before epoch ``k + 1`` — so all partitions can
-simulate one full epoch independently, exchange their delivered
-traffic as batched bundles, and never violate causality.  Epoch
-results are therefore *identical* for any execution order of the
-partitions, which is the whole parity story:
-
-* the **serial** executor steps every partition in-process — this is
-  the monolithic single-process reference;
-* the **pool** executor dispatches each partition's epochs to the warm
-  :class:`repro.parallel.WorkerPool`, one worker per partition (pinned
-  with affinity keys so the live engine state stays resident), with
-  event bundles and delivery reports crossing as
-  :mod:`repro.wire`-encoded messages.
-
-Both run the same coordinator loop on the same inputs; the pool run
-must reproduce the serial run bit-for-bit (latency samples, flit
-counts) — the CI ``dcn-smoke`` job and ``tests/dcn`` assert exactly
-that.  If a pinned worker dies mid-run
-(:class:`~repro.parallel.AffinityLostError`), its in-process partition
-state is unrecoverable; ``executor="auto"`` restarts the whole run on
-the serial path instead.
+cannot reach wafer B before epoch ``k + 1`` — so every wafer can
+simulate one full epoch on its own, the coordinator exchanges their
+delivered traffic as batched bundles, and causality is never violated.
+Epoch results are therefore *identical* for any order in which the
+wafers step, and for any epoch length up to the lookahead: a shorter
+``lookahead`` only adds barriers.  ``tests/dcn`` and the CI
+``dcn-smoke`` job check that invariance (latency samples, flit
+counts, per-wafer counters) against the default epoching.
 
 **Fidelity ladder** (``DCNConfig.fidelity``, see docs/dcn_scale.md):
 
-* ``"cycle"`` — every wafer a cycle-accurate :class:`WaferPartition`
-  (the default; everything above applies unchanged);
+* ``"cycle"`` — every wafer a cycle-accurate
+  :class:`~repro.netsim.partition.WaferPartition` (the default);
 * ``"flow"`` — every wafer a calibrated
   :class:`~repro.dcn.flow.FlowWaferNode`, service curves fitted from
   short cycle-accurate probes and cached.  Hundreds of wafers finish
   in minutes;
-* ``"hybrid"`` — ``cycle_wafers`` stay cycle-accurate (on the warm
-  pool under ``executor="pool"``), the rest run flow-level, stitched
-  at the same epoch barrier — the barrier argument never references
-  *how* a wafer simulates its epoch, so mixing node types is exact
-  with respect to causality.
-
-Flow nodes always live in the coordinator process (they are cheap
-bookkeeping, not simulations); only cycle-accurate partitions are ever
-dispatched to pool workers.
+* ``"hybrid"`` — ``cycle_wafers`` stay cycle-accurate, the rest run
+  flow-level, stitched at the same epoch barrier — the barrier
+  argument never references *how* a wafer simulates its epoch, so
+  mixing node types is exact with respect to causality.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
 import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
-from repro import wire
 from repro.dcn import traffic as dcn_traffic
 from repro.dcn.fabric import DCNFabric, DCNRouteError, DCNShape
 from repro.dcn.failures import DCNFailures, FailureConfig, sample_failures
 from repro.dcn.flow import FlowWaferNode, curves_for_shape
 from repro.netsim.partition import WaferPartition
-from repro.parallel import (
-    AffinityLostError,
-    effective_cpu_count,
-    shared_pool,
-)
 
-EXECUTORS = ("auto", "serial", "pool")
 FIDELITIES = ("cycle", "flow", "hybrid")
 
 
@@ -148,7 +121,6 @@ class DCNConfig:
 class DCNResult:
     """Outcome of one run; ``latencies`` is parity-comparable verbatim."""
 
-    executor: str
     engine: str
     fidelity: str
     n_wafers: int
@@ -202,7 +174,7 @@ class DCNResult:
         summary = {
             name: getattr(self, name)
             for name in (
-                "executor", "engine", "fidelity", "n_wafers",
+                "engine", "fidelity", "n_wafers",
                 "cycle_accurate_wafers", "epochs", "epoch_cycles",
                 "cycles", "makespan", "packets_created", "packets_routed",
                 "packets_dropped_unroutable", "packets_delivered",
@@ -222,7 +194,7 @@ class DCNResult:
 
 
 # ----------------------------------------------------------------------
-# Route plan (shared by every executor)
+# Route plan
 # ----------------------------------------------------------------------
 
 class _Plan:
@@ -274,174 +246,16 @@ class _Plan:
 
 
 # ----------------------------------------------------------------------
-# Partition backends
-# ----------------------------------------------------------------------
-
-class _LocalBackend:
-    """All partitions live in this process (the monolithic reference)."""
-
-    name = "serial"
-
-    def __init__(self, plan: _Plan):
-        self.partitions = [
-            plan.build_node(w) for w in range(plan.config.shape.n_wafers)
-        ]
-        cycle_nodes = [
-            self.partitions[w] for w in sorted(plan.cycle_set)
-        ]
-        self.engine = (
-            cycle_nodes[0].engine_name if cycle_nodes else "flow"
-        )
-
-    def run_epoch(self, end: int, batches: Dict[int, list]):
-        results = {}
-        for wafer, events in batches.items():
-            partition = self.partitions[wafer]
-            partition.enqueue(events)
-            results[wafer] = partition.advance(end)
-        return results
-
-    def close(self) -> None:
-        pass
-
-
-# Worker-resident partition registry, keyed "run_id:wafer".  Lives in
-# the pool worker process; affinity pinning guarantees every epoch task
-# for a given key lands on the worker holding its entry.
-_SESSIONS: Dict[str, WaferPartition] = {}
-_RUN_IDS = itertools.count()
-
-
-def _worker_open(run_id, wafer, shape, failures, engine):
-    fabric = DCNFabric(shape, failures)
-    partition = WaferPartition(fabric.build_wafer(wafer), engine=engine)
-    _SESSIONS[f"{run_id}:{wafer}"] = partition
-    return partition.engine_name
-
-
-def _worker_epoch(run_id, wafer, end, blob):
-    partition = _SESSIONS[f"{run_id}:{wafer}"]
-    cycles, srcs, dsts, sizes, tags = wire.decode(blob)
-    partition.enqueue(
-        list(zip(cycles.tolist(), srcs.tolist(), dsts.tolist(),
-                 sizes.tolist(), tags.tolist()))
-        if len(cycles)
-        else []
-    )
-    return partition.advance(end)
-
-
-def _worker_close(run_id, wafer):
-    _SESSIONS.pop(f"{run_id}:{wafer}", None)
-    return True
-
-
-def _encode_batch(events: list) -> bytes:
-    import numpy as np
-
-    columns = (
-        tuple(
-            np.asarray(column, dtype=np.int64) for column in zip(*events)
-        )
-        if events
-        else tuple(np.zeros(0, dtype=np.int64) for _ in range(5))
-    )
-    return wire.encode(columns)
-
-
-class _PoolBackend:
-    """Cycle-accurate partitions pinned to warm pool workers.
-
-    Flow-level nodes (flow/hybrid fidelity) always stay in the
-    coordinator process — they are cheap arithmetic over a few dicts,
-    and shipping them across the wire would cost more than running
-    them.  Only cycle-accurate wafers get worker sessions.
-    """
-
-    name = "pool"
-
-    def __init__(self, plan: _Plan, jobs: Optional[int] = None):
-        config = plan.config
-        self.run_id = f"dcn{os.getpid()}.{next(_RUN_IDS)}"
-        self.cycle_wafers = sorted(plan.cycle_set)
-        self.local_nodes = {
-            w: plan.build_node(w)
-            for w in range(config.shape.n_wafers)
-            if w not in plan.cycle_set
-        }
-        self.pool = shared_pool(jobs)
-        try:
-            opens = [
-                self.pool.submit_task(
-                    _worker_open,
-                    (
-                        self.run_id, w, config.shape, plan.failures,
-                        config.engine,
-                    ),
-                    cost=1.0,
-                    label=f"dcn-open:{w}",
-                    affinity=f"{self.run_id}:{w}",
-                )
-                for w in self.cycle_wafers
-            ]
-            self.engine = opens[0].result()[0] if opens else "flow"
-            for future in opens[1:]:
-                future.result()
-        except BaseException:
-            self.pool.release_affinity(self.run_id)
-            raise
-
-    def run_epoch(self, end: int, batches: Dict[int, list]):
-        futures = {
-            wafer: self.pool.submit_task(
-                _worker_epoch,
-                (self.run_id, wafer, end, _encode_batch(events)),
-                cost=float(len(events) + 1),
-                label=f"dcn-epoch:{wafer}@{end}",
-                affinity=f"{self.run_id}:{wafer}",
-            )
-            for wafer, events in batches.items()
-            if wafer not in self.local_nodes
-        }
-        results = {}
-        for wafer, events in batches.items():
-            node = self.local_nodes.get(wafer)
-            if node is not None:
-                node.enqueue(events)
-                results[wafer] = node.advance(end)
-        for wafer, future in futures.items():
-            results[wafer] = future.result()[0]
-        return results
-
-    def close(self) -> None:
-        try:
-            closes = [
-                self.pool.submit_task(
-                    _worker_close,
-                    (self.run_id, w),
-                    label=f"dcn-close:{w}",
-                    affinity=f"{self.run_id}:{w}",
-                )
-                for w in self.cycle_wafers
-            ]
-            for future in closes:
-                future.result()
-        except Exception:
-            pass  # best effort; released bindings free the workers anyway
-        finally:
-            self.pool.release_affinity(self.run_id)
-
-
-# ----------------------------------------------------------------------
 # Coordinator
 # ----------------------------------------------------------------------
 
-def _run_epochs(plan: _Plan, backend) -> DCNResult:
+def _run_epochs(plan: _Plan) -> DCNResult:
     config = plan.config
     shape = config.shape
     epoch_cycles = config.epoch_cycles
     latency = shape.inter_wafer_latency
     n_wafers = shape.n_wafers
+    nodes = [plan.build_node(w) for w in range(n_wafers)]
 
     #: per-wafer min-heap of pending injections (partition Event tuples)
     pending: List[list] = [[] for _ in range(n_wafers)]
@@ -489,12 +303,13 @@ def _run_epochs(plan: _Plan, backend) -> DCNResult:
                     )
                 events.append(event)
             # Idle partitions (nothing queued, nothing in flight) are
-            # skipped entirely — identically under every backend, so
-            # skipping cannot perturb parity.
+            # skipped entirely: their epoch would change nothing.
             if events or inflight[wafer]:
                 batches[wafer] = events
-        results = backend.run_epoch(end, batches)
-        for wafer, (terms, tags, arrives, wafer_counters) in results.items():
+        for wafer, events in batches.items():
+            node = nodes[wafer]
+            node.enqueue(events)
+            terms, tags, arrives, wafer_counters = node.advance(end)
             inflight[wafer] = wafer_counters["inflight"]
             counters[wafer] = wafer_counters
             for term, dcn_id, arrive in zip(
@@ -524,12 +339,12 @@ def _run_epochs(plan: _Plan, backend) -> DCNResult:
 
     delivered = sum(1 for l in latencies if l >= 0)
     failures = plan.failures
+    cycle_set = plan.cycle_set
     return DCNResult(
-        executor=backend.name,
-        engine=backend.engine,
+        engine=nodes[min(cycle_set)].engine_name if cycle_set else "flow",
         fidelity=config.fidelity,
         n_wafers=n_wafers,
-        cycle_accurate_wafers=len(plan.cycle_set),
+        cycle_accurate_wafers=len(cycle_set),
         makespan=makespan,
         epochs=epoch,
         epoch_cycles=epoch_cycles,
@@ -549,44 +364,18 @@ def _run_epochs(plan: _Plan, backend) -> DCNResult:
     )
 
 
-def run_dcn(
-    config: DCNConfig,
-    executor: str = "auto",
-    jobs: Optional[int] = None,
-) -> DCNResult:
-    """Simulate one DCN configuration end to end.
+def run_dcn(config: DCNConfig, executor: str = "auto") -> DCNResult:
+    """Simulate one DCN configuration end to end, in this process.
 
-    ``executor="serial"`` is the monolithic in-process reference;
-    ``"pool"`` partitions across the warm worker pool; ``"auto"``
-    picks the pool when more than one effective core is available and
-    falls back to a fresh serial run if a pinned worker is ever lost.
+    ``executor`` is accepted for callers that still name one: ``"auto"``
+    and ``"serial"`` both run the one in-process coordinator.
     """
-    if executor not in EXECUTORS:
-        raise ValueError(f"executor must be one of {EXECUTORS}")
+    if executor not in ("auto", "serial"):
+        raise ValueError(
+            f"executor must be 'auto' or 'serial' (got {executor!r})"
+        )
     plan = _Plan(config)
-    # Only cycle-accurate partitions benefit from the pool; a pure
-    # flow-level run is coordinator arithmetic and stays in-process.
-    use_pool = executor == "pool" or (
-        executor == "auto"
-        and effective_cpu_count() > 1
-        and bool(plan.cycle_set)
-    )
     started = time.perf_counter()
-    result = None
-    if use_pool:
-        backend = None
-        try:
-            backend = _PoolBackend(plan, jobs)
-            result = _run_epochs(plan, backend)
-        except AffinityLostError:
-            if executor == "pool":
-                raise
-            result = None  # pinned worker lost: redo serially from scratch
-        finally:
-            if backend is not None:
-                backend.close()
-    if result is None:
-        started = time.perf_counter()
-        result = _run_epochs(plan, _LocalBackend(plan))
+    result = _run_epochs(plan)
     result.wall_seconds = round(time.perf_counter() - started, 6)
     return result

@@ -10,12 +10,12 @@ long-lived :class:`WorkerPool`:
   start method, no inherited parent FDs), preload the heavy modules —
   numpy, the compiled netsim step kernel, the vectorized mapping
   kernel, the experiments layer — and then pull task after task until
-  recycled or shut down. The second unit a worker runs imports nothing.
+  shut down. The second unit a worker runs imports nothing.
 * **One pool lifecycle.** The experiment scheduler
   (:mod:`repro.experiments.scheduler`), the mapping optimizer's
   parallel restarts (:mod:`repro.mapping.exchange`) and the serve
   dispatcher (:mod:`repro.serve.dispatch`) all share the pool returned
-  by :func:`shared_pool` / :func:`shared_executor`.
+  by :func:`shared_pool`.
 * **Compact results.** Workers ship results back through the
   :mod:`repro.wire` encoding (raw buffers for numpy arrays, pickle
   only as an explicit fallback) rather than pickling whole rows.
@@ -224,8 +224,6 @@ def _worker_main(
             message = conn.recv()
         except (EOFError, OSError, KeyboardInterrupt):
             break
-        if message[0] == "stop":
-            break
         _, seq, t_send, task_env, fn, args = message
         _apply_env(task_env)
         modules_before = len(sys.modules)
@@ -282,26 +280,15 @@ def _settle(future: "Future", value=None, error: Optional[BaseException] = None)
         pass
 
 
-class AffinityLostError(RuntimeError):
-    """An affinity-pinned task lost the worker holding its state.
-
-    Pinned tasks are never retried on another worker — the whole point
-    of the pin is process-local state (e.g. a live simulation partition)
-    that a fresh worker does not have. Callers catch this and restart
-    the stateful computation from scratch (typically serially).
-    """
-
-
 class _Item:
     """One submitted task and its bookkeeping."""
 
     __slots__ = (
         "seq", "fn", "args", "future", "cost", "label",
         "env", "attempts", "worker_pids", "t_send",
-        "affinity",
     )
 
-    def __init__(self, seq, fn, args, cost, label, env, affinity=None):
+    def __init__(self, seq, fn, args, cost, label, env):
         self.seq = seq
         self.fn = fn
         self.args = args
@@ -312,7 +299,6 @@ class _Item:
         self.attempts = 0
         self.worker_pids: List[int] = []
         self.t_send = 0.0
-        self.affinity = affinity
 
     def report(self, error: str) -> Dict[str, Any]:
         """Structured quarantine report for a task the pool gave up on."""
@@ -326,13 +312,12 @@ class _Item:
 
 
 class _Worker:
-    __slots__ = ("proc", "conn", "item", "done_count")
+    __slots__ = ("proc", "conn", "item")
 
     def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
         self.item: Optional[_Item] = None
-        self.done_count = 0
 
 
 class WorkerPool:
@@ -344,15 +329,10 @@ class WorkerPool:
     objects resolving to ``(value, stats)`` pairs (:meth:`submit`
     unwraps to just the value for drop-in executor compatibility).
     Pending tasks are dispatched most-expensive-first by their ``cost``
-    estimate. ``recycle_after`` bounds tasks per worker (a fresh worker
-    replaces a recycled one lazily).
+    estimate.
     """
 
-    def __init__(
-        self,
-        preload: Sequence[str] = PRELOAD_MODULES,
-        recycle_after: Optional[int] = None,
-    ):
+    def __init__(self, preload: Sequence[str] = PRELOAD_MODULES):
         import multiprocessing
 
         try:
@@ -361,11 +341,9 @@ class WorkerPool:
         except ValueError:  # platform without forkserver
             self._ctx = multiprocessing.get_context("spawn")
         self._preload = tuple(preload)
-        self._recycle_after = recycle_after
         self._lock = threading.Lock()
         self._pending: List[Tuple[float, int, _Item]] = []
         self._items: Dict[int, _Item] = {}
-        self._affinity: Dict[str, _Worker] = {}
         self._workers: List[_Worker] = []
         self._kill: List[_Worker] = []
         self._target = 0
@@ -396,23 +374,12 @@ class WorkerPool:
         args: Tuple = (),
         cost: float = 0.0,
         label: Optional[str] = None,
-        affinity: Optional[str] = None,
     ) -> "Future[Tuple[Any, Dict[str, Any]]]":
-        """Queue one task; the future resolves to ``(value, stats)``.
-
-        ``affinity`` pins every task sharing the key to one worker: the
-        key binds to a worker on first dispatch (idle worker with the
-        fewest existing bindings) and later tasks with the same key wait
-        for that specific worker. Pinned tasks are never retried
-        elsewhere — if the bound worker dies or the task raises, the
-        future fails (``AffinityLostError`` on death) because whatever
-        process-local state the pin protected is gone. Callers release
-        pins with :meth:`release_affinity` when the stateful run ends.
-        """
+        """Queue one task; the future resolves to ``(value, stats)``."""
         item = _Item(
             next(self._seq), fn, tuple(args), cost,
             label or getattr(fn, "__name__", "task"),
-            _propagated_env(), affinity=affinity,
+            _propagated_env(),
         )
         with self._lock:
             if self._closed:
@@ -526,7 +493,7 @@ class WorkerPool:
                 closed = self._closed
                 kill, self._kill = self._kill, []
             for worker in kill:
-                self._terminate_worker(worker, requeue=False)
+                self._terminate_worker(worker)
             if closed:
                 self._teardown()
                 return
@@ -566,72 +533,36 @@ class WorkerPool:
             with self._lock:
                 self._workers.append(worker)
 
-    def _bind_affinity(self, key: str) -> Optional[_Worker]:
-        """Bind ``key`` to the idle worker with the fewest pins (locked)."""
-        idle = [w for w in self._workers if w.item is None]
-        if not idle:
-            return None
-        loads: Dict[int, int] = {}
-        for bound in self._affinity.values():
-            loads[id(bound)] = loads.get(id(bound), 0) + 1
-        worker = min(idle, key=lambda w: loads.get(id(w), 0))
-        self._affinity[key] = worker
-        return worker
-
-    def release_affinity(self, prefix: str) -> None:
-        """Drop every affinity binding whose key starts with ``prefix``."""
-        with self._lock:
-            for key in [k for k in self._affinity if k.startswith(prefix)]:
-                del self._affinity[key]
-
     def _assign_pending(self) -> None:
-        deferred: List[_Item] = []
-        try:
-            while True:
-                with self._lock:
-                    item = None
-                    while self._pending:
-                        _, _, candidate = heapq.heappop(self._pending)
-                        if not candidate.future.cancelled():
-                            item = candidate
-                            break
-                        self._items.pop(candidate.seq, None)
-                    if item is None:
-                        return
-                    if item.affinity is not None:
-                        idle = self._affinity.get(item.affinity)
-                        if idle is None or idle not in self._workers:
-                            idle = self._bind_affinity(item.affinity)
-                        if idle is None or idle.item is not None:
-                            # Bound worker busy (or none idle to bind):
-                            # park this task without blocking the rest.
-                            deferred.append(item)
-                            continue
-                    else:
-                        idle = next(
-                            (w for w in self._workers if w.item is None),
-                            None,
-                        )
-                        if idle is None:
-                            deferred.append(item)
-                            return
-                    idle.item = item
-                item.attempts += 1
-                item.t_send = time.monotonic()
-                try:
-                    idle.conn.send((
-                        "task", item.seq, item.t_send,
-                        item.env, item.fn, item.args,
-                    ))
-                except (BrokenPipeError, OSError):
-                    self._on_death(idle)
-        finally:
-            if deferred:
-                with self._lock:
-                    for item in deferred:
-                        heapq.heappush(
-                            self._pending, (-item.cost, item.seq, item)
-                        )
+        while True:
+            with self._lock:
+                item = None
+                while self._pending:
+                    _, _, candidate = heapq.heappop(self._pending)
+                    if not candidate.future.cancelled():
+                        item = candidate
+                        break
+                    self._items.pop(candidate.seq, None)
+                if item is None:
+                    return
+                idle = next(
+                    (w for w in self._workers if w.item is None), None
+                )
+                if idle is None:
+                    heapq.heappush(
+                        self._pending, (-item.cost, item.seq, item)
+                    )
+                    return
+                idle.item = item
+            item.attempts += 1
+            item.t_send = time.monotonic()
+            try:
+                idle.conn.send((
+                    "task", item.seq, item.t_send,
+                    item.env, item.fn, item.args,
+                ))
+            except (BrokenPipeError, OSError):
+                self._on_death(idle)
 
     def _on_readable(self, worker: _Worker) -> None:
         from repro import wire
@@ -647,9 +578,7 @@ class WorkerPool:
             item = self._items.get(seq)
             if worker.item is item:
                 worker.item = None
-            worker.done_count += 1
         if item is None or item.future.cancelled():
-            self._maybe_recycle(worker)
             return
         item.worker_pids.append(stats.get("worker_pid", -1))
         if status == "ok":
@@ -664,7 +593,7 @@ class WorkerPool:
             _settle(item.future, (value, stats))
         else:
             error_repr = stats.get("error", "unknown worker error")
-            if item.attempts < MAX_POOL_ATTEMPTS and item.affinity is None:
+            if item.attempts < MAX_POOL_ATTEMPTS:
                 _warn(
                     f"{item.label} failed in worker ({error_repr}); retrying"
                 )
@@ -683,19 +612,12 @@ class WorkerPool:
                 with self._lock:
                     self._items.pop(seq, None)
                 _settle(item.future, error=exc)
-        self._maybe_recycle(worker)
-
-    def _drop_affinity_for(self, worker: _Worker) -> None:
-        """Unbind every pin held by a departing worker (locked)."""
-        for key in [k for k, w in self._affinity.items() if w is worker]:
-            del self._affinity[key]
 
     def _on_death(self, worker: _Worker) -> None:
         with self._lock:
             if worker not in self._workers:
                 return
             self._workers.remove(worker)
-            self._drop_affinity_for(worker)
             item, worker.item = worker.item, None
         try:
             worker.conn.close()
@@ -707,13 +629,7 @@ class WorkerPool:
         pid = worker.proc.pid or -1
         item.worker_pids.append(pid)
         error = f"worker process {pid} died while running {item.label}"
-        if item.affinity is not None:
-            exc = AffinityLostError(error)
-            exc.worker_report = item.report(error)
-            with self._lock:
-                self._items.pop(item.seq, None)
-            _settle(item.future, error=exc)
-        elif item.attempts < MAX_POOL_ATTEMPTS:
+        if item.attempts < MAX_POOL_ATTEMPTS:
             _warn(f"{error}; retrying")
             with self._lock:
                 heapq.heappush(self._pending, (-item.cost, item.seq, item))
@@ -724,48 +640,19 @@ class WorkerPool:
                 self._items.pop(item.seq, None)
             _settle(item.future, error=exc)
 
-    def _maybe_recycle(self, worker: _Worker) -> None:
-        with self._lock:
-            pinned = any(w is worker for w in self._affinity.values())
-        if (
-            self._recycle_after is not None
-            and worker.done_count >= self._recycle_after
-            and worker.item is None
-            and not pinned
-        ):
-            self._terminate_worker(worker, requeue=False, graceful=True)
-
-    def _terminate_worker(
-        self, worker: _Worker, requeue: bool, graceful: bool = False
-    ) -> None:
+    def _terminate_worker(self, worker: _Worker) -> None:
         with self._lock:
             if worker in self._workers:
                 self._workers.remove(worker)
-            self._drop_affinity_for(worker)
-            item, worker.item = worker.item, None
-            if requeue and item is not None and not item.future.cancelled():
-                if item.affinity is not None:
-                    self._items.pop(item.seq, None)
-                    _settle(item.future, error=AffinityLostError(
-                        f"worker terminated while running {item.label}"
-                    ))
-                    item = None
-                else:
-                    heapq.heappush(
-                        self._pending, (-item.cost, item.seq, item)
-                    )
         try:
-            if graceful:
-                worker.conn.send(("stop",))
-            else:
-                worker.proc.terminate()
-        except (BrokenPipeError, OSError):
+            worker.proc.terminate()
+        except OSError:
             pass
         try:
             worker.conn.close()
         except OSError:
             pass
-        worker.proc.join(timeout=1.0 if graceful else 0.5)
+        worker.proc.join(timeout=0.5)
         if worker.proc.is_alive():
             worker.proc.kill()
 
@@ -774,16 +661,15 @@ class WorkerPool:
             workers, self._workers = self._workers, []
             items, self._items = list(self._items.values()), {}
             self._pending = []
-            self._affinity = {}
         for worker in workers:
-            self._terminate_worker(worker, requeue=False)
+            self._terminate_worker(worker)
         for item in items:
             if not item.future.done():
                 item.future.cancel()
 
 
 # ----------------------------------------------------------------------
-# The shared pool + executor facade
+# The shared pool
 # ----------------------------------------------------------------------
 
 _SHARED_POOL: Optional[WorkerPool] = None
@@ -816,15 +702,6 @@ def shared_pool(max_workers: Optional[int] = None) -> WorkerPool:
     return pool
 
 
-def shared_executor(max_workers: Optional[int] = None) -> WorkerPool:
-    """Executor-compatible alias for :func:`shared_pool`.
-
-    Kept for callers that only need ``.submit(fn) -> Future`` (the
-    serve dispatcher, tests injecting fakes).
-    """
-    return shared_pool(max_workers)
-
-
 def shutdown_shared_executor() -> None:
     """Tear down the shared pool (the next use recreates it)."""
     global _SHARED_POOL
@@ -832,10 +709,6 @@ def shutdown_shared_executor() -> None:
         pool, _SHARED_POOL = _SHARED_POOL, None
     if pool is not None:
         pool.shutdown(wait=True)
-
-
-#: Back-compat alias; the shared pool replaced the shared executor.
-shutdown_shared_pool = shutdown_shared_executor
 
 
 # ----------------------------------------------------------------------

@@ -122,9 +122,9 @@ class Dispatcher:
     def executor(self) -> Executor:
         """The target for cold work (created on first use)."""
         if self._executor is None:
-            from repro.parallel import shared_executor
+            from repro.parallel import shared_pool
 
-            self._executor = shared_executor()
+            self._executor = shared_pool()
         return self._executor
 
     def _parse(self, payload: Any) -> api.Query:

@@ -1,11 +1,10 @@
-"""End-to-end DCN runs: parity, epoch invariance, conservation, API."""
+"""End-to-end DCN runs: epoch invariance, engine parity, conservation, API."""
 
 import pytest
 
 from repro.api import DCNQuery, QueryError, execute
 from repro.dcn import DCNConfig, DCNShape, FailureConfig, run_dcn
 from repro.netsim.fast_core import netsim_engine_tag
-from repro.parallel import shutdown_shared_executor
 
 GOLDEN = DCNConfig(
     shape=DCNShape(
@@ -37,34 +36,17 @@ def _outcome(result):
     )
 
 
-def test_golden_two_wafer_pool_matches_serial_bit_for_bit():
-    serial = run_dcn(GOLDEN, executor="serial")
-    try:
-        pool = run_dcn(GOLDEN, executor="pool", jobs=2)
-    finally:
-        shutdown_shared_executor()
-    assert serial.n_wafers == 2
-    assert not serial.truncated and not pool.truncated
-    assert serial.packets_delivered > 0
-    assert serial.parity_signature() == pool.parity_signature()
-
-
 def test_lookahead_sweep_is_outcome_invariant():
     import dataclasses
 
-    reference = run_dcn(GOLDEN, executor="serial")
+    reference = run_dcn(GOLDEN)
     for lookahead in (5, 13, 40):
-        probe = run_dcn(
-            dataclasses.replace(GOLDEN, lookahead=lookahead),
-            executor="serial",
-        )
+        probe = run_dcn(dataclasses.replace(GOLDEN, lookahead=lookahead))
         assert probe.epoch_cycles == lookahead
         assert _outcome(probe) == _outcome(reference)
     # More barriers for the same simulated span.
     assert (
-        run_dcn(
-            dataclasses.replace(GOLDEN, lookahead=5), executor="serial"
-        ).epochs
+        run_dcn(dataclasses.replace(GOLDEN, lookahead=5)).epochs
         > reference.epochs
     )
 
@@ -72,10 +54,8 @@ def test_lookahead_sweep_is_outcome_invariant():
 def test_scalar_engine_reproduces_fast_outcome():
     import dataclasses
 
-    fast = run_dcn(GOLDEN, executor="serial")
-    scalar = run_dcn(
-        dataclasses.replace(GOLDEN, engine="scalar"), executor="serial"
-    )
+    fast = run_dcn(GOLDEN)
+    scalar = run_dcn(dataclasses.replace(GOLDEN, engine="scalar"))
     assert scalar.engine == "scalar"
     if netsim_engine_tag() == "vectorized":  # kernel built, not forced off
         assert fast.engine == "c"
@@ -83,7 +63,7 @@ def test_scalar_engine_reproduces_fast_outcome():
 
 
 def test_spined_run_conserves_flits_and_drains():
-    result = run_dcn(SPINED, executor="serial")
+    result = run_dcn(SPINED)
     assert result.n_wafers == 6
     assert not result.truncated
     assert result.packets_delivered == result.packets_routed > 0
@@ -100,7 +80,7 @@ def test_failed_link_run_conserves_flits():
             seed=11, ssc_area_mm2=400.0, link_failure_prob=0.2
         ),
     )
-    result = run_dcn(config, executor="serial")
+    result = run_dcn(config)
     assert result.dead_sscs + result.dead_links > 0
     assert not result.truncated
     # Unroutable packets are dropped at the plan stage; everything that
@@ -108,7 +88,7 @@ def test_failed_link_run_conserves_flits():
     assert result.flits_delivered == result.flits_offered
     assert result.packets_delivered == result.packets_routed
     # Same failure seed, same run, bit for bit.
-    again = run_dcn(config, executor="serial")
+    again = run_dcn(config)
     assert again.parity_signature() == result.parity_signature()
 
 
@@ -130,7 +110,6 @@ def test_dcn_query_roundtrip():
     )
     result = execute(query)["result"]
     assert result["n_wafers"] == 2
-    assert result["executor"] == "serial"
     assert result["packets_delivered"] > 0
     assert result["latency"]["count"] == result["packets_delivered"]
 
@@ -150,7 +129,11 @@ def test_dcn_query_failure_injection():
 def test_dcn_query_validation():
     with pytest.raises(QueryError):
         execute(DCNQuery(pattern="bogus"))
-    with pytest.raises(QueryError):
-        execute(DCNQuery(executor="threads"))
+    # "auto" and "serial" both name the one in-process path.
+    for executor in ("threads", "pool"):
+        with pytest.raises(QueryError):
+            execute(DCNQuery(executor=executor))
+        with pytest.raises(ValueError):
+            run_dcn(GOLDEN, executor=executor)
     with pytest.raises(QueryError):
         execute(DCNQuery(hosts=24))  # not a wafer_radix multiple

@@ -15,7 +15,6 @@ from repro.dcn.flow import (
     calibrate_wafer,
     curves_for_shape,
 )
-from repro.parallel import shutdown_shared_executor
 
 SPINED = DCNConfig(
     shape=DCNShape(n_hosts=32, wafer_radix=16, ssc_radix=8),
@@ -39,21 +38,21 @@ def _summary(result):
 
 
 def test_flow_run_is_deterministic():
-    first = run_dcn(FLOW, executor="serial")
-    second = run_dcn(FLOW, executor="serial")
+    first = run_dcn(FLOW)
+    second = run_dcn(FLOW)
     assert first.packets_delivered > 0
     assert _summary(first) == _summary(second)
 
 
 def test_hybrid_run_is_deterministic():
-    first = run_dcn(HYBRID, executor="serial")
-    second = run_dcn(HYBRID, executor="serial")
+    first = run_dcn(HYBRID)
+    second = run_dcn(HYBRID)
     assert _summary(first) == _summary(second)
 
 
 def test_fidelities_differ_but_seeds_do_not():
-    cycle = run_dcn(SPINED, executor="serial")
-    flow = run_dcn(FLOW, executor="serial")
+    cycle = run_dcn(SPINED)
+    flow = run_dcn(FLOW)
     # Same offered traffic (shared generators), different service model.
     assert cycle.flits_offered == flow.flits_offered
     assert cycle.latencies != flow.latencies
@@ -64,7 +63,7 @@ def test_fidelities_differ_but_seeds_do_not():
 
 @pytest.mark.parametrize("config", [FLOW, HYBRID], ids=["flow", "hybrid"])
 def test_untruncated_runs_conserve_flits(config):
-    result = run_dcn(config, executor="serial")
+    result = run_dcn(config)
     assert not result.truncated
     inflight = sum(c["inflight"] for c in result.per_wafer)
     assert result.flits_offered == result.flits_delivered + inflight
@@ -73,12 +72,12 @@ def test_untruncated_runs_conserve_flits(config):
 
 
 def test_hybrid_counts_cycle_wafers():
-    result = run_dcn(HYBRID, executor="serial")
+    result = run_dcn(HYBRID)
     assert result.fidelity == "hybrid"
     assert result.cycle_accurate_wafers == 2
-    flow_only = run_dcn(FLOW, executor="serial")
+    flow_only = run_dcn(FLOW)
     assert flow_only.cycle_accurate_wafers == 0
-    cycle = run_dcn(SPINED, executor="serial")
+    cycle = run_dcn(SPINED)
     assert cycle.cycle_accurate_wafers == cycle.n_wafers
 
 
@@ -86,8 +85,8 @@ def test_hybrid_counts_cycle_wafers():
 
 
 def test_flow_throughput_tracks_cycle_within_gate():
-    cycle = run_dcn(SPINED, executor="serial")
-    flow = run_dcn(FLOW, executor="serial")
+    cycle = run_dcn(SPINED)
+    flow = run_dcn(FLOW)
     reference = cycle.flits_delivered / cycle.makespan
     probe = flow.flits_delivered / flow.makespan
     assert abs(probe - reference) / reference <= 0.10
@@ -96,26 +95,14 @@ def test_flow_throughput_tracks_cycle_within_gate():
 # ---------------------------------------------------------------- stitching
 
 
-def test_hybrid_pool_matches_serial_bit_for_bit():
-    serial = run_dcn(HYBRID, executor="serial")
-    try:
-        pool = run_dcn(HYBRID, executor="pool", jobs=2)
-    finally:
-        shutdown_shared_executor()
-    assert serial.parity_signature() == pool.parity_signature()
-
-
 def test_flow_conserves_under_any_epoch_length():
     # Unlike the cycle-accurate engine, flow fidelity estimates
     # utilization per epoch batch, so per-packet latencies may shift
     # with the epoch length — but offered traffic, conservation, and
     # within-lookahead determinism must all hold.
-    reference = run_dcn(FLOW, executor="serial")
+    reference = run_dcn(FLOW)
     for lookahead in (7, 20):
-        probe = run_dcn(
-            dataclasses.replace(FLOW, lookahead=lookahead),
-            executor="serial",
-        )
+        probe = run_dcn(dataclasses.replace(FLOW, lookahead=lookahead))
         assert probe.epochs > reference.epochs
         assert probe.flits_offered == reference.flits_offered
         assert probe.flits_delivered == probe.flits_offered

@@ -229,13 +229,13 @@ def test_cost_order_dispatches_expensive_first(force_pool):
 
 
 def test_executor_submit_facade(force_pool):
-    pool = parallel.shared_executor(2)
+    pool = parallel.shared_pool(2)
     future = pool.submit(_square, 9)
     assert future.result(timeout=60) == 81
 
 
 def test_submit_sets_original_exception_type(force_pool):
-    pool = parallel.shared_executor(1)
+    pool = parallel.shared_pool(1)
     future = pool.submit(_crash_in_worker, 1)
     with pytest.raises(ValueError, match="poisoned"):
         future.result(timeout=60)
@@ -244,7 +244,7 @@ def test_submit_sets_original_exception_type(force_pool):
 
 
 # ----------------------------------------------------------------------
-# affinity pinning (stateful partition sessions)
+# hard worker death
 # ----------------------------------------------------------------------
 
 
@@ -252,54 +252,17 @@ def _die_hard(_=None):
     os._exit(17)
 
 
-def test_affinity_pins_tasks_to_one_worker(force_pool):
-    pool = parallel.WorkerPool()
-    try:
-        pool.ensure_workers(2)
-        pids_a = [
-            pool.submit_task(_pid, affinity="run:a").result(timeout=60)[0]
-            for _ in range(3)
-        ]
-        pids_b = [
-            pool.submit_task(_pid, affinity="run:b").result(timeout=60)[0]
-            for _ in range(3)
-        ]
-        assert len(set(pids_a)) == 1, "key a must stay on one worker"
-        assert len(set(pids_b)) == 1, "key b must stay on one worker"
-        # Fewest-pins binding spreads distinct keys over idle workers.
-        assert pids_a[0] != pids_b[0]
-        # Unpinned tasks are unaffected and still run somewhere.
-        assert pool.submit_task(_pid).result(timeout=60)[0] in (
-            pids_a[0], pids_b[0]
-        )
-    finally:
-        pool.shutdown()
-
-
-def test_affinity_lost_on_worker_death_not_retried(force_pool):
+def test_worker_death_is_retried_then_reported(force_pool):
     pool = parallel.WorkerPool()
     try:
         pool.ensure_workers(1)
-        pool.submit_task(_pid, affinity="run:x").result(timeout=60)
-        future = pool.submit_task(_die_hard, affinity="run:x")
-        with pytest.raises(parallel.AffinityLostError):
+        future = pool.submit_task(_die_hard)
+        with pytest.raises(RuntimeError, match="died while running"):
             future.result(timeout=60)
+        report = future.exception().worker_report
+        assert report["attempts"] == parallel.MAX_POOL_ATTEMPTS
+        assert len(report["worker_pids"]) == parallel.MAX_POOL_ATTEMPTS
         # The pool itself survives: respawned workers serve new tasks.
         assert pool.submit_task(_square, (4,)).result(timeout=60)[0] == 16
-    finally:
-        pool.shutdown()
-
-
-def test_release_affinity_drops_bindings_by_prefix(force_pool):
-    pool = parallel.WorkerPool()
-    try:
-        pool.ensure_workers(1)
-        pool.submit_task(_pid, affinity="run1:0").result(timeout=60)
-        pool.submit_task(_pid, affinity="run2:0").result(timeout=60)
-        assert set(pool._affinity) == {"run1:0", "run2:0"}
-        pool.release_affinity("run1")
-        assert set(pool._affinity) == {"run2:0"}
-        pool.release_affinity("run2")
-        assert not pool._affinity
     finally:
         pool.shutdown()
