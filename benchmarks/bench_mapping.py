@@ -1,17 +1,20 @@
 """Mapping-engine benchmark: kernel speedup, restart scaling, store.
 
-Measures the three layers of the fast mapping stack on the 64-site
-(8x8) wafer Clos — ``folded_clos(4096)``, 48 sub-switch chiplets plus
+Measures the three layers of the mapping stack on the 64-site (8x8)
+wafer Clos — ``folded_clos(4096)``, 48 sub-switch chiplets plus
 dummy-repeater spares, the largest wafer the analytical experiments
 map — and writes ``BENCH_mapping.json``:
 
-1. **kernel speedup** — scalar oracle vs vectorized kernel through
-   ``optimize_mapping`` at equal restarts (the ISSUE-4 acceptance
-   target is >=5x; costs must agree exactly or the fast engine must be
-   strictly better);
-2. **restart scaling** — fast-kernel wall time at 1/2/4/8 restarts,
-   serial and ``jobs=4``, showing full mode's higher restart budget is
-   affordable;
+1. **kernel speedup** — the scalar oracle vs the C kernel through
+   ``optimize_mapping`` at equal restarts, escalation on (the
+   default). Gates: the two return the same mapping, and the kernel
+   is at least ``MIN_KERNEL_SPEEDUP`` times faster on one core. The
+   kernel is built before timing and its time is the best of
+   ``KERNEL_REPEATS`` runs; the oracle runs once. The speedup is also
+   what a host with no C toolchain pays: it runs the oracle;
+2. **restart scaling** — C-kernel wall time at 1/2/4/8 restarts,
+   serial; ``jobs=4`` times are recorded only where more than one
+   effective core exists, with the core count beside them;
 3. **store timings** — cold optimize+persist vs warm fetch through
    ``cached_mapping`` (acceptance: warm fetch under 50 ms).
 
@@ -37,10 +40,19 @@ from repro.engines import SCALAR_MAPPING_ENV
 from repro.mapping.exchange import optimize_mapping
 from repro.mapping.grid import WaferGrid, grid_for
 from repro.mapping.routing import IOStyle
+from repro.ckernel import load_kernel
+from repro.parallel import effective_cpu_count
 from repro.topology.clos import folded_clos
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 ARTIFACT_PATH = REPO_ROOT / "BENCH_mapping.json"
+
+#: Gate: C kernel over scalar oracle, one core, escalation on.
+MIN_KERNEL_SPEEDUP = 100.0
+
+#: The kernel's time is the best of this many runs (it takes tens of
+#: milliseconds, so one run is mostly timer and scheduler noise).
+KERNEL_REPEATS = 5
 
 
 def _time_optimize(topology, grid, scalar: bool, restarts: int, jobs: int = 1):
@@ -92,34 +104,45 @@ def run_bench(n_ports: int = 4096, restarts: int = 2) -> dict:
     grid = (
         WaferGrid(8, 8) if n_ports == 4096 else grid_for(topology.chiplet_count)
     )
+    load_kernel()  # build (or find) the kernel before anything is timed
+    cores = effective_cpu_count()
 
     scalar_s, scalar_result = _time_optimize(
         topology, grid, scalar=True, restarts=restarts
     )
-    fast_s, fast_result = _time_optimize(
-        topology, grid, scalar=False, restarts=restarts
+    kernel_runs = [
+        _time_optimize(topology, grid, scalar=False, restarts=restarts)
+        for _ in range(KERNEL_REPEATS)
+    ]
+    kernel_s = min(seconds for seconds, _ in kernel_runs)
+    kernel_result = kernel_runs[0][1]
+    same_mapping = (
+        kernel_result.placement.site_of == scalar_result.placement.site_of
+        and kernel_result.cost() == scalar_result.cost()
     )
     print(
         f"kernel @ {restarts} restarts: scalar {scalar_s:6.2f}s "
-        f"{scalar_result.cost()} vs fast {fast_s:6.2f}s {fast_result.cost()}"
+        f"{scalar_result.cost()} vs C {kernel_s:8.4f}s {kernel_result.cost()}"
     )
 
+    if cores > 1:  # spawn the warm pool outside the timed runs
+        _time_optimize(topology, grid, scalar=False, restarts=2, jobs=4)
     scaling = {}
     for n_restarts in (1, 2, 4, 8):
         serial_s, _ = _time_optimize(
             topology, grid, scalar=False, restarts=n_restarts
         )
-        parallel_s, _ = _time_optimize(
-            topology, grid, scalar=False, restarts=n_restarts, jobs=4
-        )
-        scaling[str(n_restarts)] = {
-            "serial_seconds": round(serial_s, 3),
-            "jobs4_seconds": round(parallel_s, 3),
-        }
-        print(
-            f"restarts={n_restarts}: serial {serial_s:6.2f}s, "
-            f"jobs=4 {parallel_s:6.2f}s"
-        )
+        entry = {"serial_seconds": round(serial_s, 4)}
+        line = f"restarts={n_restarts}: serial {serial_s:7.4f}s"
+        if cores > 1:
+            parallel_s, _ = _time_optimize(
+                topology, grid, scalar=False, restarts=n_restarts, jobs=4
+            )
+            entry["jobs4_seconds"] = round(parallel_s, 4)
+            entry["effective_cores"] = cores
+            line += f", jobs=4 {parallel_s:7.4f}s on {cores} cores"
+        scaling[str(n_restarts)] = entry
+        print(line)
 
     store = _store_timings(topology)
     print(
@@ -132,12 +155,13 @@ def run_bench(n_ports: int = 4096, restarts: int = 2) -> dict:
         "grid": [grid.rows, grid.cols],
         "restarts": restarts,
         "cpu_count": os.cpu_count(),
+        "effective_cores": cores,
         "scalar_seconds": round(scalar_s, 3),
-        "fast_seconds": round(fast_s, 3),
-        "kernel_speedup": round(scalar_s / fast_s, 1),
+        "kernel_seconds": round(kernel_s, 4),
+        "kernel_speedup": round(scalar_s / kernel_s, 1),
         "scalar_cost": list(scalar_result.cost()),
-        "fast_cost": list(fast_result.cost()),
-        "fast_no_worse": fast_result.cost() <= scalar_result.cost(),
+        "kernel_cost": list(kernel_result.cost()),
+        "same_mapping": same_mapping,
         "restart_scaling": scaling,
         "store": store,
     }
@@ -158,13 +182,14 @@ def main() -> int:
         return 0
     report = run_bench(n_ports=4096, restarts=2)
     ok = (
-        report["kernel_speedup"] >= 5.0
-        and report["fast_no_worse"]
+        report["kernel_speedup"] >= MIN_KERNEL_SPEEDUP
+        and report["same_mapping"]
         and report["store"]["warm_fetch_under_50ms"]
     )
     print(
-        f"kernel speedup {report['kernel_speedup']}x, "
-        f"fast no worse: {report['fast_no_worse']}, "
+        f"kernel speedup {report['kernel_speedup']}x "
+        f"(gate >= {MIN_KERNEL_SPEEDUP}x), "
+        f"same mapping: {report['same_mapping']}, "
         f"warm fetch <50ms: {report['store']['warm_fetch_under_50ms']}"
     )
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
@@ -173,9 +198,9 @@ def main() -> int:
 
 
 def test_mapping_bench_smoke():
-    """Tiny end-to-end pass: fast no worse than scalar, store under 50ms."""
+    """Tiny end-to-end pass: one mapping from both kernels, store under 50ms."""
     report = run_bench(n_ports=1024, restarts=1)
-    assert report["fast_no_worse"]
+    assert report["same_mapping"]
     assert report["store"]["warm_fetch_under_50ms"]
 
 

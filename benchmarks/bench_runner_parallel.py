@@ -14,16 +14,18 @@ directory), so they measure genuine compute. Verifies the parallel
 tables are identical to the serial ones, measures the warm pool's
 per-task dispatch latency with a microbenchmark, and writes
 ``BENCH_runner.json`` with the wall-clocks, the speedups, and two
-**gates**:
+**gates**, exactly one of which applies on a given host:
 
-* ``parallel_gate`` — ``parallel_speedup >= min(effective_cores,
-  units) / 2``. On a multi-core box the pool must actually pay; on a
-  single effective core the degraded-to-serial fast path makes the
-  parallel run ≈ the serial run, so the gate threshold is 0.5 and a
-  healthy fast path clears it at ~1.0.
+* ``parallel_gate`` — with more than one effective core,
+  ``parallel_speedup >= min(effective_cores, units) / 2``: the pool
+  must actually pay. ``parallel_speedup`` is recorded only here, with
+  the core count beside it. On one effective core there are no cores
+  to produce a speedup, so the gate does not apply (``applicable:
+  false``) and no speedup is recorded.
 * ``fastpath_gate`` — on one effective core the "parallel" cold run
-  must stay within 5% of plain serial (the fast path may not tax
-  small machines). Skipped (passes trivially) on multi-core.
+  (degraded to the serial fast path) must stay within 5% of plain
+  serial: the fast path may not tax small machines. Not applicable on
+  multi-core.
 
 Usage::
 
@@ -149,9 +151,18 @@ def run_bench(ids, fast: bool = True, jobs: int = 4) -> dict:
             shutdown_shared_executor()
     rows_identical = parallel == serial and warm == serial
     cores = effective_cpu_count()
+    multicore = cores > 1
     speedup = round(serial_s / parallel_s, 2)
-    gate_threshold = round(min(cores, max(units, 1)) / 2, 2)
     fastpath_overhead_pct = round((parallel_s / serial_s - 1.0) * 100, 1)
+    if multicore:
+        threshold = round(min(cores, max(units, 1)) / 2, 2)
+        parallel_gate = {
+            "applicable": True,
+            "threshold": threshold,
+            "passed": speedup >= threshold,
+        }
+    else:
+        parallel_gate = {"applicable": False}
     report = {
         "experiments": ids,
         "mode": "fast" if fast else "full",
@@ -162,18 +173,17 @@ def run_bench(ids, fast: bool = True, jobs: int = 4) -> dict:
         "parallel_cold_seconds": round(parallel_s, 3),
         "serial_cold_seconds": round(serial_s, 3),
         "warm_cache_seconds": round(warm_s, 6),
-        "parallel_speedup": speedup,
+        "parallel_speedup": (
+            {"speedup": speedup, "effective_cores": cores}
+            if multicore else None
+        ),
         "cache_speedup": round(serial_s / warm_s, 2),
         "rows_identical": rows_identical,
-        "parallel_gate": {
-            "threshold": gate_threshold,
-            "passed": speedup >= gate_threshold,
-        },
+        "parallel_gate": parallel_gate,
         "fastpath_gate": {
-            # Only binding when the serial fast path is what ran the
-            # "parallel" phase (one effective core).
+            "applicable": not multicore,
             "overhead_pct": fastpath_overhead_pct,
-            "passed": cores > 1 or fastpath_overhead_pct <= 5.0,
+            "passed": fastpath_overhead_pct <= 5.0,
         },
         "warm_pool_dispatch": dispatch,
     }
@@ -191,21 +201,32 @@ def main() -> int:
 
     ids = args.ids or list(EXPERIMENT_IDS)
     report = run_bench(ids, fast=not args.full, jobs=args.jobs)
+    gate = report["parallel_gate"]
+    if gate["applicable"]:
+        claim = (
+            f"parallel speedup {report['parallel_speedup']['speedup']}x on "
+            f"{report['effective_cores']} effective cores "
+            f"(gate >= {gate['threshold']}: "
+            f"{'pass' if gate['passed'] else 'FAIL'})"
+        )
+    else:
+        fastpath = report["fastpath_gate"]
+        claim = (
+            f"one effective core: fast path {fastpath['overhead_pct']:+}% "
+            f"vs serial (gate <= 5%: "
+            f"{'pass' if fastpath['passed'] else 'FAIL'})"
+        )
     print(
-        f"parallel speedup {report['parallel_speedup']}x on "
-        f"{report['effective_cores']} effective core(s) "
-        f"(gate >= {report['parallel_gate']['threshold']}: "
-        f"{'pass' if report['parallel_gate']['passed'] else 'FAIL'}), "
-        f"cache speedup {report['cache_speedup']}x, "
+        f"{claim}, cache speedup {report['cache_speedup']}x, "
         f"dispatch p50 {report['warm_pool_dispatch']['dispatch_p50_ms']}ms, "
         f"rows identical: {report['rows_identical']}"
     )
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {ARTIFACT_PATH}")
-    ok = (
-        report["rows_identical"]
-        and report["parallel_gate"]["passed"]
-        and report["fastpath_gate"]["passed"]
+    ok = report["rows_identical"] and all(
+        report[name]["passed"]
+        for name in ("parallel_gate", "fastpath_gate")
+        if report[name]["applicable"]
     )
     return 0 if ok else 1
 

@@ -2,9 +2,9 @@
 
 The repo carries two interchangeable netsim implementations (the
 scalar object oracle and the vectorized engine driven by the compiled
-C step kernel) and two mapping kernels (scalar oracle,
-delta-vectorized fast kernel). Historically the only way to pick one
-was an environment variable set before the run
+C step kernel) and two mapping kernels (the pure-Python oracle and
+the compiled C kernel, which replays it). Historically the only way to
+pick one was an environment variable set before the run
 (``REPRO_SCALAR_NETSIM``, ``REPRO_SCALAR_MAPPING``) — fine for CI
 parity jobs, hostile to programmatic callers. This module is the
 explicit front door: every simulation entry point now takes an
@@ -20,7 +20,8 @@ Netsim engine names (``NETSIM_ENGINES``):
 * ``"scalar"`` — the object-model oracle.
 
 Mapping engine names (``MAPPING_ENGINES``): ``"auto"``, ``"fast"``
-(delta-vectorized numpy kernel), ``"scalar"`` (pure-Python oracle).
+(the C kernel, ``map_sweep`` in :mod:`repro.ckernel`),
+``"scalar"`` (pure-Python oracle).
 
 Resolution order, most binding first:
 
@@ -36,7 +37,8 @@ Resolution order, most binding first:
 A request the host cannot satisfy degrades to the scalar oracle: with
 no C toolchain, or for a network shape the vectorized engine does not
 support, :func:`repro.netsim.fast_core.engine_for` declines and the
-object simulator runs, whatever was requested. Both engines are held to
+object simulator runs, whatever was requested; with no C toolchain the
+mapping optimizer runs its oracle too. Every pair of engines is held to
 bit-identical results by the differential harness, so degradation
 changes speed, never answers.
 """

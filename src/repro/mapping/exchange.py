@@ -5,22 +5,25 @@ occupants of every pair of sites; keep a swap iff it strictly lowers the
 cost, until a full sweep makes no improvement. Cost is primarily
 ``C(M)`` — the maximum channel load on any inter-chiplet edge — with
 total channel-hops as a tie-breaker (fewer hops = less internal I/O
-power; the paper's plain ``C(M)`` cost plateaus early without it).
+power; the paper's plain ``C(M)`` cost plateaus early without it). An
+optional Kernighan-Lin-style escalation pass (on by default) walks cost
+plateaus once a sweep stops improving; see :func:`pairwise_exchange`.
 
-Two interchangeable kernels implement the sweep:
+Two interchangeable kernels implement the sweep, both modes included:
 
 * the **scalar oracle** in this module (:func:`pairwise_exchange`):
   pure-Python incremental re-routing of the links incident to the two
   affected nodes. Simple, slow, and the definition of correctness.
-* the **fast kernel** in :mod:`repro.mapping.fast_exchange`:
-  delta-vectorized with numpy, replaying the oracle's accepted-swap
-  sequence exactly, plus an optional Kernighan-Lin-style escalation
-  pass that only ever improves the final cost.
+* the **C kernel** driven by :mod:`repro.mapping.fast_exchange`: the
+  same passes compiled (``map_sweep`` in :mod:`repro.ckernel`),
+  replaying the oracle's accepted-swap sequence exactly.
 
-:func:`optimize_mapping` dispatches to the fast kernel unless
+:func:`optimize_mapping` dispatches to the C kernel unless
 ``REPRO_SCALAR_MAPPING=1`` is set in the environment (the escape hatch
-for auditing the vectorized path against the oracle), and can fan its
-independent seeded restarts across the shared warm worker pool
+for auditing the kernel against the oracle). A host with no C
+toolchain runs the oracle: the same mappings, only slower (some 400x
+on the largest wafer, ``kernel_speedup`` in ``BENCH_mapping.json``).
+Independent seeded restarts can fan across the shared warm worker pool
 (``jobs > 1``; :mod:`repro.parallel`) with deterministic best-of
 selection — the same pool lifecycle the experiment scheduler and the
 serve dispatcher use, so restart fan-out reuses already-warm workers.
@@ -31,6 +34,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.mapping.grid import WaferGrid, grid_for
 from repro.mapping.placement import EMPTY, Placement, initial_placement
@@ -64,15 +69,14 @@ def use_scalar_kernel(engine: str = "auto") -> bool:
 
 
 def mapping_engine_tag(escalate: bool = True, engine: str = "auto") -> str:
-    """Cache-key tag naming the kernel a mapping was produced with.
+    """Cache-key tag naming the kernel and mode a mapping came from.
 
-    Scalar and fast-with-escalation results can differ (escalation only
-    improves cost, but the placement differs), so persisted mappings
-    must not be shared across engines.
+    Both kernels return the same mapping in each mode, but the tag
+    keeps them apart anyway, so a run with the oracle forced computes
+    its mappings rather than reading the C kernel's from a cache.
     """
-    if use_scalar_kernel(engine):
-        return "scalar"
-    return "fast-esc" if escalate else "fast"
+    kernel = "scalar" if use_scalar_kernel(engine) else "fast"
+    return f"{kernel}-esc" if escalate else kernel
 
 
 @dataclass
@@ -182,6 +186,25 @@ def _cost(loads: EdgeLoads) -> Cost:
     return (loads.max_edge_channels, loads.total_channel_hops)
 
 
+def _extended_cost(loads: EdgeLoads) -> Tuple[int, int, int]:
+    """``(max load, total hops, #edges at max load)``."""
+    top = loads.max_edge_channels
+    at_top = int((loads.h == top).sum() + (loads.v == top).sum())
+    return (top, loads.total_channel_hops, at_top)
+
+
+def _critical_sites(placement: Placement, loads: EdgeLoads) -> List[int]:
+    """Occupied sites on an edge carrying the max load, ascending."""
+    top = loads.max_edge_channels
+    cols = placement.grid.cols
+    sites: Set[int] = set()
+    for row, col in zip(*np.nonzero(loads.h == top)):
+        sites.update((row * cols + col, row * cols + col + 1))
+    for row, col in zip(*np.nonzero(loads.v == top)):
+        sites.update((row * cols + col, (row + 1) * cols + col))
+    return [int(s) for s in sorted(sites) if placement.node_at[s] != EMPTY]
+
+
 def _apply_nodes(
     loads: EdgeLoads,
     placement: Placement,
@@ -206,50 +229,69 @@ def pairwise_exchange(
     placement: Placement,
     io_style: IOStyle = IOStyle.PERIPHERY,
     max_sweeps: int = 30,
+    escalate: bool = True,
     record_swaps: Optional[list] = None,
 ) -> MappingResult:
     """Run Algorithm 1 to convergence (or ``max_sweeps``).
+
+    A sweep tries every site pair ``i < j`` in order and keeps a swap
+    iff it strictly lowers ``(max load, total hops)``. With
+    ``escalate``, a sweep that keeps nothing is followed by an
+    escalation pass: each occupied site on a max-load edge (taken at
+    the start of the pass) against every other site, keeping a swap iff
+    it strictly lowers ``(max load, total hops, #edges at max load)``.
+    That walks cost plateaus toward states where sweeps improve again;
+    it never ends worse. A pass that keeps a swap counts the sweep as
+    improving.
 
     Contract: ``placement`` is optimized **in place** (it ends up in the
     final optimized state), but the returned result holds a defensive
     copy — callers may keep mutating their placement, or the result's,
     without the two aliasing. ``record_swaps``, if given, collects every
-    accepted ``(site_i, site_j)`` in order (used by the fast/scalar
+    accepted ``(site_i, site_j)`` in order (used by the kernel/oracle
     equivalence tests).
     """
-    topology = placement.topology
-    incident = incident_links(topology)
+    incident = incident_links(placement.topology)
     loads = compute_edge_loads(placement, io_style)
-    best_cost = _cost(loads)
-    swaps_accepted = 0
+    node_at = placement.node_at
 
-    sites = list(range(placement.grid.sites))
+    def swap(site_i: int, site_j: int) -> None:
+        affected = [n for n in (node_at[site_i], node_at[site_j]) if n != EMPTY]
+        _apply_nodes(loads, placement, affected, incident, io_style, -1)
+        placement.swap_sites(site_i, site_j)
+        _apply_nodes(loads, placement, affected, incident, io_style, +1)
+
+    def run_pass(pairs, cost) -> int:
+        best = cost(loads)
+        accepted = 0
+        for site_i, site_j in pairs:
+            if node_at[site_i] == EMPTY and node_at[site_j] == EMPTY:
+                continue
+            swap(site_i, site_j)
+            new = cost(loads)
+            if new < best:
+                best = new
+                accepted += 1
+                if record_swaps is not None:
+                    record_swaps.append((site_i, site_j))
+            else:
+                swap(site_i, site_j)
+        return accepted
+
+    n_sites = placement.grid.sites
     sweeps = 0
+    swaps_accepted = 0
     improved = True
     while improved and sweeps < max_sweeps:
-        improved = False
         sweeps += 1
-        for i_idx, site_i in enumerate(sites):
-            for site_j in sites[i_idx + 1:]:
-                node_i = placement.node_at[site_i]
-                node_j = placement.node_at[site_j]
-                if node_i == EMPTY and node_j == EMPTY:
-                    continue
-                affected = [n for n in (node_i, node_j) if n != EMPTY]
-                _apply_nodes(loads, placement, affected, incident, io_style, -1)
-                placement.swap_sites(site_i, site_j)
-                _apply_nodes(loads, placement, affected, incident, io_style, +1)
-                new_cost = _cost(loads)
-                if new_cost < best_cost:
-                    best_cost = new_cost
-                    swaps_accepted += 1
-                    improved = True
-                    if record_swaps is not None:
-                        record_swaps.append((site_i, site_j))
-                else:
-                    _apply_nodes(loads, placement, affected, incident, io_style, -1)
-                    placement.swap_sites(site_i, site_j)
-                    _apply_nodes(loads, placement, affected, incident, io_style, +1)
+        pairs = ((i, j) for i in range(n_sites) for j in range(i + 1, n_sites))
+        accepted = run_pass(pairs, _cost)
+        if not accepted and escalate:
+            critical = _critical_sites(placement, loads)
+            pairs = ((i, j) for i in critical for j in range(n_sites) if j != i)
+            accepted = run_pass(pairs, _extended_cost)
+        swaps_accepted += accepted
+        improved = accepted > 0
 
     return MappingResult(
         placement=placement.copy(),
@@ -284,7 +326,9 @@ def _run_restart(
     rng = random.Random(seed + restart)
     start = initial_placement(topology, grid, strategy=start_strategy, rng=rng)
     if scalar:
-        return pairwise_exchange(start, io_style, max_sweeps=max_sweeps)
+        return pairwise_exchange(
+            start, io_style, max_sweeps=max_sweeps, escalate=escalate
+        )
     from repro.mapping.fast_exchange import pairwise_exchange_fast
 
     return pairwise_exchange_fast(
@@ -317,8 +361,8 @@ def optimize_mapping(
     machines; see :func:`repro.parallel.effective_jobs`); selection is
     deterministic either way — lowest cost wins, ties broken by
     restart index — so serial and parallel runs return the same
-    mapping. ``escalate`` enables the fast kernel's plateau pass
-    (ignored on the scalar path). ``engine`` picks the kernel
+    mapping. ``escalate`` enables the plateau pass of
+    :func:`pairwise_exchange` (either kernel). ``engine`` picks the kernel
     explicitly (``"auto"``, ``"fast"`` or ``"scalar"``, see
     :mod:`repro.engines`); the resolved choice rides into pool workers
     through the task tuples, so parallel restarts use the same kernel.

@@ -1,378 +1,36 @@
-"""Delta-vectorized pairwise-exchange kernel (the fast mapping engine).
+"""Algorithm 1 in compiled code: the ctypes driver of the mapping kernel.
 
-Numerically identical to the scalar oracle in
-:mod:`repro.mapping.exchange` — both optimize the paper's Algorithm 1
-cost ``(max edge channels, total channel hops)`` with the same sweep
-order and strict-improvement acceptance — but prices a whole row of
-candidate swaps at once with numpy instead of re-routing channels one
-edge at a time in Python.
+The kernel is ``map_sweep`` in :mod:`repro.ckernel`, built, cached
+and loaded by the same :func:`~repro.ckernel.load_kernel` as the
+netsim step kernel. Each call runs one pass of the scalar oracle
+in :mod:`repro.mapping.exchange`: a trial swap moves the two occupants'
+routes in place on an ``int64`` load vector and swaps back if rejected.
+Same pair order, same acceptance rule, same integer loads, so the
+accepted-swap sequence, the placement, the loads, ``sweeps`` and
+``swaps_accepted`` are the oracle's, with escalation off and on.
 
-How a trial swap is priced: every XY route and every boundary route on
-the wafer grid is at most two *arithmetic runs* of flat edge ids
-(:class:`repro.mapping.routing.RouteTables`). Swapping the occupants of
-sites ``i`` and ``j`` only re-routes the links incident to the two
-affected nodes plus their external-boundary paths, so the load delta of
-a trial is a signed sum of a few dozen runs. The kernel assembles the
-runs for *all candidate sites j at once* and turns them into a
-``(candidates, edges)`` delta matrix with a single ``np.bincount`` over
-run-expanded ids; acceptance is then a per-row max/sum reduction.
+One provably neutral shortcut: two occupants with identical
+*connectivity signatures* (the same directed neighbor/channel multiset
+and external-port count) move no load when swapped, which the oracle
+would evaluate and reject, so the kernel skips such pairs unevaluated.
 
-The fast path replays the scalar oracle exactly — same accepted-swap
-sequence — because candidates are evaluated in ascending order under
-the same state, with one provably-neutral shortcut: two occupants with
-identical *connectivity signatures* (the same directed
-neighbor/channel multiset and external-port count) produce a swap
-delta of exactly zero, which the scalar oracle would evaluate and
-reject, so such pairs are skipped without evaluation.
-
-Escalation (``escalate=True``): once a full sweep stops improving, a
-Kernighan–Lin-style pass proposes only swaps touching nodes incident
-to max-load edges and additionally accepts cost-*neutral* moves that
-strictly shrink the number of edges sitting at the maximum, then
-resumes normal sweeps. Every escalation move strictly decreases the
-extended cost ``(max load, total hops, #edges at max)``, so escalated
-results are cost-equal-or-better than the scalar oracle, never worse.
+With no C toolchain (``load_kernel()`` is ``None``) this runs the
+oracle itself: the same mapping, only slower.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.mapping.placement import EMPTY, Placement
-from repro.mapping.routing import IOStyle, route_tables
+from repro import ckernel
+from repro.mapping.placement import Placement
+from repro.mapping.routing import EdgeLoads, IOStyle
 
 
-def _expand_runs(start, step, length) -> Tuple[np.ndarray, np.ndarray]:
-    """Expand arithmetic id runs ``start + k*step`` (k < length).
-
-    Returns ``(ids, run_of)`` where ``ids`` concatenates every run's
-    members and ``run_of`` maps each member back to its run's position
-    in the *input* arrays (zero-length runs simply contribute nothing).
-    The expansion is a cumulative sum over per-element strides with a
-    correction at each run boundary — no Python-level loop.
-    """
-    keep = np.flatnonzero(length > 0)
-    if keep.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    start = start[keep]
-    step = step[keep]
-    length = length[keep]
-    firsts = np.zeros(keep.size, np.int64)
-    np.cumsum(length[:-1], out=firsts[1:])
-    deltas = np.repeat(step, length)
-    prev_last = np.empty(keep.size, np.int64)
-    prev_last[0] = 0
-    prev_last[1:] = (start + (length - 1) * step)[:-1]
-    deltas[firsts] = start - prev_last
-    return np.cumsum(deltas), np.repeat(keep, length)
-
-
-class _FastState:
-    """Mutable optimizer state: flat loads plus per-node link tables."""
-
-    def __init__(self, placement: Placement, io_style: IOStyle):
-        topology = placement.topology
-        grid = placement.grid
-        self.io_style = io_style
-        self.tables = route_tables(grid)
-        self.n_sites = grid.sites
-        self.n_edges = self.tables.total_edges
-        self.site_of = np.asarray(placement.site_of, dtype=np.int64)
-        self.node_at = np.asarray(placement.node_at, dtype=np.int64)
-
-        n_nodes = topology.chiplet_count
-        per_node: List[List[Tuple[int, int, bool]]] = [[] for _ in range(n_nodes)]
-        for link in topology.links:
-            per_node[link.a].append((link.b, link.channels, True))
-            per_node[link.b].append((link.a, link.channels, False))
-        self.deg = np.array([len(entries) for entries in per_node], dtype=np.int64)
-        self.off = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(self.deg, out=self.off[1:])
-        flat = [entry for entries in per_node for entry in entries]
-        self.all_other = np.array([e[0] for e in flat], dtype=np.int64)
-        self.all_ch = np.array([e[1] for e in flat], dtype=np.int64)
-        self.all_is_a = np.array([e[2] for e in flat], dtype=bool)
-        if io_style is IOStyle.PERIPHERY:
-            ext = [node.external_ports for node in topology.nodes]
-        else:
-            ext = [0] * n_nodes
-        self.ext = np.array(ext, dtype=np.int64)
-
-        # Connectivity signatures: equal signature (and the occupants
-        # are never linked to each other then — a node cannot appear in
-        # its own neighbor list) implies a swap delta of exactly zero.
-        sig_ids = {(0, ()): 0}  # the signature of an EMPTY site
-        node_sig = np.zeros(n_nodes, dtype=np.int64)
-        for node in range(n_nodes):
-            key = (int(self.ext[node]), tuple(sorted(per_node[node])))
-            node_sig[node] = sig_ids.setdefault(key, len(sig_ids))
-        self.site_sig = np.zeros(self.n_sites, dtype=np.int64)
-        occupied = self.node_at >= 0
-        self.site_sig[occupied] = node_sig[self.node_at[occupied]]
-
-        self._init_loads(topology)
-
-    def _init_loads(self, topology) -> None:
-        links = topology.links
-        la = np.array([link.a for link in links], dtype=np.int64)
-        lb = np.array([link.b for link in links], dtype=np.int64)
-        lch = np.array([link.channels for link in links], dtype=np.int64)
-        starts, steps, lens, weights = [], [], [], []
-        if la.size:
-            s, t, l = self.tables.route_runs(self.site_of[la], self.site_of[lb])
-            starts.append(s)
-            steps.append(t)
-            lens.append(l)
-            weights.append(np.concatenate([lch, lch]))
-        ext_nodes = np.flatnonzero(self.ext > 0)
-        if ext_nodes.size:
-            s, t, l = self.tables.boundary_runs(self.site_of[ext_nodes])
-            starts.append(s)
-            steps.append(t)
-            lens.append(l)
-            weights.append(self.ext[ext_nodes])
-        self.loads = np.zeros(self.n_edges, dtype=np.int64)
-        if starts and self.n_edges:
-            ids, run_of = _expand_runs(
-                np.concatenate(starts), np.concatenate(steps), np.concatenate(lens)
-            )
-            w = np.concatenate(weights).astype(np.float64)
-            self.loads += np.bincount(
-                ids, weights=w[run_of], minlength=self.n_edges
-            ).astype(np.int64)
-        self.hops = int(self.loads.sum())
-        self.cur_max = int(self.loads.max()) if self.n_edges else 0
-
-    # ------------------------------------------------------------------
-    # Batched trial evaluation
-    # ------------------------------------------------------------------
-
-    def _candidate_deltas(self, i: int, J: np.ndarray):
-        """Price swapping site ``i`` against every site in ``J`` at once.
-
-        Returns ``(new_max, new_hops, new_loads)`` with one row per
-        candidate, computed under the current state (no mutation).
-        """
-        n_edges = self.n_edges
-        nJ = J.size
-        site_of = self.site_of
-        u = int(self.node_at[i])
-        vj = self.node_at[J]
-
-        starts, steps, lens, weights, rows = [], [], [], [], []
-
-        def add_runs(s, t, l, w, r):
-            starts.append(s)
-            steps.append(t)
-            lens.append(l)
-            weights.append(w)
-            rows.append(r)
-
-        # Old contribution of u — candidate-independent, subtracted once.
-        base: Optional[np.ndarray] = None
-        base_hops = 0.0
-        if u != EMPTY:
-            o, d = int(self.off[u]), int(self.deg[u])
-            if d:
-                other = self.all_other[o:o + d]
-                ch = self.all_ch[o:o + d]
-                is_a = self.all_is_a[o:o + d]
-                osite = site_of[other]
-                src_old = np.where(is_a, i, osite)
-                dst_old = np.where(is_a, osite, i)
-                s0, t0, l0 = self.tables.route_runs(src_old, dst_old)
-                w0 = np.concatenate([ch, ch]).astype(np.float64)
-                if n_edges:
-                    ids0, run0 = _expand_runs(s0, t0, l0)
-                    base = np.bincount(ids0, weights=w0[run0], minlength=n_edges)
-                base_hops += float(w0 @ l0)
-                # New contribution of u at each candidate site. If the
-                # candidate's occupant is one of u's neighbors, that
-                # neighbor lands on site i after the swap.
-                nsite = np.where(other[None, :] == vj[:, None], i, osite[None, :])
-                src_new = np.where(is_a[None, :], J[:, None], nsite).ravel()
-                dst_new = np.where(is_a[None, :], nsite, J[:, None]).ravel()
-                s1, t1, l1 = self.tables.route_runs(src_new, dst_new)
-                w1 = np.tile(ch, nJ)
-                r1 = np.repeat(np.arange(nJ, dtype=np.int64), d)
-                add_runs(s1, t1, l1, np.concatenate([w1, w1]), np.concatenate([r1, r1]))
-            e = int(self.ext[u])
-            if e:
-                sb, tb, lb = self.tables.boundary_runs(np.array([i], dtype=np.int64))
-                if n_edges:
-                    ids0, run0 = _expand_runs(sb, tb, lb)
-                    old = np.bincount(
-                        ids0, weights=np.full(ids0.size, float(e)), minlength=n_edges
-                    )
-                    base = old if base is None else base + old
-                base_hops += float(e * lb[0])
-                sb2, tb2, lb2 = self.tables.boundary_runs(J)
-                add_runs(sb2, tb2, lb2, np.full(nJ, e, np.int64),
-                         np.arange(nJ, dtype=np.int64))
-
-        # The candidates' occupants: links to every neighbor except u
-        # (the shared link, if any, is fully accounted on u's side).
-        vreal = vj >= 0
-        vsafe = np.maximum(vj, 0)
-        vdeg = np.where(vreal, self.deg[vsafe], 0)
-        voff = np.where(vreal, self.off[vsafe], 0)
-        pos, vrow = _expand_runs(voff, np.ones(nJ, dtype=np.int64), vdeg)
-        if pos.size:
-            fo = self.all_other[pos]
-            fch = self.all_ch[pos]
-            fia = self.all_is_a[pos]
-            if u != EMPTY:
-                keepm = fo != u
-                if not keepm.all():
-                    fo, fch, fia, vrow = fo[keepm], fch[keepm], fia[keepm], vrow[keepm]
-        if pos.size and fo.size:
-            fos = site_of[fo]
-            s_j = J[vrow]
-            src_o = np.where(fia, s_j, fos)
-            dst_o = np.where(fia, fos, s_j)
-            s2, t2, l2 = self.tables.route_runs(src_o, dst_o)
-            add_runs(s2, t2, l2, np.concatenate([-fch, -fch]),
-                     np.concatenate([vrow, vrow]))
-            src_n = np.where(fia, i, fos)
-            dst_n = np.where(fia, fos, i)
-            s3, t3, l3 = self.tables.route_runs(src_n, dst_n)
-            add_runs(s3, t3, l3, np.concatenate([fch, fch]),
-                     np.concatenate([vrow, vrow]))
-        evx = np.where(vreal, self.ext[vsafe], 0)
-        erow = np.flatnonzero(evx > 0)
-        if erow.size:
-            ev = evx[erow]
-            sb, tb, lb = self.tables.boundary_runs(J[erow])
-            add_runs(sb, tb, lb, -ev, erow)
-            sb2, tb2, lb2 = self.tables.boundary_runs(
-                np.full(erow.size, i, dtype=np.int64)
-            )
-            add_runs(sb2, tb2, lb2, ev, erow)
-
-        if starts:
-            all_s = np.concatenate(starts)
-            all_t = np.concatenate(steps)
-            all_l = np.concatenate(lens)
-            all_w = np.concatenate(weights).astype(np.float64)
-            all_r = np.concatenate(rows)
-            delta_hops = np.bincount(all_r, weights=all_w * all_l, minlength=nJ)
-            if n_edges:
-                ids, run_of = _expand_runs(all_s, all_t, all_l)
-                flat = all_r[run_of] * n_edges + ids
-                delta = np.bincount(
-                    flat, weights=all_w[run_of], minlength=nJ * n_edges
-                ).reshape(nJ, n_edges)
-            else:
-                delta = np.zeros((nJ, 0))
-        else:
-            delta = np.zeros((nJ, n_edges))
-            delta_hops = np.zeros(nJ)
-        if base is not None and n_edges:
-            delta -= base[None, :]
-        delta_hops -= base_hops
-
-        new_loads = self.loads[None, :] + delta
-        new_max = new_loads.max(axis=1) if n_edges else np.zeros(nJ)
-        new_hops = self.hops + delta_hops
-        return new_max, new_hops, new_loads
-
-    def _apply(self, i: int, j: int, new_loads_row, new_max, new_hops) -> None:
-        """Commit the swap of sites ``i`` and ``j`` (delta already priced)."""
-        self.loads = np.rint(new_loads_row).astype(np.int64)
-        self.cur_max = int(round(new_max))
-        self.hops = int(round(new_hops))
-        u, v = int(self.node_at[i]), int(self.node_at[j])
-        self.node_at[i], self.node_at[j] = v, u
-        if u != EMPTY:
-            self.site_of[u] = j
-        if v != EMPTY:
-            self.site_of[v] = i
-        sig_i = int(self.site_sig[i])
-        self.site_sig[i] = self.site_sig[j]
-        self.site_sig[j] = sig_i
-
-    # ------------------------------------------------------------------
-    # Sweeps
-    # ------------------------------------------------------------------
-
-    def sweep_improve(self, record: Optional[list] = None) -> int:
-        """One full sweep over ordered site pairs, scalar-identical."""
-        accepted = 0
-        n_sites = self.n_sites
-        for i in range(n_sites):
-            j = i + 1
-            while j < n_sites:
-                cand = np.arange(j, n_sites, dtype=np.int64)
-                cand = cand[self.site_sig[cand] != self.site_sig[i]]
-                if cand.size == 0:
-                    break
-                new_max, new_hops, new_loads = self._candidate_deltas(i, cand)
-                acc = (new_max < self.cur_max) | (
-                    (new_max == self.cur_max) & (new_hops < self.hops)
-                )
-                hits = np.flatnonzero(acc)
-                if hits.size == 0:
-                    break
-                k = int(hits[0])
-                jj = int(cand[k])
-                self._apply(i, jj, new_loads[k], new_max[k], new_hops[k])
-                if record is not None:
-                    record.append((i, jj))
-                accepted += 1
-                j = jj + 1
-        return accepted
-
-    def critical_sites(self) -> List[int]:
-        """Occupied sites incident to an edge carrying the max load."""
-        if self.n_edges == 0:
-            return []
-        crit = np.flatnonzero(self.loads == self.cur_max)
-        sites = np.unique(self.tables.edge_sites[crit].ravel())
-        return [int(s) for s in sites if self.node_at[s] != EMPTY]
-
-    def sweep_escalate(self, record: Optional[list] = None) -> int:
-        """KL-style pass over max-load-edge nodes accepting plateau moves.
-
-        Acceptance is a strict decrease of the extended cost
-        ``(max load, total hops, #edges at max load)``, so the pass can
-        walk along cost plateaus toward states where the normal sweep
-        finds strict improvements again — but can never end up worse.
-        """
-        accepted = 0
-        if self.n_edges == 0:
-            return 0
-        for i in self.critical_sites():
-            j = 0
-            while j < self.n_sites:
-                cand = np.arange(j, self.n_sites, dtype=np.int64)
-                cand = cand[cand != i]
-                cand = cand[self.site_sig[cand] != self.site_sig[i]]
-                if cand.size == 0:
-                    break
-                new_max, new_hops, new_loads = self._candidate_deltas(i, cand)
-                cur_nmax = int((self.loads == self.cur_max).sum())
-                new_nmax = (new_loads == new_max[:, None]).sum(axis=1)
-                better = (new_max < self.cur_max) | (
-                    (new_max == self.cur_max) & (new_hops < self.hops)
-                )
-                plateau = (
-                    (new_max == self.cur_max)
-                    & (new_hops == self.hops)
-                    & (new_nmax < cur_nmax)
-                )
-                hits = np.flatnonzero(better | plateau)
-                if hits.size == 0:
-                    break
-                k = int(hits[0])
-                jj = int(cand[k])
-                self._apply(i, jj, new_loads[k], new_max[k], new_hops[k])
-                if record is not None:
-                    record.append((i, jj))
-                accepted += 1
-                j = jj + 1
-        return accepted
+def _int64(values) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=np.int64)
 
 
 def pairwise_exchange_fast(
@@ -382,37 +40,95 @@ def pairwise_exchange_fast(
     escalate: bool = True,
     record_swaps: Optional[list] = None,
 ):
-    """Vectorized Algorithm 1; drop-in for scalar ``pairwise_exchange``.
+    """Compiled Algorithm 1; drop-in for scalar ``pairwise_exchange``.
 
     Mutates ``placement`` in place to the optimized assignment (same
     contract as the scalar oracle) and returns a
     :class:`~repro.mapping.exchange.MappingResult` holding a defensive
-    copy of it. With ``escalate=False`` the accepted-swap sequence is
-    identical to the scalar oracle's; with escalation the final cost is
-    equal or strictly better.
+    copy of it.
     """
-    from repro.mapping.exchange import MappingResult  # façade; no import cycle
+    from repro.mapping.exchange import MappingResult, pairwise_exchange
 
-    state = _FastState(placement, io_style)
+    lib = ckernel.load_kernel()
+    if lib is None:
+        return pairwise_exchange(
+            placement, io_style, max_sweeps, escalate, record_swaps
+        )
+    topology, grid = placement.topology, placement.grid
+    n_nodes = topology.chiplet_count
+    per_node = [[] for _ in range(n_nodes)]
+    for link in topology.links:
+        per_node[link.a].append((link.b, link.channels, 1))
+        per_node[link.b].append((link.a, link.channels, 0))
+    if io_style is IOStyle.PERIPHERY:
+        ext = [node.external_ports for node in topology.nodes]
+    else:
+        ext = [0] * n_nodes
+    sig_ids = {(0, ()): 0}  # the signature of an EMPTY site
+    site_sig = np.zeros(grid.sites, dtype=np.int64)
+    for node, entries in enumerate(per_node):
+        key = (ext[node], tuple(sorted(entries)))
+        site_sig[placement.site_of[node]] = sig_ids.setdefault(key, len(sig_ids))
+    flat = [entry for entries in per_node for entry in entries]
+
+    arrays = {
+        "loads": np.zeros(grid.edge_count, dtype=np.int64),
+        "site_of": _int64(placement.site_of),
+        "node_at": _int64(placement.node_at),
+        "site_sig": site_sig,
+        "adj_off": _int64(np.cumsum([0] + [len(e) for e in per_node])),
+        "adj_other": _int64([e[0] for e in flat]),
+        "adj_ch": _int64([e[1] for e in flat]),
+        "adj_is_a": _int64([e[2] for e in flat]),
+        "ext": _int64(ext),
+        "crit": np.zeros(grid.sites, dtype=np.int64),
+    }
+    if record_swaps is not None:
+        # One pass accepts at most one swap per ordered site pair.
+        arrays["rec_i"] = np.zeros(grid.sites ** 2, dtype=np.int64)
+        arrays["rec_j"] = np.zeros(grid.sites ** 2, dtype=np.int64)
+    state = ckernel.MapState(
+        rows=grid.rows,
+        cols=grid.cols,
+        sites=grid.sites,
+        edges=grid.edge_count,
+        eh=grid.horizontal_edges,
+        nodes=n_nodes,
+    )
+    for name, array in arrays.items():
+        setattr(state, name, array.ctypes.data)
+    lib.map_load(state)
+
+    def sweep(escalation: int) -> int:
+        accepted = lib.map_sweep(state, escalation)
+        if record_swaps is not None:
+            record_swaps.extend(
+                zip(arrays["rec_i"][:accepted].tolist(),
+                    arrays["rec_j"][:accepted].tolist())
+            )
+        return accepted
+
     sweeps = 0
     swaps = 0
     improved = True
     while improved and sweeps < max_sweeps:
-        improved = False
         sweeps += 1
-        n = state.sweep_improve(record_swaps)
-        swaps += n
-        improved = n > 0
-        if not improved and escalate:
-            n = state.sweep_escalate(record_swaps)
-            swaps += n
-            improved = n > 0
-    placement.site_of[:] = [int(s) for s in state.site_of]
-    placement.node_at[:] = [int(n) for n in state.node_at]
-    loads = state.tables.unflatten_loads(state.loads, state.hops)
+        accepted = sweep(0)
+        if not accepted and escalate:
+            accepted = sweep(1)
+        swaps += accepted
+        improved = accepted > 0
+    placement.site_of[:] = arrays["site_of"].tolist()
+    placement.node_at[:] = arrays["node_at"].tolist()
+    h, v = np.split(arrays["loads"], [grid.horizontal_edges])
     return MappingResult(
         placement=placement.copy(),
-        loads=loads,
+        loads=EdgeLoads(
+            grid=grid,
+            h=h.reshape(grid.rows, grid.cols - 1),
+            v=v.reshape(grid.rows - 1, grid.cols),
+            total_channel_hops=int(state.hops),
+        ),
         io_style=io_style,
         sweeps=sweeps,
         swaps_accepted=swaps,

@@ -162,140 +162,6 @@ def apply_external(
         loads.add_edge(edge, sign * node.external_ports)
 
 
-# ----------------------------------------------------------------------
-# Vectorized route tables (used by mapping.fast_exchange)
-# ----------------------------------------------------------------------
-#
-# Every XY route and every boundary route on the grid decomposes into at
-# most two *arithmetic runs* of flat edge ids: horizontal edges within a
-# row are consecutive ids (stride 1) and vertical edges within a column
-# are ``cols`` apart (stride ``cols``). RouteTables precomputes the
-# per-site geometry so a batch of routes becomes three numpy arrays
-# (start, stride, length) — no per-edge Python iteration.
-
-#: Flat edge-id layout: h edges first (row-major), then v edges.
-
-
-@dataclass(frozen=True)
-class RouteTables:
-    """Per-grid numpy tables turning routes into arithmetic id runs.
-
-    Flat edge ids: horizontal edge ``('h', r, c)`` is ``r*(cols-1)+c``;
-    vertical edge ``('v', r, c)`` is ``EH + r*cols + c`` where ``EH`` is
-    the horizontal edge count. :meth:`route_runs` and
-    :meth:`boundary_runs` return ``(start, step, length)`` triples per
-    run; expanding them (see ``fast_exchange._expand_runs``) yields the
-    exact edge sets of :func:`xy_path_edges` / :func:`boundary_path_edges`.
-    """
-
-    grid: WaferGrid
-    eh: int
-    total_edges: int
-    #: (sites,) row/col coordinate of each flat site index.
-    site_row: np.ndarray
-    site_col: np.ndarray
-    #: (sites,) arithmetic-run description of each site's boundary path.
-    bnd_start: np.ndarray
-    bnd_step: np.ndarray
-    bnd_len: np.ndarray
-    #: (total_edges, 2) the two sites incident to each flat edge id.
-    edge_sites: np.ndarray
-
-    @classmethod
-    def for_grid(cls, grid: WaferGrid) -> "RouteTables":
-        rows, cols = grid.rows, grid.cols
-        eh = rows * max(cols - 1, 0)
-        ev = max(rows - 1, 0) * cols
-        sites = np.arange(grid.sites, dtype=np.int64)
-        r, c = np.divmod(sites, cols)
-
-        # Boundary side per site, ties broken top, bottom, left, right —
-        # identical to boundary_path_edges (argmin keeps the first min).
-        dists = np.stack([r, rows - 1 - r, c, cols - 1 - c])
-        side = np.argmin(dists, axis=0)
-        bnd_start = np.select(
-            [side == 0, side == 1, side == 2, side == 3],
-            [eh + c, eh + r * cols + c, r * (cols - 1), r * (cols - 1) + c],
-        )
-        bnd_step = np.where(side < 2, cols, 1).astype(np.int64)
-        bnd_len = np.select(
-            [side == 0, side == 1, side == 2, side == 3],
-            [r, rows - 1 - r, c, cols - 1 - c],
-        )
-
-        edge_sites = np.empty((eh + ev, 2), dtype=np.int64)
-        if eh:
-            hr, hc = np.divmod(np.arange(eh, dtype=np.int64), cols - 1)
-            edge_sites[:eh, 0] = hr * cols + hc
-            edge_sites[:eh, 1] = hr * cols + hc + 1
-        if ev:
-            vr, vc = np.divmod(np.arange(ev, dtype=np.int64), cols)
-            edge_sites[eh:, 0] = vr * cols + vc
-            edge_sites[eh:, 1] = (vr + 1) * cols + vc
-        return cls(
-            grid=grid,
-            eh=eh,
-            total_edges=eh + ev,
-            site_row=r,
-            site_col=c,
-            bnd_start=bnd_start.astype(np.int64),
-            bnd_step=bnd_step,
-            bnd_len=bnd_len.astype(np.int64),
-            edge_sites=edge_sites,
-        )
-
-    def route_runs(self, src, dst):
-        """Arithmetic runs covering the XY routes ``src[i] -> dst[i]``.
-
-        Returns ``(start, step, length)`` arrays of shape ``(2n,)`` —
-        the horizontal run then the vertical run of every route (zero
-        lengths where a route has no h/v component).
-        """
-        cols = self.grid.cols
-        ra, ca = self.site_row[src], self.site_col[src]
-        rb, cb = self.site_row[dst], self.site_col[dst]
-        h_start = ra * (cols - 1) + np.minimum(ca, cb)
-        h_len = np.abs(ca - cb)
-        v_start = self.eh + np.minimum(ra, rb) * cols + cb
-        v_len = np.abs(ra - rb)
-        start = np.concatenate([h_start, v_start])
-        step = np.empty_like(start)
-        n = len(ra)
-        step[:n] = 1
-        step[n:] = cols
-        length = np.concatenate([h_len, v_len])
-        return start, step, length
-
-    def boundary_runs(self, sites):
-        """Arithmetic runs of the boundary routes of the given sites."""
-        return self.bnd_start[sites], self.bnd_step[sites], self.bnd_len[sites]
-
-    def flatten_loads(self, loads: EdgeLoads) -> np.ndarray:
-        """Edge loads as one (total_edges,) int64 vector (h then v)."""
-        return np.concatenate([loads.h.ravel(), loads.v.ravel()]).astype(np.int64)
-
-    def unflatten_loads(self, flat: np.ndarray, total_channel_hops: int) -> EdgeLoads:
-        """Inverse of :meth:`flatten_loads`."""
-        grid = self.grid
-        h = flat[: self.eh].reshape(grid.rows, max(grid.cols - 1, 0)).copy()
-        v = flat[self.eh:].reshape(max(grid.rows - 1, 0), grid.cols).copy()
-        return EdgeLoads(
-            grid=grid, h=h, v=v, total_channel_hops=int(total_channel_hops)
-        )
-
-
-_ROUTE_TABLES: dict = {}
-
-
-def route_tables(grid: WaferGrid) -> RouteTables:
-    """Cached :class:`RouteTables` for a grid (keyed on dimensions)."""
-    key = (grid.rows, grid.cols)
-    tables = _ROUTE_TABLES.get(key)
-    if tables is None:
-        tables = _ROUTE_TABLES[key] = RouteTables.for_grid(grid)
-    return tables
-
-
 def incident_links(topology: LogicalTopology) -> List[List[LogicalLink]]:
     """Per-node list of incident logical links (for incremental updates)."""
     incident: List[List[LogicalLink]] = [[] for _ in topology.nodes]

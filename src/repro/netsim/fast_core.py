@@ -5,7 +5,7 @@ The object simulator in :mod:`repro.netsim.router` /
 every router pipeline stage is a Python loop over per-object state.
 :class:`FastEngine` compiles a pristine network into flat numpy
 struct-of-arrays and hands them to the C kernel in
-:mod:`repro.netsim._fast_step`, which runs the *same* cycle semantics
+:mod:`repro.ckernel`, which runs the *same* cycle semantics
 with no Python per cycle:
 
 * **State layout** — input-VC ring buffers (``qbuf``/``qhead``/
@@ -47,8 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro import engines
-from repro.netsim import _fast_step
+from repro import ckernel, engines
 from repro.netsim.packet import Packet
 from repro.netsim.router import ACTIVE, IDLE, ROUTE
 from repro.netsim.stats import RunStats
@@ -58,7 +57,7 @@ def netsim_engine_tag(engine: str = "auto") -> str:
     """Provenance tag for experiment outputs."""
     if (
         engines.resolve_netsim_engine(engine) == "scalar"
-        or _fast_step.load_kernel() is None
+        or ckernel.load_kernel() is None
     ):
         return "scalar"
     return "vectorized"
@@ -71,7 +70,7 @@ _IDX_MASK = (1 << _SHIFT) - 1
 # Output-VC ownership is one int64 bitmask per port.
 _MAX_VCS = 63
 
-#: Kernel modes (see ``fast_run`` in :mod:`repro.netsim._fast_step`).
+#: Kernel modes (see ``fast_run`` in :mod:`repro.ckernel`).
 _OFFER_STEP, _DRAIN, _REPLAY, _EPOCH = 0, 1, 2, 3
 
 _C_KIND = {"rf": 0, "tf": 1, "inj": 2, "rc": 3, "tc": 4}
@@ -172,7 +171,7 @@ class FastEngine:
     """One compiled run-engine for a pristine :class:`NetworkModel`."""
 
     def __init__(self, network, telemetry=None):
-        self._lib = _fast_step.load_kernel()
+        self._lib = ckernel.load_kernel()
         if self._lib is None:
             raise _Incompatible("no C kernel on this host")
         if network.telemetry is not None:
@@ -402,7 +401,7 @@ class FastEngine:
         RP, RPV = R * P, R * PV
         PVW = (PV + 63) // 64
         PW = (P + 63) // 64
-        self.st = st = _fast_step.FastState()
+        self.st = st = ckernel.FastState()
         st.R, st.P, st.V, st.CAP, st.PV, st.PVW, st.PW = R, P, V, CAP, PV, PVW, PW
         st.T, st.RP, st.RPV = T, RP, RPV
         st.full_mask = (1 << V) - 1

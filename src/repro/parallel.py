@@ -94,14 +94,14 @@ PROPAGATED_ENV_VARS = ENGINE_ENV_VARS + (
 )
 
 #: Modules imported once per worker at spawn, before any task runs.
-#: Importing the experiments layer pulls in numpy, the ctypes step-kernel
-#: loader, and the vectorized mapping kernel — the bulk of cold-import
+#: Importing the experiments layer pulls in numpy, the ctypes kernel
+#: loader, and the mapping kernel's driver — the bulk of cold-import
 #: cost for every real workload this pool serves.
 PRELOAD_MODULES = (
     "numpy",
     "repro.engines",
     "repro.netsim.fast_core",
-    "repro.netsim._fast_step",
+    "repro.ckernel",
     "repro.mapping.fast_exchange",
     "repro.experiments.base",
 )

@@ -68,6 +68,22 @@ def test_key_distinguishes_params_and_topology(clos_1024):
     assert entry_key(other_topo, other_grid, IOStyle.PERIPHERY, PARAMS) != base
 
 
+def test_kernel_source_is_in_the_mapping_fingerprint():
+    """The C text of the mapping kernel lives in ``repro.ckernel``; an
+    edit to it must change ``mapping_source_fingerprint()`` and so miss
+    every stored mapping."""
+    import importlib
+
+    from repro import ckernel
+    from repro.fingerprint import transitive_modules
+    from repro.parallel import PRELOAD_MODULES
+
+    assert "map_sweep" in ckernel._C_SOURCE
+    assert "repro.ckernel" in transitive_modules("repro.mapping.exchange")
+    for module in PRELOAD_MODULES:
+        importlib.import_module(module)
+
+
 def test_clear_removes_entries(tmp_path, clos_1024):
     store = MappingStore(tmp_path)
     result = optimize_mapping(clos_1024, restarts=1)

@@ -27,8 +27,9 @@ from hypothesis import strategies as st
 from tests.dcn.test_partition import _drain
 from tests.netsim.engines import ENGINES
 
+from repro import ckernel
 from repro.engines import resolve_netsim_engine
-from repro.netsim import _fast_step, fast_core
+from repro.netsim import fast_core
 from repro.netsim.config import RouterConfig, SimConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import (
@@ -245,7 +246,7 @@ def test_spent_network_is_refused():
     """A compiled run writes back counters only, so the network it
     leaves is spent: every run entry point refuses it, and its
     in-flight count is the oracle's."""
-    if _fast_step.load_kernel() is None or resolve_netsim_engine() == "scalar":
+    if ckernel.load_kernel() is None or resolve_netsim_engine() == "scalar":
         pytest.skip("no C kernel on this host (or the scalar oracle forced)")
     config = SimConfig(
         warmup_cycles=50, measure_cycles=200, drain_cycles=0, seed=3
