@@ -25,6 +25,12 @@ push:
    (Tables VII-IX account latency by hop count; docs/experiments.md
    carries the full comparison table).
 
+3. **Routing gate** (scale shape, uniform traffic).  The array router
+   (``DCNFabric.route_all``, what every run plans with) must produce
+   the same hops as the per-packet scalar oracle (``DCNFabric.route``)
+   for every packet, and beat it by ``ROUTE_SPEEDUP_GATE``.  Both
+   sides build a fresh fabric and route the whole run; best of 3.
+
 The default scale shape is 2592 hosts over radix-72 wafers: 72 leaf +
 36 spine = **108 wafers**, the same 3-stage geometry as the paper's
 Table IX deployment (which fields 48 radix-600+ spine wafers for
@@ -47,7 +53,8 @@ import json
 import pathlib
 import time
 
-from repro.dcn import DCNConfig, DCNShape, run_dcn
+from repro.dcn import DCNConfig, DCNFabric, DCNShape, run_dcn
+from repro.dcn import traffic as dcn_traffic
 from repro.dcn.flow import calibrate_wafer
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,6 +66,9 @@ ERROR_GATE = 0.10
 
 #: The scale run must finish inside this wall budget (seconds).
 SCALE_WALL_GATE_S = 900.0
+
+#: The array router must beat the scalar oracle by this factor.
+ROUTE_SPEEDUP_GATE = 10.0
 
 #: Paper analytical context (Tables VII-IX): a WS leaf/spine DCN
 #: resolves any host pair in 3 switch hops (vs 5 for the TH-5 Clos),
@@ -247,6 +257,64 @@ def run_scale(
     return report
 
 
+def _best_of(repeats: int, fn):
+    best, value = float("inf"), None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - started)
+    return best, value
+
+
+def run_route_gate(
+    hosts: int = 2592,
+    wafer_radix: int = 72,
+    ssc_radix: int = 12,
+    duration: int = 256,
+    load: float = 0.03,
+    seed: int = 5,
+    repeats: int = 3,
+) -> dict:
+    """Array router vs the scalar oracle: identical routes, and faster."""
+    shape = DCNShape(
+        n_hosts=hosts, wafer_radix=wafer_radix, ssc_radix=ssc_radix
+    )
+    events = dcn_traffic.generate(
+        "uniform", range(hosts), duration, seed, load=load
+    )
+    src = [event[1] for event in events]
+    dst = [event[2] for event in events]
+
+    def oracle():
+        fabric = DCNFabric(shape)
+        return [fabric.route(i, s, d) for i, (s, d) in enumerate(zip(src, dst))]
+
+    route_s, routes = _best_of(
+        repeats, lambda: DCNFabric(shape).route_all(src, dst)
+    )
+    oracle_s, expected = _best_of(repeats, oracle)
+    got = zip(
+        routes.hops.tolist(),
+        routes.wafer.tolist(),
+        routes.entry.tolist(),
+        routes.exit.tolist(),
+    )
+    identical = all(
+        list(zip(wafer, entry, exit_))[:hops] == [tuple(seg) for seg in segs]
+        for (hops, wafer, entry, exit_), segs in zip(got, expected)
+    )
+    speedup = oracle_s / route_s if route_s else float("inf")
+    return {
+        "packets": len(events),
+        "route_s": round(route_s, 4),
+        "route_oracle_s": round(oracle_s, 4),
+        "route_speedup": round(speedup, 1),
+        "speedup_gate": ROUTE_SPEEDUP_GATE,
+        "identical": identical,
+        "passed": identical and speedup >= ROUTE_SPEEDUP_GATE,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke-hosts", type=int, default=32)
@@ -270,10 +338,19 @@ def main() -> int:
         duration=args.scale_duration,
         load=args.scale_load,
     )
+    print("routing gate (scale shape, uniform traffic):")
+    routing = run_route_gate(
+        hosts=args.scale_hosts,
+        wafer_radix=args.scale_wafer_radix,
+        ssc_radix=args.scale_radix,
+        duration=args.scale_duration,
+        load=args.scale_load,
+    )
     report = {
         "smoke": smoke,
         "scale": scale,
-        "passed": smoke["passed"] and scale["passed"],
+        "routing": routing,
+        "passed": smoke["passed"] and scale["passed"] and routing["passed"],
     }
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {ARTIFACT_PATH}")
@@ -289,6 +366,13 @@ def main() -> int:
         f"{scale['total_wall_seconds']}s "
         f"(gate <= {SCALE_WALL_GATE_S:.0f}s: "
         f"{'pass' if scale['passed'] else 'FAIL'})"
+    )
+    print(
+        f"routing: {routing['packets']} packets, array "
+        f"{routing['route_s']}s vs oracle {routing['route_oracle_s']}s = "
+        f"{routing['route_speedup']}x, identical {routing['identical']} "
+        f"(gate >= {ROUTE_SPEEDUP_GATE:.0f}x: "
+        f"{'pass' if routing['passed'] else 'FAIL'})"
     )
     return 0 if report["passed"] else 1
 
@@ -306,6 +390,10 @@ def test_dcn_scale_bench_smoke():
     assert scale["config"]["n_wafers"] == 36
     assert scale["patterns"]["uniform"]["conserved"]
     assert not scale["patterns"]["uniform"]["truncated"]
+    routing = run_route_gate(
+        hosts=288, wafer_radix=24, ssc_radix=12, duration=96, repeats=1
+    )
+    assert routing["packets"] > 0 and routing["identical"]
 
 
 if __name__ == "__main__":

@@ -28,9 +28,11 @@ Routing picks the spine and the up/down channels per DCN packet with a
 splitmix64 hash of the packet id — deterministic, seed-free, and
 independent of partition layout, which is what lets a partitioned run
 reproduce a monolithic one bit-for-bit.  Failed hosts, gateways, and
-channels (:mod:`repro.dcn.failures`) are excluded from the option set;
-a packet with no surviving option raises :class:`DCNRouteError` and is
-dropped (and counted) by the coordinator rather than silently lost.
+channels (:mod:`repro.dcn.failures`) are excluded from the option set.
+:meth:`DCNFabric.route_all` routes a whole run in one array pass and
+masks a packet with no surviving option, which the coordinator drops
+and counts; :meth:`DCNFabric.route` is the per-packet scalar oracle it
+must match, raising :class:`DCNRouteError` for such a packet.
 """
 
 from __future__ import annotations
@@ -38,19 +40,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Tuple
 
+import numpy as np
+
 from repro.netsim.network import ClosShape, NetworkModel, waferscale_clos_network
 from repro.tech.chiplet import scaled_leaf_die, tomahawk5
 from repro.topology.clos import folded_clos
 
 _M64 = (1 << 64) - 1
+_GOLDEN, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def _mix(value: int) -> int:
     """splitmix64 finalizer: one deterministic 64-bit hash per id."""
-    value = (value + 0x9E3779B97F4A7C15) & _M64
-    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _M64
+    value = (value + _GOLDEN) & _M64
+    value = ((value ^ (value >> 30)) * _MUL1) & _M64
+    value = ((value ^ (value >> 27)) * _MUL2) & _M64
     return value ^ (value >> 31)
+
+
+def _mix_array(values: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over an array (uint64 arithmetic wraps mod 2**64)."""
+    value = values.astype(np.uint64) + np.uint64(_GOLDEN)
+    value = (value ^ (value >> np.uint64(30))) * np.uint64(_MUL1)
+    value = (value ^ (value >> np.uint64(27))) * np.uint64(_MUL2)
+    return value ^ (value >> np.uint64(31))
 
 
 class DCNRouteError(Exception):
@@ -63,6 +76,21 @@ class Segment(NamedTuple):
     wafer: int
     entry: int
     exit: int
+
+
+class Routes(NamedTuple):
+    """Every packet's wafer hops, as arrays (see :meth:`DCNFabric.route_all`).
+
+    Packet ``i`` crosses ``hops[i]`` wafers (0: unroutable, dropped);
+    its hop ``k`` injects at terminal ``entry[i, k]`` of wafer
+    ``wafer[i, k]`` and delivers at ``exit[i, k]``.  The three
+    ``(n_packets, 3)`` int64 arrays hold -1 past the last hop.
+    """
+
+    wafer: np.ndarray
+    entry: np.ndarray
+    exit: np.ndarray
+    hops: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -130,6 +158,12 @@ class DCNShape:
     def local_of_host(self, host: int) -> int:
         return host % self.hosts_per_leaf
 
+    def ssc_radix_of(self, wafer: int) -> int:
+        """SSC radix inside ``wafer`` (spine wafers may override it)."""
+        if wafer >= self.n_leaves:
+            return self.spine_ssc_radix or self.ssc_radix
+        return self.ssc_radix
+
 
 class DCNFabric:
     """Precomputed wiring + routing tables for one (shape, failures).
@@ -158,7 +192,6 @@ class DCNFabric:
                     reference=tomahawk5(),
                 ),
             )
-            self.topology = topology
             self.channels = [[0] * S for _ in range(L)]
             for link in topology.links:
                 self.channels[link.a][link.b - L] = link.channels
@@ -166,50 +199,47 @@ class DCNFabric:
         # Gateway terminal offsets.  Leaf l, spine s, channel c sits at
         # leaf terminal H + leaf_gw_base[l][s] + c, and at spine
         # terminal spine_entry_base[s][l] + c.
-        self.leaf_gw_base: List[List[int]] = []
-        for l in range(L):
-            bases, total = [], 0
-            for count in self.channels[l]:
-                bases.append(total)
-                total += count
-            self.leaf_gw_base.append(bases)
-            if H + total != shape.wafer_terminals:
-                raise AssertionError("leaf uplinks must fill the wafer")
-        self.spine_entry_base: List[List[int]] = []
-        for s in range(S):
-            bases, total = [], 0
-            for l in range(L):
-                bases.append(total)
-                total += self.channels[l][s]
-            self.spine_entry_base.append(bases)
-            if total != shape.wafer_terminals:
-                raise AssertionError("spine entries must fill the wafer")
+        counts = np.array(self.channels, dtype=np.int64)
+        self._gw_base = np.cumsum(counts, axis=1) - counts
+        self._entry_base = (np.cumsum(counts, axis=0) - counts).T
+        if (H + counts.sum(axis=1) != shape.wafer_terminals).any():
+            raise AssertionError("leaf uplinks must fill the wafer")
+        if (counts.sum(axis=0) != shape.wafer_terminals).any():
+            raise AssertionError("spine entries must fill the wafer")
+        self.leaf_gw_base = self._gw_base.tolist()
+        self.spine_entry_base = self._entry_base.tolist()
 
-        dead_terms = frozenset(failures.dead_terminals) if failures else frozenset()
-        dead_links = frozenset(failures.dead_links) if failures else frozenset()
-        self._dead_terminals = dead_terms
-        self._dead_links = dead_links
+        self._dead_terminals = frozenset(failures.dead_terminals if failures else ())
+        self._dead_links = frozenset(failures.dead_links if failures else ())
         self.alive_hosts = tuple(
             host
             for host in range(shape.n_hosts)
             if (shape.leaf_of_host(host), shape.local_of_host(host))
-            not in dead_terms
+            not in self._dead_terminals
         )
         self._options: Dict[Tuple[int, int], tuple] = {}
+
+        # Per-leaf tables: alive[l, s, :n_alive[l, s]] are the surviving
+        # channel ids between leaf l and spine s (the back-to-back trunk
+        # is spine 0), ascending; -1 pads the rest.
+        spines = len(self.channels[0])
+        width = max(max(row) for row in self.channels)
+        self.alive = np.full((L, spines, width), -1, dtype=np.int64)
+        self.n_alive = np.zeros((L, spines), dtype=np.int64)
+        for l, s in np.ndindex(L, spines):
+            ids = [
+                c for c in range(self.channels[l][s]) if self._channel_alive(l, s, c)
+            ]
+            self.alive[l, s, : len(ids)] = ids
+            self.n_alive[l, s] = len(ids)
 
     # -- wafer construction --------------------------------------------
 
     def build_wafer(self, wafer: int) -> NetworkModel:
         shape = self.shape
-        is_spine = wafer >= shape.n_leaves
-        radix = (
-            shape.spine_ssc_radix or shape.ssc_radix
-            if is_spine
-            else shape.ssc_radix
-        )
         return waferscale_clos_network(
             shape.wafer_terminals,
-            radix,
+            shape.ssc_radix_of(wafer),
             num_vcs=shape.num_vcs,
             buffer_flits_per_port=shape.buffer_flits,
         )
@@ -241,7 +271,8 @@ class DCNFabric:
         return (spine_wafer, entry) not in self._dead_terminals
 
     def _pair_options(self, src_leaf: int, dst_leaf: int) -> tuple:
-        """Alive ``(spine, up_channel, down_channel)`` triples, cached."""
+        """Alive ``(spine, up_channel, down_channel)`` triples, cached
+        (the oracle's option list, in the order :meth:`route_all` indexes)."""
         key = (src_leaf, dst_leaf)
         cached = self._options.get(key)
         if cached is None:
@@ -268,8 +299,73 @@ class DCNFabric:
 
     # -- routing --------------------------------------------------------
 
+    def route_all(self, src_hosts, dst_hosts) -> Routes:
+        """Route packet ``i`` (DCN id ``i``) from ``src_hosts[i]`` to
+        ``dst_hosts[i]``, every packet in one array pass.
+
+        Packet ``i``'s options are ``Σ_s up[s]·down[s]`` alive
+        ``(spine, up, down)`` triples, spine-major then up-major (a
+        back-to-back trunk uses ``up`` on both sides); option
+        ``_mix(i) % count`` is taken, exactly as :meth:`route` does.
+        """
+        shape = self.shape
+        H, b2b = shape.hosts_per_leaf, shape.back_to_back
+        src = np.asarray(src_hosts, dtype=np.int64)
+        dst = np.asarray(dst_hosts, dtype=np.int64)
+        src_leaf, src_local = np.divmod(src, H)
+        dst_leaf, dst_local = np.divmod(dst, H)
+        alive = np.isin(src, self.alive_hosts) & np.isin(dst, self.alive_hosts)
+
+        # Option counts per distinct leaf pair, then per packet.
+        ids = np.flatnonzero(alive & (src_leaf != dst_leaf))
+        pairs, pair = np.unique(
+            src_leaf[ids] * shape.n_leaves + dst_leaf[ids], return_inverse=True
+        )
+        pair_src, pair_dst = np.divmod(pairs, shape.n_leaves)
+        up = self.n_alive[pair_src]
+        down = np.ones_like(up) if b2b else self.n_alive[pair_dst]
+        ends = np.cumsum(up * down, axis=1)
+        count = ends[pair, -1]
+        alive[ids[count == 0]] = False
+        keep = count > 0
+        ids, pair, count = ids[keep], pair[keep], count[keep]
+        pick = (_mix_array(ids) % count.astype(np.uint64)).astype(np.int64)
+        # Spine: the first whose cumulative option count exceeds the
+        # pick, found in one search over all pair rows laid end to end.
+        stride = int(ends.max(initial=0)) + 1
+        offset = np.arange(len(pairs)) * stride
+        spine = np.searchsorted(
+            (ends + offset[:, None]).ravel(), offset[pair] + pick, side="right"
+        ) - pair * ends.shape[1]
+        a, b = pair_src[pair], pair_dst[pair]
+        n_down = down[pair, spine]
+        pick -= ends[pair, spine] - up[pair, spine] * n_down
+        up_ch = self.alive[a, spine, pick // n_down]
+        down_ch = up_ch if b2b else self.alive[b, spine, pick % n_down]
+
+        wafer, entry, exit_ = (np.full((len(src), 3), -1, np.int64) for _ in range(3))
+        hops = np.zeros(len(src), dtype=np.int64)
+        local = np.flatnonzero(alive & (src_leaf == dst_leaf))
+        wafer[local, 0], entry[local, 0] = src_leaf[local], src_local[local]
+        exit_[local, 0], hops[local] = dst_local[local], 1
+        last = 1 if b2b else 2
+        wafer[ids, 0], entry[ids, 0] = a, src_local[ids]
+        exit_[ids, 0] = H + self._gw_base[a, spine] + up_ch
+        wafer[ids, last], entry[ids, last] = b, H + self._gw_base[b, spine] + down_ch
+        exit_[ids, last], hops[ids] = dst_local[ids], last + 1
+        if not b2b:
+            wafer[ids, 1] = shape.n_leaves + spine
+            entry[ids, 1] = self._entry_base[spine, a] + up_ch
+            exit_[ids, 1] = self._entry_base[spine, b] + down_ch
+        return Routes(wafer, entry, exit_, hops)
+
     def route(self, dcn_id: int, src_host: int, dst_host: int) -> List[Segment]:
-        """Wafer-hop segments for one packet, or :class:`DCNRouteError`."""
+        """Wafer-hop segments for one packet, or :class:`DCNRouteError`.
+
+        The scalar oracle that :meth:`route_all` matches packet by packet
+        (``tests/dcn/test_route_parity.py``); the simulator itself never
+        calls it.
+        """
         shape = self.shape
         src_leaf, src_local = (
             shape.leaf_of_host(src_host), shape.local_of_host(src_host)

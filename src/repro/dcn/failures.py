@@ -83,13 +83,7 @@ def sample_failures(shape, config: FailureConfig) -> DCNFailures:
     dead_sscs: List[Tuple[int, int]] = []
     dead_terminals: List[Tuple[int, int]] = []
     for wafer in range(shape.n_wafers):
-        is_spine = wafer >= shape.n_leaves
-        radix = (
-            (shape.spine_ssc_radix or shape.ssc_radix)
-            if is_spine
-            else shape.ssc_radix
-        )
-        per_ssc = radix // 2
+        per_ssc = shape.ssc_radix_of(wafer) // 2
         for ssc in range(shape.wafer_terminals // per_ssc):
             if rng.random() < ssc_fail:
                 dead_sscs.append((wafer, ssc))

@@ -50,18 +50,19 @@ determinism tests in ``tests/dcn/test_flow.py`` pin this.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro import cas
 from repro.fingerprint import source_fingerprint, transitive_modules
 from repro.netsim.network import waferscale_clos_network
-from repro.netsim.partition import Event, calibration_probe
+from repro.netsim.partition import Event, calibration_probe, extend_schedule
 
 #: Offered loads (flits/terminal/cycle) probed for the latency curve.
 PROBE_LOADS: Tuple[float, ...] = (0.02, 0.1, 0.2, 0.35)
@@ -111,25 +112,15 @@ class ServiceCurve:
         return lats[-1]
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "wafer_terminals": self.wafer_terminals,
-            "ssc_radix": self.ssc_radix,
-            "loads": list(self.loads),
-            "latencies": list(self.latencies),
-            "capacity_flits_per_cycle": self.capacity_flits_per_cycle,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "ServiceCurve":
-        return cls(
-            wafer_terminals=int(payload["wafer_terminals"]),
-            ssc_radix=int(payload["ssc_radix"]),
-            loads=tuple(float(x) for x in payload["loads"]),
-            latencies=tuple(float(x) for x in payload["latencies"]),
-            capacity_flits_per_cycle=float(
-                payload["capacity_flits_per_cycle"]
-            ),
-        )
+        return cls(**dict(
+            payload,
+            loads=tuple(payload["loads"]),
+            latencies=tuple(payload["latencies"]),
+        ))
 
 
 # ----------------------------------------------------------------------
@@ -189,40 +180,29 @@ def calibrate_wafer(
         if cached is not None:
             return cached  # a corrupt entry is a miss: recalibrate
 
-    def build():
-        return waferscale_clos_network(
-            wafer_terminals,
-            ssc_radix,
-            num_vcs=num_vcs,
-            buffer_flits_per_port=buffer_flits,
-        )
-
-    latencies = []
-    for load in PROBE_LOADS:
-        probe = calibration_probe(
-            build(),
+    probes = [
+        calibration_probe(
+            waferscale_clos_network(
+                wafer_terminals,
+                ssc_radix,
+                num_vcs=num_vcs,
+                buffer_flits_per_port=buffer_flits,
+            ),
             load,
             PROBE_CYCLES,
             seed=PROBE_SEED,
             size_flits=size_flits,
             engine=engine,
         )
-        latencies.append(max(1.0, probe["mean_latency"]))
-    saturation = calibration_probe(
-        build(),
-        SATURATION_LOAD,
-        PROBE_CYCLES,
-        seed=PROBE_SEED,
-        size_flits=size_flits,
-        engine=engine,
-    )
+        for load in PROBE_LOADS + (SATURATION_LOAD,)
+    ]
     curve = ServiceCurve(
         wafer_terminals=wafer_terminals,
         ssc_radix=ssc_radix,
         loads=PROBE_LOADS,
-        latencies=tuple(latencies),
+        latencies=tuple(max(1.0, p["mean_latency"]) for p in probes[:-1]),
         capacity_flits_per_cycle=max(
-            1.0, saturation["delivered_flits_per_cycle"]
+            1.0, probes[-1]["delivered_flits_per_cycle"]
         ),
     )
     if cache:
@@ -234,31 +214,24 @@ def curves_for_shape(
     shape, engine: str = "auto", cache: bool = True, cache_root=None
 ) -> Dict[str, ServiceCurve]:
     """Leaf and (if distinct) spine service curves for a DCN shape."""
-    curves = {
-        "leaf": calibrate_wafer(
+
+    def curve(radix: int) -> ServiceCurve:
+        return calibrate_wafer(
             shape.wafer_terminals,
-            shape.ssc_radix,
+            radix,
             num_vcs=shape.num_vcs,
             buffer_flits=shape.buffer_flits,
             engine=engine,
             cache=cache,
             cache_root=cache_root,
         )
-    }
+
+    leaf = curve(shape.ssc_radix)
     spine_radix = shape.spine_ssc_radix or shape.ssc_radix
-    if spine_radix == shape.ssc_radix:
-        curves["spine"] = curves["leaf"]
-    else:
-        curves["spine"] = calibrate_wafer(
-            shape.wafer_terminals,
-            spine_radix,
-            num_vcs=shape.num_vcs,
-            buffer_flits=shape.buffer_flits,
-            engine=engine,
-            cache=cache,
-            cache_root=cache_root,
-        )
-    return curves
+    return {
+        "leaf": leaf,
+        "spine": leaf if spine_radix == shape.ssc_radix else curve(spine_radix),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -295,24 +268,9 @@ class FlowWaferNode:
         self.delivered_flits = 0
         self.delivered_packets = 0
 
-    @property
-    def inflight_flits(self) -> int:
-        return self._inflight_flits
-
     def enqueue(self, events: List[Event]) -> None:
         """Same contract as ``WaferPartition.enqueue``."""
-        if not events:
-            return
-        if events[0][0] < self.cycle:
-            raise ValueError(
-                f"event {events[0]} scheduled before cycle {self.cycle}"
-            )
-        for earlier, later in zip(events, events[1:]):
-            if later < earlier:
-                raise ValueError(f"events not sorted at {later}")
-        if self._sched and events[0] < self._sched[-1]:
-            raise ValueError("events overlap previously enqueued schedule")
-        self._sched.extend(events)
+        extend_schedule(self._sched, self.cycle, events)
 
     def advance(self, to_cycle: int):
         """Model every event scheduled before ``to_cycle``; harvest.
@@ -358,23 +316,15 @@ class FlowWaferNode:
         return (*self._harvest(to_cycle), self.counters())
 
     def _harvest(self, to_cycle: int):
-        terms: List[int] = []
-        tags: List[int] = []
-        arrives: List[int] = []
-        inflight = self._inflight
-        while inflight and inflight[0][0] < to_cycle:
-            arrive, term, tag, size = heappop(inflight)
-            arrives.append(arrive)
-            terms.append(term)
-            tags.append(tag)
-            self._inflight_flits -= size
-            self.delivered_flits += size
-            self.delivered_packets += 1
-        return (
-            np.asarray(terms, dtype=np.int64),
-            np.asarray(tags, dtype=np.int64),
-            np.asarray(arrives, dtype=np.int64),
-        )
+        done = []
+        while self._inflight and self._inflight[0][0] < to_cycle:
+            done.append(heappop(self._inflight))
+        flits = sum(size for *_, size in done)
+        self._inflight_flits -= flits
+        self.delivered_flits += flits
+        self.delivered_packets += len(done)
+        bundle = np.array(done, dtype=np.int64).reshape(-1, 4)
+        return bundle[:, 1], bundle[:, 2], bundle[:, 0]
 
     def counters(self) -> Dict[str, int]:
         return {

@@ -31,12 +31,12 @@ counts, per-wafer counters) against the default epoching.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from dataclasses import dataclass, field, fields
+from heapq import heapify, heappop, heappush
 from typing import Dict, List, Optional, Tuple
 
 from repro.dcn import traffic as dcn_traffic
-from repro.dcn.fabric import DCNFabric, DCNRouteError, DCNShape
+from repro.dcn.fabric import DCNFabric, DCNShape
 from repro.dcn.failures import DCNFailures, FailureConfig, sample_failures
 from repro.dcn.flow import FlowWaferNode, curves_for_shape
 from repro.netsim.partition import WaferPartition
@@ -83,14 +83,10 @@ class DCNConfig:
                 f"(got {self.fidelity!r})"
             )
         wafers = tuple(sorted(set(int(w) for w in self.cycle_wafers)))
-        if self.fidelity != "hybrid":
-            if wafers:
-                raise ValueError(
-                    "cycle_wafers only applies to fidelity='hybrid'"
-                )
-        else:
-            if not wafers:
-                wafers = (0,)
+        if wafers and self.fidelity != "hybrid":
+            raise ValueError("cycle_wafers only applies to fidelity='hybrid'")
+        if self.fidelity == "hybrid":
+            wafers = wafers or (0,)
             if wafers[0] < 0 or wafers[-1] >= self.shape.n_wafers:
                 raise ValueError(
                     f"cycle_wafers {wafers} out of range "
@@ -139,6 +135,7 @@ class DCNResult:
     flits_offered: int
     flits_delivered: int
     truncated: bool
+    #: Wall time of planning (failures, traffic, routes, curves) + epochs.
     wall_seconds: float
     dead_sscs: int
     dead_links: int
@@ -172,15 +169,9 @@ class DCNResult:
 
     def to_dict(self) -> Dict[str, object]:
         summary = {
-            name: getattr(self, name)
-            for name in (
-                "engine", "fidelity", "n_wafers",
-                "cycle_accurate_wafers", "epochs", "epoch_cycles",
-                "cycles", "makespan", "packets_created", "packets_routed",
-                "packets_dropped_unroutable", "packets_delivered",
-                "flits_offered", "flits_delivered", "truncated",
-                "wall_seconds", "dead_sscs", "dead_links",
-            )
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name not in ("latencies", "per_wafer")
         }
         summary["latency"] = self.latency_stats()
         summary["latency_sum"] = sum(l for l in self.latencies if l >= 0)
@@ -203,9 +194,7 @@ class _Plan:
     def __init__(self, config: DCNConfig):
         self.config = config
         self.failures: Optional[DCNFailures] = (
-            sample_failures(config.shape, config.failures)
-            if config.failures is not None
-            else None
+            config.failures and sample_failures(config.shape, config.failures)
         )
         self.fabric = DCNFabric(config.shape, self.failures)
         self.events = dcn_traffic.generate(
@@ -216,14 +205,11 @@ class _Plan:
             load=config.load,
             size_flits=config.size_flits,
         )
-        self.routes = []
-        self.dropped = 0
-        for dcn_id, (cycle, src, dst, size) in enumerate(self.events):
-            try:
-                self.routes.append(self.fabric.route(dcn_id, src, dst))
-            except DCNRouteError:
-                self.routes.append(None)
-                self.dropped += 1
+        self.routes = self.fabric.route_all(
+            [event[1] for event in self.events],
+            [event[2] for event in self.events],
+        )
+        self.dropped = int((self.routes.hops == 0).sum())
         self.cycle_set = config.cycle_accurate_wafers()
         #: Calibrated service curves (leaf/spine), only when some
         #: wafer actually runs flow-level.
@@ -259,39 +245,35 @@ def _run_epochs(plan: _Plan) -> DCNResult:
 
     #: per-wafer min-heap of pending injections (partition Event tuples)
     pending: List[list] = [[] for _ in range(n_wafers)]
-    hop: Dict[int, int] = {}
-    latencies = [-1] * len(plan.events)
-    for dcn_id, route in enumerate(plan.routes):
-        if route is None:
-            continue
-        create = plan.events[dcn_id][0]
-        size = plan.events[dcn_id][3]
-        first = route[0]
-        hop[dcn_id] = 0
-        heappush(
-            pending[first.wafer],
-            (create, first.entry, first.exit, size, dcn_id),
-        )
+    routes = plan.routes
+    hops = routes.hops.tolist()
+    wafers, entries, exits = (
+        routes.wafer.tolist(), routes.entry.tolist(), routes.exit.tolist()
+    )
+    # hop[i]: index of the wafer hop packet i is on now.
+    hop = [0] * len(hops)
+    latencies = [-1] * len(hops)
+    for dcn_id, event in enumerate(plan.events):
+        if hops[dcn_id]:
+            pending[wafers[dcn_id][0]].append(
+                (event[0], entries[dcn_id][0], exits[dcn_id][0], event[3], dcn_id)
+            )
+    for heap in pending:
+        heapify(heap)
 
-    inflight = [0] * n_wafers
-    counters: List[Dict[str, int]] = [
-        {
-            "inflight": 0, "offered_flits": 0, "offered_packets": 0,
-            "delivered_flits": 0, "delivered_packets": 0,
-        }
-        for _ in range(n_wafers)
-    ]
+    counters: List[Dict[str, int]] = [node.counters() for node in nodes]
     epoch = 0
     makespan = 0
     truncated = False
-    while any(pending) or any(inflight):
+    while any(pending) or any(c["inflight"] for c in counters):
         start = epoch * epoch_cycles
         end = start + epoch_cycles
         if end > config.cycle_bound:
             truncated = True
             break
-        batches: Dict[int, list] = {}
-        for wafer in range(n_wafers):
+        # Every injection made this epoch lands at or after `end` (the
+        # lookahead), so wafers can step one after another.
+        for wafer, node in enumerate(nodes):
             heap = pending[wafer]
             events = []
             while heap and heap[0][0] < end:
@@ -304,36 +286,30 @@ def _run_epochs(plan: _Plan) -> DCNResult:
                 events.append(event)
             # Idle partitions (nothing queued, nothing in flight) are
             # skipped entirely: their epoch would change nothing.
-            if events or inflight[wafer]:
-                batches[wafer] = events
-        for wafer, events in batches.items():
-            node = nodes[wafer]
+            if not events and not counters[wafer]["inflight"]:
+                continue
             node.enqueue(events)
-            terms, tags, arrives, wafer_counters = node.advance(end)
-            inflight[wafer] = wafer_counters["inflight"]
-            counters[wafer] = wafer_counters
+            terms, tags, arrives, counters[wafer] = node.advance(end)
             for term, dcn_id, arrive in zip(
                 terms.tolist(), tags.tolist(), arrives.tolist()
             ):
-                route = plan.routes[dcn_id]
                 index = hop[dcn_id]
-                segment = route[index]
-                if term != segment.exit:
+                if term != exits[dcn_id][index]:
                     raise AssertionError(
                         f"packet {dcn_id} delivered at {term}, "
-                        f"expected {segment.exit}"
+                        f"expected {exits[dcn_id][index]}"
                     )
-                if index == len(route) - 1:
+                index += 1
+                if index == hops[dcn_id]:
                     latencies[dcn_id] = arrive - plan.events[dcn_id][0]
                     if arrive > makespan:
                         makespan = arrive
                     continue
-                hop[dcn_id] = index + 1
-                nxt = route[index + 1]
-                size = plan.events[dcn_id][3]
+                hop[dcn_id] = index
                 heappush(
-                    pending[nxt.wafer],
-                    (arrive + latency, nxt.entry, nxt.exit, size, dcn_id),
+                    pending[wafers[dcn_id][index]],
+                    (arrive + latency, entries[dcn_id][index],
+                     exits[dcn_id][index], plan.events[dcn_id][3], dcn_id),
                 )
         epoch += 1
 
@@ -374,8 +350,7 @@ def run_dcn(config: DCNConfig, executor: str = "auto") -> DCNResult:
         raise ValueError(
             f"executor must be 'auto' or 'serial' (got {executor!r})"
         )
-    plan = _Plan(config)
     started = time.perf_counter()
-    result = _run_epochs(plan)
+    result = _run_epochs(_Plan(config))
     result.wall_seconds = round(time.perf_counter() - started, 6)
     return result

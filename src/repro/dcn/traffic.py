@@ -98,61 +98,46 @@ def _uniform(hosts, duration, rng, load, size_flits):
     return events
 
 
-def _alltoall(hosts, duration, rng, load, size_flits):
-    # One full exchange is n-1 rounds; `load` sets the duty cycle via
-    # the inter-round interval (a round per 1/load cycles, min 1).
+def _waves(hosts, duration, interval, size_flits, dst_of):
+    """One round every ``interval`` cycles: in round ``r`` host ``i``
+    sends to ``hosts[dst_of(r, i)]`` (none when that is ``i``),
+    staggered to cycle ``start + i % interval`` so a round is a wave,
+    not a single-cycle wall (as the fm16 system scenario does)."""
     events = []
+    for r, start in enumerate(range(0, duration, interval)):
+        for i, src in enumerate(hosts):
+            j, cycle = dst_of(r, i), start + i % interval
+            if j != i and cycle < duration:
+                events.append((cycle, src, hosts[j], size_flits))
+    return events
+
+
+def _alltoall(hosts, duration, rng, load, size_flits):
+    # One full exchange is n-1 rounds, round r shifting by r+1; `load`
+    # sets the duty cycle via the inter-round interval (a round per
+    # 1/load cycles, min 1).
     n = len(hosts)
     interval = max(1, int(round(1.0 / max(load, 1e-9))))
-    round_index = 0
-    for start in range(0, duration, interval):
-        shift = 1 + round_index % (n - 1)
-        for i, src in enumerate(hosts):
-            # Stagger intra-round starts to avoid a single-cycle burst
-            # wall, as the fm16 system scenario does.
-            cycle = start + i % interval
-            if cycle >= duration:
-                continue
-            events.append((cycle, src, hosts[(i + shift) % n], size_flits))
-        round_index += 1
-    return events
+    return _waves(
+        hosts, duration, interval, size_flits,
+        lambda r, i: (i + 1 + r % (n - 1)) % n,
+    )
 
 
 def _incast(hosts, duration, rng, load, size_flits):
-    events = []
+    # Round r: every other host sends to victim r (rotating).
     n = len(hosts)
     interval = max(1, int(round(n / max(load * n, 1e-9))))
-    round_index = 0
-    for start in range(0, duration, interval):
-        victim = round_index % n
-        for i, src in enumerate(hosts):
-            if i == victim:
-                continue
-            cycle = start + i % interval
-            if cycle >= duration:
-                continue
-            events.append((cycle, src, hosts[victim], size_flits))
-        round_index += 1
-    return events
+    return _waves(hosts, duration, interval, size_flits, lambda r, i: r % n)
 
 
 def _dp_allreduce(hosts, duration, rng, load, size_flits):
     # Ring all-reduce: reduce-scatter + all-gather is 2(n-1) steps; in
     # step s every host i sends one chunk to its ring successor.
-    # `load` paces the steps (one per 1/load cycles, min 1), and
-    # intra-step sends are staggered as in the collective patterns
-    # above so a step is a wave, not a single-cycle wall.
-    del rng
-    events = []
+    # `load` paces the steps (one per 1/load cycles, min 1).
     n = len(hosts)
     interval = max(1, int(round(1.0 / max(load, 1e-9))))
-    for start in range(0, duration, interval):
-        for i, src in enumerate(hosts):
-            cycle = start + i % interval
-            if cycle >= duration:
-                continue
-            events.append((cycle, src, hosts[(i + 1) % n], size_flits))
-    return events
+    return _waves(hosts, duration, interval, size_flits, lambda r, i: (i + 1) % n)
 
 
 def _pp_stages(hosts, duration, rng, load, size_flits):

@@ -54,6 +54,22 @@ from repro.netsim.packet import Packet
 Event = Tuple[int, int, int, int, int]
 
 
+def extend_schedule(sched: deque, cycle: int, events: List[Event]) -> None:
+    """Append ``events`` to an epoch driver's schedule ``sched``, after
+    checking they are sorted and neither before ``cycle`` nor before
+    anything already scheduled."""
+    if not events:
+        return
+    if events[0][0] < cycle:
+        raise ValueError(f"event {events[0]} scheduled before cycle {cycle}")
+    for earlier, later in zip(events, events[1:]):
+        if later < earlier:
+            raise ValueError(f"events not sorted at {later}")
+    if sched and events[0] < sched[-1]:
+        raise ValueError("events overlap previously enqueued schedule")
+    sched.extend(events)
+
+
 class WaferPartition:
     """One wafer's network, steppable in externally bounded epochs."""
 
@@ -89,18 +105,7 @@ class WaferPartition:
         partition's past — the epoch barrier guarantees both, and the
         determinism of the local packet-id sequence depends on it.
         """
-        if not events:
-            return
-        if events[0][0] < self.cycle:
-            raise ValueError(
-                f"event {events[0]} scheduled before cycle {self.cycle}"
-            )
-        for earlier, later in zip(events, events[1:]):
-            if later < earlier:
-                raise ValueError(f"events not sorted at {later}")
-        if self._sched and events[0] < self._sched[-1]:
-            raise ValueError("events overlap previously enqueued schedule")
-        self._sched.extend(events)
+        extend_schedule(self._sched, self.cycle, events)
 
     def advance(self, to_cycle: int):
         """Run to ``to_cycle``; return the epoch's delivery bundle.

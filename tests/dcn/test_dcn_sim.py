@@ -92,6 +92,21 @@ def test_failed_link_run_conserves_flits():
     assert again.parity_signature() == result.parity_signature()
 
 
+def test_wall_seconds_covers_planning(monkeypatch):
+    import time
+
+    from repro.dcn import sim
+
+    plan_init = sim._Plan.__init__
+
+    def slow_plan(self, config):
+        time.sleep(0.3)
+        plan_init(self, config)
+
+    monkeypatch.setattr(sim._Plan, "__init__", slow_plan)
+    assert run_dcn(GOLDEN).wall_seconds >= 0.3
+
+
 def test_bad_lookahead_rejected():
     import dataclasses
 

@@ -105,17 +105,27 @@ def test_dead_host_is_unroutable():
 def test_dead_channels_restrict_options():
     shape = DCNShape(n_hosts=32, wafer_radix=16, ssc_radix=8)
     clean = DCNFabric(shape)
-    all_options = clean._pair_options(0, 1)
-    # Kill every channel from leaf 0 to spine 0.
-    links = [(0, 0, c) for c in range(clean.channels[0][0])]
+    assert clean.n_alive.tolist() == clean.channels
+    assert clean.alive[0, 0].tolist() == list(range(clean.channels[0][0]))
+    # Kill every channel from leaf 0 to spine 0, and channel 1 of leaf 3.
+    links = [(0, 0, c) for c in range(clean.channels[0][0])] + [(3, 1, 1)]
     fabric = DCNFabric(shape, _failures(links=links))
-    remaining = fabric._pair_options(0, 1)
-    assert remaining
-    assert len(remaining) < len(all_options)
-    assert all(spine != 0 for spine, _, _ in remaining)
+    assert fabric.n_alive[0].tolist() == [0, clean.channels[0][1]]
+    assert fabric.alive[0, 0].tolist() == [-1] * clean.channels[0][0]
+    assert fabric.alive[3, 1].tolist() == [0, 2, 3, -1]
+    # A dead gateway terminal kills its channel from the leaf's side.
+    gateway = shape.hosts_per_leaf + clean.leaf_gw_base[2][1] + 2
+    assert DCNFabric(shape, _failures(terminals=[(2, gateway)])).alive[
+        2, 1
+    ].tolist() == [0, 1, 3, -1]
+    routes = fabric.route_all([0] * 64, [31] * 64)
+    assert (routes.wafer[:, 1] == shape.n_leaves + 1).all()  # never spine 0
+    down = routes.entry[:, 2] - shape.hosts_per_leaf - clean.leaf_gw_base[3][1]
+    assert set(down.tolist()) == {0, 2, 3}
     # Kill the other spine's uplinks too: leaf 0 is fully cut off.
     links += [(0, 1, c) for c in range(clean.channels[0][1])]
     cut = DCNFabric(shape, _failures(links=links))
+    assert cut.route_all([0, 8], [31, 31]).hops.tolist() == [0, 3]
     with pytest.raises(DCNRouteError):
         cut.route(0, 0, 31)
 

@@ -83,7 +83,11 @@ def test_back_to_back_trunk_failures_keyed_from_leaf_zero():
     # A dead trunk channel is unusable from both directions.
     fabric = DCNFabric(shape, sample)
     dead_channels = {c for _, _, c in sample.dead_links}
-    for direction in ((0, 1), (1, 0)):
-        for _, up, down in fabric._pair_options(*direction):
-            assert up == down
-            assert up not in dead_channels
+    alive = [fabric.alive[leaf, 0, : fabric.n_alive[leaf, 0]].tolist() for leaf in (0, 1)]
+    assert alive[0] == alive[1]
+    assert not dead_channels & set(alive[0])
+    H = shape.hosts_per_leaf
+    routes = fabric.route_all(range(16), [15 - h for h in range(16)])
+    assert (routes.hops == 2).all()
+    assert (routes.exit[:, 0] == routes.entry[:, 1]).all()
+    assert not dead_channels & set((routes.exit[:, 0] - H).tolist())

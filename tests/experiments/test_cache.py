@@ -136,3 +136,39 @@ def test_entry_names_are_human_readable(tmp_path):
     cache = ResultCache(tmp_path)
     path = cache.store("fig01", fast=True, result=_toy_result())
     assert path.name.startswith("fig01-fast-")
+
+
+def test_function_local_import_is_fingerprinted(tmp_path, monkeypatch):
+    """``repro.api`` imports ``repro.dcn.sim`` only inside
+    ``_execute_dcn``; the closure must still hold it, and an edit to it
+    must still change the closure's fingerprint."""
+    import ast
+    import inspect
+
+    from repro import api
+
+    top_level = [
+        node.module
+        for node in ast.parse(inspect.getsource(api)).body
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("repro")
+    ]
+    assert top_level
+    assert not any(
+        "repro.dcn.sim" in transitive_modules(module) for module in top_level
+    ), "repro.dcn.sim must be reachable only through the local import"
+    closure = transitive_modules("repro.api")
+    assert "repro.dcn.sim" in closure
+
+    # Fingerprint an editable copy in place of the real source.
+    copy = tmp_path / "sim.py"
+    copy.write_bytes(fingerprint.module_source_path("repro.dcn.sim").read_bytes())
+    real_path = fingerprint.module_source_path
+    monkeypatch.setattr(
+        fingerprint,
+        "module_source_path",
+        lambda name: copy if name == "repro.dcn.sim" else real_path(name),
+    )
+    before = source_fingerprint(closure)
+    assert before == source_fingerprint(closure)
+    copy.write_text(copy.read_text() + "\n# edited\n")
+    assert source_fingerprint(closure) != before
