@@ -36,7 +36,6 @@ import tempfile
 import time
 
 from repro.core.design import cached_mapping, clear_mapping_cache
-from repro.engines import SCALAR_MAPPING_ENV
 from repro.mapping.exchange import optimize_mapping
 from repro.mapping.grid import WaferGrid, grid_for
 from repro.mapping.routing import IOStyle
@@ -55,20 +54,13 @@ MIN_KERNEL_SPEEDUP = 100.0
 KERNEL_REPEATS = 5
 
 
-def _time_optimize(topology, grid, scalar: bool, restarts: int, jobs: int = 1):
-    previous = os.environ.get(SCALAR_MAPPING_ENV)
-    os.environ[SCALAR_MAPPING_ENV] = "1" if scalar else "0"
-    try:
-        start = time.perf_counter()
-        result = optimize_mapping(
-            topology, grid=grid, restarts=restarts, seed=0, jobs=jobs
-        )
-        return time.perf_counter() - start, result
-    finally:
-        if previous is None:
-            os.environ.pop(SCALAR_MAPPING_ENV, None)
-        else:
-            os.environ[SCALAR_MAPPING_ENV] = previous
+def _time_optimize(topology, grid, engine: str, restarts: int, jobs: int = 1):
+    start = time.perf_counter()
+    result = optimize_mapping(
+        topology, grid=grid, restarts=restarts, seed=0, jobs=jobs,
+        engine=engine,
+    )
+    return time.perf_counter() - start, result
 
 
 def _store_timings(topology) -> dict:
@@ -108,10 +100,10 @@ def run_bench(n_ports: int = 4096, restarts: int = 2) -> dict:
     cores = effective_cpu_count()
 
     scalar_s, scalar_result = _time_optimize(
-        topology, grid, scalar=True, restarts=restarts
+        topology, grid, engine="scalar", restarts=restarts
     )
     kernel_runs = [
-        _time_optimize(topology, grid, scalar=False, restarts=restarts)
+        _time_optimize(topology, grid, engine="fast", restarts=restarts)
         for _ in range(KERNEL_REPEATS)
     ]
     kernel_s = min(seconds for seconds, _ in kernel_runs)
@@ -126,17 +118,17 @@ def run_bench(n_ports: int = 4096, restarts: int = 2) -> dict:
     )
 
     if cores > 1:  # spawn the warm pool outside the timed runs
-        _time_optimize(topology, grid, scalar=False, restarts=2, jobs=4)
+        _time_optimize(topology, grid, engine="fast", restarts=2, jobs=4)
     scaling = {}
     for n_restarts in (1, 2, 4, 8):
         serial_s, _ = _time_optimize(
-            topology, grid, scalar=False, restarts=n_restarts
+            topology, grid, engine="fast", restarts=n_restarts
         )
         entry = {"serial_seconds": round(serial_s, 4)}
         line = f"restarts={n_restarts}: serial {serial_s:7.4f}s"
         if cores > 1:
             parallel_s, _ = _time_optimize(
-                topology, grid, scalar=False, restarts=n_restarts, jobs=4
+                topology, grid, engine="fast", restarts=n_restarts, jobs=4
             )
             entry["jobs4_seconds"] = round(parallel_s, 4)
             entry["effective_cores"] = cores

@@ -82,11 +82,12 @@ def _bernoulli(factory, load, warmup, measure):
         network = factory()
         pattern = make_pattern("uniform", network.n_terminals)
         sim = Simulator(network, pattern, load, packet_size_flits=4, seed=7)
-        return network, lambda telemetry: sim.run(
+        return network, lambda telemetry, engine: sim.run(
             warmup_cycles=warmup,
             measure_cycles=measure,
             drain_cycles=1000,
             telemetry=telemetry,
+            engine=engine,
         )
 
     return prepare
@@ -104,15 +105,16 @@ def _replay(factory, trace, iterations, max_cycles):
             seed=21,
         )
         events = synthetic_nersc_trace(trace, spec)
-        return network, lambda telemetry: replay_trace(
-            network, events, max_cycles=max_cycles, telemetry=telemetry
+        return network, lambda telemetry, engine: replay_trace(
+            network, events, max_cycles=max_cycles, telemetry=telemetry,
+            engine=engine,
         )
 
     return prepare
 
 
-#: name -> prepare() returning (network, run(telemetry) -> RunStats);
-#: only ``run`` is timed.
+#: name -> prepare() returning (network, run(telemetry, engine) ->
+#: RunStats); only ``run`` is timed.
 WORKLOADS = {
     "mesh_8x8_uniform": _bernoulli(_mesh_8x8, 0.30, 200, 1200),
     "clos_256_uniform": _bernoulli(_clos_256, 0.30, 200, 800),
@@ -123,18 +125,21 @@ WORKLOADS = {
 }
 
 
-def run_workload(name: str, repeats: int = 1, telemetry_factory=None) -> dict:
+def run_workload(
+    name: str, repeats: int = 1, telemetry_factory=None, engine: str = "auto"
+) -> dict:
     """Time one workload; report the best of ``repeats`` runs.
 
     ``telemetry_factory`` (e.g. ``lambda: Telemetry()``) attaches a
     fresh telemetry sink per run — used by the on/off overhead section.
+    ``engine`` is the netsim engine name (see :mod:`repro.engines`).
     """
     best = None
     for _ in range(repeats):
         network, run = WORKLOADS[name]()
         telemetry = telemetry_factory() if telemetry_factory else None
         start = time.perf_counter()
-        stats = run(telemetry)
+        stats = run(telemetry, engine)
         elapsed = time.perf_counter() - start
         flits_moved = sum(r.flits_forwarded for r in network.routers)
         result = {
@@ -201,38 +206,23 @@ def telemetry_overhead(name: str = "mesh_8x8_uniform", repeats: int = 3) -> dict
 def engine_speedup(vectorized: dict, repeats: int = 1) -> dict:
     """Vectorized-engine speedup over the scalar oracle, per workload.
 
-    Re-runs every workload with ``REPRO_SCALAR_NETSIM=1`` (the object
+    Re-runs every workload with ``engine="scalar"`` (the object
     simulator that the differential harness holds the vectorized core
     to bit parity with) and divides the vectorized cycles/sec from the
     same report. The scalar runs are slow — this is the section that
     prices exactly how slow.
     """
-    import os
-
-    from repro.engines import SCALAR_NETSIM_ENV
-
     section = {}
-    previous = os.environ.get(SCALAR_NETSIM_ENV)
-    os.environ[SCALAR_NETSIM_ENV] = "1"
-    try:
-        for name in WORKLOADS:
-            scalar = run_workload(name, repeats)
-            section[name] = {
-                "scalar_cycles_per_sec": scalar["cycles_per_sec"],
-                "vectorized_cycles_per_sec": vectorized[name][
-                    "cycles_per_sec"
-                ],
-                "speedup": round(
-                    vectorized[name]["cycles_per_sec"]
-                    / scalar["cycles_per_sec"],
-                    2,
-                ),
-            }
-    finally:
-        if previous is None:
-            del os.environ[SCALAR_NETSIM_ENV]
-        else:
-            os.environ[SCALAR_NETSIM_ENV] = previous
+    for name in WORKLOADS:
+        scalar = run_workload(name, repeats, engine="scalar")
+        section[name] = {
+            "scalar_cycles_per_sec": scalar["cycles_per_sec"],
+            "vectorized_cycles_per_sec": vectorized[name]["cycles_per_sec"],
+            "speedup": round(
+                vectorized[name]["cycles_per_sec"] / scalar["cycles_per_sec"],
+                2,
+            ),
+        }
     return section
 
 

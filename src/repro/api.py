@@ -15,15 +15,16 @@ through three frozen query dataclasses:
 
 Each query round-trips through ``to_dict``/``from_dict`` (the wire
 format of the :mod:`repro.serve` server) and has a deterministic
-content key (:func:`query_key`) covering the query fields, the engine
-selection **and** a transitive source fingerprint of this module — so
-a cached response can never outlive an edit to any code that produced
-it.
+content key (:func:`query_key`) covering the query fields, the netsim
+engine selection **and** a transitive source fingerprint of this
+module — so a cached response can never outlive an edit to any code
+that produced it.
 
 Engine and cache selection is *explicit*: :func:`execute` takes
-``engine=`` (netsim kernel), ``mapping_engine=`` and ``cache=``
-keywords instead of requiring callers to set ``REPRO_SCALAR_NETSIM`` /
-``REPRO_SCALAR_MAPPING`` environment variables (those remain as CI overrides — see :mod:`repro.engines`).
+``engine=`` (the netsim kernel of simulate and dcn queries, see
+:mod:`repro.engines`) and ``cache=`` keywords, and nothing else picks
+them. Design queries always run the default mapping kernel; the
+response envelope names the netsim engine that actually ran.
 
 >>> query = query_from_dict({"kind": "design", "substrate_mm": 100.0})
 >>> query.substrate_mm, query.family
@@ -40,11 +41,11 @@ from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro import cas
-from repro.engines import resolve_mapping_engine, resolve_netsim_engine
+from repro.engines import netsim_engine_tag, resolve_netsim_engine
 
 #: Schema tag/version for every facade response envelope.
 RESPONSE_SCHEMA = "repro-api-response"
-RESPONSE_SCHEMA_VERSION = 1
+RESPONSE_SCHEMA_VERSION = 2
 
 #: Schema tag/version for serialized queries.
 QUERY_SCHEMA = "repro-api-query"
@@ -250,18 +251,24 @@ def _api_fingerprint() -> str:
     return source_fingerprint(transitive_modules("repro.api"))
 
 
-def query_key(
-    query: Query, engine: str = "auto", mapping_engine: str = "auto"
-) -> str:
+def _query_engine(query: Query, engine: str) -> str:
+    """The netsim engine ``query`` runs on, resolved: simulate and dcn
+    queries take ``engine``; design and sweep queries pass no engine
+    down, so their runs take the default."""
+    if query.kind not in (SimQuery.kind, DCNQuery.kind):
+        engine = "auto"
+    return resolve_netsim_engine(engine)
+
+
+def query_key(query: Query, engine: str = "auto") -> str:
     """Deterministic content key for coalescing and response caching.
 
     Two requests share a key iff they would compute the same thing:
-    same query fields, same *resolved* engines, same source tree.
+    same query fields, same *resolved* engine, same source tree.
     """
     descriptor = {
         "query": query.to_dict(),
-        "engine": resolve_netsim_engine(engine),
-        "mapping_engine": resolve_mapping_engine(mapping_engine),
+        "engine": _query_engine(query, engine),
     }
     return cas.key(RESPONSE_SCHEMA_VERSION, descriptor, _api_fingerprint())
 
@@ -271,23 +278,18 @@ def query_key(
 # ----------------------------------------------------------------------
 
 
-def _envelope(query: Query, engine: str, mapping_engine: str) -> Dict[str, Any]:
+def _envelope(query: Query, engine: str) -> Dict[str, Any]:
     return {
         "schema": RESPONSE_SCHEMA,
         "version": RESPONSE_SCHEMA_VERSION,
         "kind": query.kind,
-        "key": query_key(query, engine, mapping_engine),
+        "key": query_key(query, engine),
         "query": query.to_dict(),
-        "engines": {
-            "netsim": resolve_netsim_engine(engine),
-            "mapping": resolve_mapping_engine(mapping_engine),
-        },
+        "engines": {"netsim": netsim_engine_tag(_query_engine(query, engine))},
     }
 
 
-def _execute_design(
-    query: DesignQuery, engine: str, mapping_engine: str
-) -> Dict[str, Any]:
+def _execute_design(query: DesignQuery) -> Dict[str, Any]:
     from repro.core.explorer import TOPOLOGY_FAMILIES, max_feasible_design
     from repro.core.hetero import apply_heterogeneity
     from repro.tech.external_io import EXTERNAL_IO_TECHNOLOGIES
@@ -512,18 +514,19 @@ def _execute_dcn(query: DCNQuery, engine: str) -> Dict[str, Any]:
 def execute(
     query: Query,
     engine: str = "auto",
-    mapping_engine: str = "auto",
     cache: Any = "default",
     on_telemetry: Optional[TelemetryCallback] = None,
 ) -> Dict[str, Any]:
     """Execute one query and return its JSON-serializable response.
 
-    ``engine`` / ``mapping_engine`` pick the simulation and mapping
-    kernels explicitly (:mod:`repro.engines` names; resolved once
-    here). ``cache`` applies to sweep queries: ``"default"`` uses the
-    result cache at :func:`repro.cas.cache_root`, ``None`` disables
-    it, any :class:`~repro.experiments.cache.ResultCache` instance is
-    used as-is, and a path is taken as the cache root. ``on_telemetry``
+    ``engine`` picks the netsim kernel of simulate and dcn queries
+    explicitly (a :data:`repro.engines.NETSIM_ENGINES` name, resolved
+    once here); the envelope's ``engines.netsim`` names the one that
+    ran, ``"scalar"`` where the host has no C kernel. ``cache``
+    applies to sweep queries: ``"default"`` uses the result cache at
+    :func:`repro.cas.cache_root`, ``None`` disables it, any
+    :class:`~repro.experiments.cache.ResultCache` instance is used
+    as-is, and a path is taken as the cache root. ``on_telemetry``
     streams per-load telemetry reports of a ``telemetry=True``
     :class:`SimQuery` as they are produced.
 
@@ -531,10 +534,9 @@ def execute(
     exception is a genuine execution failure.
     """
     engine = resolve_netsim_engine(engine)
-    mapping_engine = resolve_mapping_engine(mapping_engine)
-    response = _envelope(query, engine, mapping_engine)
+    response = _envelope(query, engine)
     if isinstance(query, DesignQuery):
-        result = _execute_design(query, engine, mapping_engine)
+        result = _execute_design(query)
     elif isinstance(query, SweepQuery):
         result = _execute_sweep(query, _resolve_cache(cache))
     elif isinstance(query, SimQuery):
@@ -560,7 +562,6 @@ def _resolve_cache(cache: Any):
 def execute_payload(
     payload: Dict[str, Any],
     engine: str = "auto",
-    mapping_engine: str = "auto",
     cache: Any = "default",
     on_telemetry: Optional[TelemetryCallback] = None,
 ) -> Dict[str, Any]:
@@ -572,7 +573,6 @@ def execute_payload(
     return execute(
         query_from_dict(payload),
         engine=engine,
-        mapping_engine=mapping_engine,
         cache=cache,
         on_telemetry=on_telemetry,
     )

@@ -12,7 +12,7 @@ from repro.core.constraints import ConstraintLimits, ConstraintReport
 from repro.core.power_breakdown import PowerBreakdown, power_breakdown
 from repro.mapping.exchange import (
     MappingResult,
-    mapping_engine_tag,
+    mapping_kernel_tag,
     optimize_mapping,
 )
 from repro.mapping.grid import grid_for
@@ -50,17 +50,16 @@ def cached_mapping(
     io_style: IOStyle,
     restarts: int = 2,
     seed: int = 0,
-    mapping_engine: str = "auto",
 ) -> MappingResult:
     """Optimize (or fetch a cached) mapping for the topology.
 
     Returns a defensive copy — callers may mutate the result (e.g.
     ``swap_sites`` in a what-if sweep) without corrupting the memo or
-    the persistent store. ``mapping_engine`` picks the optimizer
-    kernel explicitly (see :mod:`repro.engines`); it is part of the
-    memo/store key, so engines never share cached placements.
+    the persistent store. The optimizer runs the default kernel;
+    its :func:`mapping_kernel_tag` is part of the memo/store key, so
+    mappings of different kernels or modes never share an entry.
     """
-    engine = mapping_engine_tag(engine=mapping_engine)
+    engine = mapping_kernel_tag()
     key = (
         topology.name, topology.chiplet_count, io_style.value,
         restarts, seed, engine,
@@ -89,7 +88,6 @@ def cached_mapping(
             io_style=io_style,
             restarts=restarts,
             seed=seed,
-            engine=mapping_engine,
         )
         record_stat("optimized")
         record_stat("optimize_seconds", time.perf_counter() - started)

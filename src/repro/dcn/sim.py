@@ -74,7 +74,8 @@ class DCNConfig:
     def __post_init__(self) -> None:
         if self.lookahead < 0 or self.lookahead > self.shape.inter_wafer_latency:
             raise ValueError(
-                "lookahead must be in [1, inter_wafer_latency] "
+                "lookahead must be in [0, inter_wafer_latency], 0 meaning "
+                "the maximum "
                 f"(got {self.lookahead}, max {self.shape.inter_wafer_latency})"
             )
         if self.fidelity not in FIDELITIES:

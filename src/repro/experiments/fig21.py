@@ -8,10 +8,10 @@ while 1-cycle on-wafer links saturate with small ones.
 
 from __future__ import annotations
 
+from repro.engines import netsim_engine_tag
 from repro.experiments.base import ExperimentResult
 from repro.experiments.common import sim_scale
 from repro.experiments.telemetry_io import telemetry_sink, write_point_telemetry
-from repro.netsim.fast_core import netsim_engine_tag
 from repro.netsim.network import clos_network
 from repro.netsim.config import RouterConfig
 from repro.netsim.sim import saturation_throughput

@@ -18,11 +18,11 @@ Two interchangeable kernels implement the sweep, both modes included:
   same passes compiled (``map_sweep`` in :mod:`repro.ckernel`),
   replaying the oracle's accepted-swap sequence exactly.
 
-:func:`optimize_mapping` dispatches to the C kernel unless
-``REPRO_SCALAR_MAPPING=1`` is set in the environment (the escape hatch
-for auditing the kernel against the oracle). A host with no C
-toolchain runs the oracle: the same mappings, only slower (some 400x
-on the largest wafer, ``kernel_speedup`` in ``BENCH_mapping.json``).
+:func:`optimize_mapping` dispatches to the C kernel unless its
+``engine="scalar"`` argument asks for the oracle (the way to audit the
+kernel against it). A host with no C toolchain runs the oracle: the
+same mappings, only slower (some 400x on the largest wafer,
+``kernel_speedup`` in ``BENCH_mapping.json``).
 Independent seeded restarts can fan across the shared warm worker pool
 (``jobs > 1``; :mod:`repro.parallel`) with deterministic best-of
 selection — the same pool lifecycle the experiment scheduler and the
@@ -59,21 +59,19 @@ MAPPING_RESULT_SCHEMA_VERSION = 1
 def use_scalar_kernel(engine: str = "auto") -> bool:
     """Whether this run resolves to the scalar mapping oracle.
 
-    ``engine`` is a :data:`repro.engines.MAPPING_ENGINES` name; the
-    ``REPRO_SCALAR_MAPPING=1`` environment switch still overrides it
-    (CI parity jobs pin whole processes that way).
+    ``engine`` is a :data:`repro.engines.MAPPING_ENGINES` name.
     """
     from repro.engines import resolve_mapping_engine
 
     return resolve_mapping_engine(engine) == "scalar"
 
 
-def mapping_engine_tag(escalate: bool = True, engine: str = "auto") -> str:
+def mapping_kernel_tag(escalate: bool = True, engine: str = "auto") -> str:
     """Cache-key tag naming the kernel and mode a mapping came from.
 
     Both kernels return the same mapping in each mode, but the tag
-    keeps them apart anyway, so a run with the oracle forced computes
-    its mappings rather than reading the C kernel's from a cache.
+    keeps them apart anyway, so a run on the oracle computes its
+    mappings rather than reading the C kernel's from a cache.
     """
     kernel = "scalar" if use_scalar_kernel(engine) else "fast"
     return f"{kernel}-esc" if escalate else kernel

@@ -37,8 +37,8 @@ pointer; SA picks the minimum circular distance ``(port*V + vc -
 pointer) mod (P*V)`` (distances are injective, so there are no ties);
 ports arbitrate in ascending index order.
 
-Set ``REPRO_SCALAR_NETSIM=1`` to force the object-model oracle
-(mirrors ``REPRO_SCALAR_MAPPING=1`` for the mapping kernels).
+Pass ``engine="scalar"`` to any entry point to run the object-model
+oracle instead (see :mod:`repro.engines`).
 """
 
 from __future__ import annotations
@@ -52,16 +52,6 @@ from repro.netsim.packet import Packet
 from repro.netsim.router import ACTIVE, IDLE, ROUTE
 from repro.netsim.stats import RunStats
 from repro.netsim.telemetry import LatencyHistogram
-
-def netsim_engine_tag(engine: str = "auto") -> str:
-    """Provenance tag for experiment outputs."""
-    if (
-        engines.resolve_netsim_engine(engine) == "scalar"
-        or ckernel.load_kernel() is None
-    ):
-        return "scalar"
-    return "vectorized"
-
 
 # Flit codes pack (packet id, flit index) into one int64.
 _SHIFT = 20

@@ -18,7 +18,7 @@ driver, on either engine:
   (:meth:`~repro.netsim.fast_core.FastEngine.run_epoch`) that steps to
   the target cycle and skips idle stretches, or
 * the scalar object simulator otherwise (no C toolchain, or
-  ``REPRO_SCALAR_NETSIM=1`` — the usual oracle escape hatch).
+  ``engine="scalar"``, the oracle).
 
 Packet ids are **partition-local** and assigned here, in deterministic
 offer order (events are consumed sorted by ``(cycle, source terminal,

@@ -107,11 +107,11 @@ class Simulator:
         """
         network = self.network
         network.require_unspent()
-        # Engine selection happens once per run, resolved ahead of the
-        # env-var escape hatches (repro.engines): the vectorized
-        # struct-of-arrays core when requested and supported, the
-        # object simulator otherwise. All engines produce bit-identical
-        # results (tests/netsim/test_differential.py).
+        # Engine selection happens once per run (repro.engines): the
+        # vectorized struct-of-arrays core when requested and
+        # supported, the object simulator otherwise. All engines
+        # produce bit-identical results
+        # (tests/netsim/test_differential.py).
         engine_name = resolve_netsim_engine(engine)
         engine = fast_core.engine_for(network, telemetry, engine=engine_name)
         if engine is not None:
@@ -180,8 +180,7 @@ def run_sim(
     window/seed parameters and a :class:`~repro.netsim.telemetry.
     Telemetry` sink for per-router instrumentation. ``engine`` picks
     the simulation kernel explicitly (``"auto"``, ``"c"`` or
-    ``"scalar"`` — see :mod:`repro.engines`); the env switches remain
-    as CI overrides.
+    ``"scalar"`` — see :mod:`repro.engines`).
 
     >>> from repro.netsim.config import SimConfig
     >>> from repro.netsim.network import single_router_network

@@ -251,8 +251,8 @@ def replay_trace(
     :class:`~repro.netsim.telemetry.Telemetry` sink is driven through a
     single ``replay`` window spanning the whole run (trace replay has
     no warmup/measurement split — every packet counts). ``engine``
-    picks the simulation kernel explicitly (see :mod:`repro.engines`);
-    resolved once here, ahead of the env-var escape hatches.
+    picks the simulation kernel explicitly (see :mod:`repro.engines`),
+    resolved once here.
 
     Packets take ids from ``packet_ids`` (fresh when ``None``) in
     schedule order; a ``max_cycles`` cutoff leaves the source just past

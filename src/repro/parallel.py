@@ -43,11 +43,12 @@ Failure policy (unchanged from the old layer, enforced per task):
 5. an error that also reproduces serially propagates — the work is
    genuinely broken, not a scheduling casualty.
 
-Engine selection (``REPRO_SCALAR_NETSIM`` & co) plus the cache-root
-switches travel **per task**, so a long-lived worker always sees the
-submitting process's current configuration, not a snapshot from spawn
-time. ``fn`` must be a module-level callable (or otherwise picklable)
-and every task tuple picklable. Full reference: ``docs/parallel.md``.
+The relocatable roots (``REPRO_CACHE_DIR``, ``REPRO_TELEMETRY_DIR``)
+travel **per task**, so a long-lived worker always sees the submitting
+process's current roots, not a snapshot from spawn time. Engines ride
+in the task's own arguments. ``fn`` must be a module-level callable
+(or otherwise picklable) and every task tuple picklable. Full
+reference: ``docs/parallel.md``.
 """
 
 from __future__ import annotations
@@ -76,19 +77,10 @@ MAX_POOL_ATTEMPTS = 2
 #: use the pool when ``jobs > 1``), ``serial`` (never use the pool).
 PARALLEL_MODE_ENV = "REPRO_PARALLEL"
 
-#: Engine-selection switches forwarded to pool workers. A run forced
-#: onto the scalar netsim oracle (or the scalar mapping kernels) must
-#: not silently come back vectorized from a long-lived worker
-#: configured before the flag was set.
-ENGINE_ENV_VARS = (
-    "REPRO_SCALAR_NETSIM",
-    "REPRO_SCALAR_MAPPING",
-)
-
-#: Everything mirrored into workers per task: the engine switches plus
-#: the cache/telemetry roots, which per-test/per-run isolation moves
-#: around long after the warm workers were spawned.
-PROPAGATED_ENV_VARS = ENGINE_ENV_VARS + (
+#: Mirrored into workers per task: the cache/telemetry roots, which
+#: per-test/per-run isolation moves around long after the warm workers
+#: were spawned.
+PROPAGATED_ENV_VARS = (
     "REPRO_CACHE_DIR",
     "REPRO_TELEMETRY_DIR",
 )
@@ -196,7 +188,7 @@ def effective_jobs(jobs: Optional[int], n_tasks: int) -> int:
 
 
 def _apply_env(env: Dict[str, str]) -> None:
-    """Mirror the submitting process's switches exactly."""
+    """Mirror the submitting process's roots exactly."""
     for name in PROPAGATED_ENV_VARS:
         os.environ.pop(name, None)
     os.environ.update(env)

@@ -7,8 +7,8 @@ three-level ladder:
 
 1. **Response cache** — completed responses persist as JSON under
    ``.repro_cache/serve/`` keyed by :func:`repro.api.query_key`
-   (query fields + resolved engines + source fingerprint), so a warm
-   query is a single small file read;
+   (query fields + resolved netsim engine + source fingerprint), so a
+   warm query is a single small file read;
 2. **In-flight coalescing** — identical cold queries that arrive while
    the first one is still computing attach to its future instead of
    resubmitting; one pool submission serves all of them, and a crash
@@ -85,9 +85,8 @@ class Dispatcher:
             control submissions.
         cache: A :class:`ResponseCache`, or ``None`` to disable warm
             responses (every request then coalesces or recomputes).
-        engine / mapping_engine: Kernel selection applied to every
-            query this dispatcher executes (:mod:`repro.engines`
-            names); environment overrides still win inside workers.
+        engine: Netsim kernel of every simulate and dcn query this
+            dispatcher executes (a :mod:`repro.engines` name).
         sweep_cache: Forwarded to :func:`repro.api.execute` as its
             ``cache`` argument for sweep queries.
     """
@@ -97,13 +96,11 @@ class Dispatcher:
         executor: Optional[Executor] = None,
         cache: Optional[ResponseCache] = None,
         engine: str = "auto",
-        mapping_engine: str = "auto",
         sweep_cache: Any = "default",
     ):
         self._executor = executor
         self.cache = cache
         self.engine = engine
-        self.mapping_engine = mapping_engine
         self.sweep_cache = sweep_cache
         self._inflight: Dict[str, "asyncio.Future[Outcome]"] = {}
         self.counters: Dict[str, int] = {
@@ -138,7 +135,6 @@ class Dispatcher:
             api.execute_payload,
             query.to_dict(),
             engine=self.engine,
-            mapping_engine=self.mapping_engine,
             cache=self.sweep_cache,
         )
 
@@ -162,7 +158,7 @@ class Dispatcher:
             self.counters["errors"] += 1
             return 400, error_body(400, "QueryError", str(exc))
 
-        key = api.query_key(query, self.engine, self.mapping_engine)
+        key = api.query_key(query, self.engine)
         if self.cache is not None:
             cached = self.cache.load(key)
             if cached is not None:
@@ -236,7 +232,7 @@ class Dispatcher:
             }
             return
 
-        key = api.query_key(query, self.engine, self.mapping_engine)
+        key = api.query_key(query, self.engine)
         if self.cache is not None:
             cached = self.cache.load(key)
             if cached is not None:
@@ -260,7 +256,6 @@ class Dispatcher:
                 response = api.execute(
                     query,
                     engine=self.engine,
-                    mapping_engine=self.mapping_engine,
                     cache=self.sweep_cache,
                     on_telemetry=on_telemetry,
                 )

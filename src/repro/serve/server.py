@@ -233,7 +233,6 @@ async def _amain(args: argparse.Namespace) -> None:
     dispatcher = Dispatcher(
         cache=None if args.no_cache else ResponseCache(),
         engine=args.engine,
-        mapping_engine=args.mapping_engine,
     )
     server = ServeServer(dispatcher, host=args.host, port=args.port)
     await server.start()
@@ -245,16 +244,18 @@ async def _amain(args: argparse.Namespace) -> None:
 
 def main(argv: Optional[list] = None) -> int:
     """Entry point for ``python -m repro serve``."""
-    from repro.engines import MAPPING_ENGINES, NETSIM_ENGINES
+    from repro.engines import NETSIM_ENGINES
 
     parser = argparse.ArgumentParser(
         prog="repro serve", description="query the reproduction as a service"
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8177, help="0 picks a free port")
-    parser.add_argument("--engine", choices=NETSIM_ENGINES, default="auto")
     parser.add_argument(
-        "--mapping-engine", choices=MAPPING_ENGINES, default="auto"
+        "--engine",
+        choices=NETSIM_ENGINES,
+        default="auto",
+        help="netsim kernel of simulate and dcn queries (default auto)",
     )
     parser.add_argument(
         "--no-cache",

@@ -4,7 +4,7 @@ import pytest
 
 from repro.api import DCNQuery, QueryError, execute
 from repro.dcn import DCNConfig, DCNShape, FailureConfig, run_dcn
-from repro.netsim.fast_core import netsim_engine_tag
+from repro.engines import netsim_engine_tag
 
 GOLDEN = DCNConfig(
     shape=DCNShape(
@@ -57,7 +57,7 @@ def test_scalar_engine_reproduces_fast_outcome():
     fast = run_dcn(GOLDEN)
     scalar = run_dcn(dataclasses.replace(GOLDEN, engine="scalar"))
     assert scalar.engine == "scalar"
-    if netsim_engine_tag() == "vectorized":  # kernel built, not forced off
+    if netsim_engine_tag() == "c":  # kernel built
         assert fast.engine == "c"
     assert _outcome(scalar) == _outcome(fast)
 
@@ -110,8 +110,14 @@ def test_wall_seconds_covers_planning(monkeypatch):
 def test_bad_lookahead_rejected():
     import dataclasses
 
-    with pytest.raises(ValueError):
-        dataclasses.replace(GOLDEN, lookahead=41)  # > inter_wafer_latency
+    limit = GOLDEN.shape.inter_wafer_latency
+    for lookahead in (-1, limit + 1):
+        with pytest.raises(
+            ValueError,
+            match=rf"lookahead must be in \[0, inter_wafer_latency\].*"
+            rf"\(got {lookahead}, max {limit}\)",
+        ):
+            dataclasses.replace(GOLDEN, lookahead=lookahead)
 
 
 def test_dcn_query_roundtrip():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.netsim.fast_core import netsim_engine_tag
+from repro.engines import netsim_engine_tag
 from repro.netsim.network import waferscale_clos_network
 from repro.netsim.partition import WaferPartition
 
@@ -101,7 +101,7 @@ def test_epoch_length_does_not_change_deliveries(epoch):
 def test_scalar_and_fast_engines_agree():
     fast = WaferPartition(_network(), engine="c")
     scalar = WaferPartition(_network(), engine="scalar")
-    if netsim_engine_tag() == "vectorized":  # kernel built, not forced off
+    if netsim_engine_tag() == "c":  # kernel built
         assert fast.engine_name == "c"
     assert scalar.engine_name == "scalar"
     events = _workload(duration=40, seed=5)

@@ -7,7 +7,6 @@ useless for testing the pool. Tests that need real worker processes
 set ``REPRO_PARALLEL=force`` via the ``force_pool`` fixture.
 """
 
-import os
 import time
 
 import pytest
@@ -61,42 +60,6 @@ def test_unpartitioned_spec_is_single_unit():
     assert len(units) == 1
     result = spec.merge([spec.run_unit(units[0], fast=True)], fast=True)
     assert result.experiment_id == "tab03"
-
-
-def _report_engine_env():
-    """Module-level so the pool can pickle it into a worker."""
-    from repro.parallel import ENGINE_ENV_VARS
-
-    return {
-        name: os.environ.get(name) for name in ENGINE_ENV_VARS
-    }, os.getpid()
-
-
-def test_engine_switches_propagate_to_workers(force_pool):
-    """REPRO_SCALAR_NETSIM / REPRO_SCALAR_MAPPING reach pool workers.
-
-    The switches travel per *task*, not per worker spawn: a persistent
-    warm worker configured before the flag was set must still see it,
-    or a forced-scalar experiment would silently come back vectorized.
-    """
-    from repro.parallel import pool_map
-
-    previous = os.environ.get("REPRO_SCALAR_NETSIM")
-    os.environ["REPRO_SCALAR_NETSIM"] = "1"
-    try:
-        results = pool_map(_report_engine_env, [()] * 4, jobs=2)
-    finally:
-        if previous is None:
-            del os.environ["REPRO_SCALAR_NETSIM"]
-        else:
-            os.environ["REPRO_SCALAR_NETSIM"] = previous
-    workers = {pid for _, pid in results}
-    assert any(pid != os.getpid() for pid in workers)
-    for env, pid in results:
-        if pid == os.getpid():
-            continue  # serial-fallback cells prove nothing here
-        assert env["REPRO_SCALAR_NETSIM"] == "1"
-        assert env["REPRO_SCALAR_MAPPING"] == os.environ.get("REPRO_SCALAR_MAPPING")
 
 
 def test_worker_crash_falls_back_to_serial(force_pool, capfd):

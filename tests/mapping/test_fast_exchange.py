@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.mapping.exchange import (
-    mapping_engine_tag,
+    mapping_kernel_tag,
     optimize_mapping,
     pairwise_exchange,
 )
@@ -121,19 +121,22 @@ def test_escalation_never_worse_and_loads_consistent(k, m, seed):
     assert fresh.total_channel_hops == fast.total_channel_hops
 
 
-def test_scalar_escape_hatch_forces_oracle(clos_1024, monkeypatch):
-    monkeypatch.setenv("REPRO_SCALAR_MAPPING", "1")
-    assert mapping_engine_tag() == "scalar-esc"
-    via_env = optimize_mapping(clos_1024, restarts=2, seed=4)
-    monkeypatch.delenv("REPRO_SCALAR_MAPPING")
-    assert mapping_engine_tag() == "fast-esc"
-    fast = optimize_mapping(clos_1024, restarts=2, seed=4)
+def test_scalar_engine_argument_reaches_pool_workers(clos_1024, monkeypatch):
+    """``engine=`` rides in each restart's task, so pool workers run
+    the kernel the caller named."""
+    monkeypatch.setenv("REPRO_PARALLEL", "force")
+    assert mapping_kernel_tag(engine="scalar") == "scalar-esc"
+    assert mapping_kernel_tag(engine="fast") == "fast-esc"
+    scalar = optimize_mapping(
+        clos_1024, restarts=2, seed=4, jobs=2, engine="scalar"
+    )
+    fast = optimize_mapping(clos_1024, restarts=2, seed=4, jobs=2, engine="fast")
     # The oracle defines escalation too, so both engines return the
     # same mapping, not merely one at least as good.
-    assert fast.placement.site_of == via_env.placement.site_of
-    assert fast.cost() == via_env.cost()
+    assert fast.placement.site_of == scalar.placement.site_of
+    assert fast.cost() == scalar.cost()
     assert (fast.sweeps, fast.swaps_accepted) == (
-        via_env.sweeps, via_env.swaps_accepted
+        scalar.sweeps, scalar.swaps_accepted
     )
 
 

@@ -2,10 +2,12 @@
 
 Each instance's cost, placement digest, sweep count and accepted-swap
 count are pinned. The C kernel must reproduce them, and so must the
-scalar oracle, which runs them where the C kernel cannot: with
-``REPRO_SCALAR_MAPPING=1``, or on a host with no C toolchain (CI's
-``engine-parity`` legs run this file both ways). A changed value here
-changes every stored mapping and every paper table built on one.
+scalar oracle, which runs them where the C kernel cannot: on a host
+with no C toolchain (CI's ``engine-parity`` job runs this file that
+way). ``optimize_mapping(engine="scalar")`` asks for the oracle
+directly; ``tests/mapping/test_fast_exchange.py`` holds the two
+kernels to the same answers. A changed value here changes every
+stored mapping and every paper table built on one.
 """
 
 import hashlib

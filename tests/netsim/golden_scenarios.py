@@ -96,7 +96,7 @@ MEASURE_CYCLES = 400
 DRAIN_CYCLES = 800
 
 
-def run_scenario(name: str) -> dict:
+def run_scenario(name: str, engine: str = "auto") -> dict:
     """Run one scenario from a clean slate and summarise it exactly."""
     factory, pattern_name, load, seed = SCENARIOS[name]
     network = factory()
@@ -106,6 +106,7 @@ def run_scenario(name: str) -> dict:
         warmup_cycles=WARMUP_CYCLES,
         measure_cycles=MEASURE_CYCLES,
         drain_cycles=DRAIN_CYCLES,
+        engine=engine,
     )
     return {
         "scenario": name,
@@ -138,7 +139,7 @@ TRACE_SCENARIOS = {
 }
 
 
-def run_trace_scenario(name: str) -> dict:
+def run_trace_scenario(name: str, engine: str = "auto") -> dict:
     """Replay one synthetic mini-app trace and summarise it exactly."""
     factory, trace_name, compression, max_cycles = TRACE_SCENARIOS[name]
     network = factory()
@@ -150,7 +151,11 @@ def run_trace_scenario(name: str) -> dict:
     )
     events = synthetic_nersc_trace(trace_name, spec)
     stats = replay_trace(
-        network, events, compression=compression, max_cycles=max_cycles
+        network,
+        events,
+        compression=compression,
+        max_cycles=max_cycles,
+        engine=engine,
     )
     return {
         "scenario": name,
@@ -200,7 +205,7 @@ FAILURE_SCENARIOS = {
 }
 
 
-def run_failure_scenario(name: str) -> dict:
+def run_failure_scenario(name: str, engine: str = "auto") -> dict:
     """Run one sabotaged network until its protocol violation trips.
 
     Both engines must fail loudly — and identically — rather than
@@ -215,6 +220,7 @@ def run_failure_scenario(name: str) -> dict:
             warmup_cycles=WARMUP_CYCLES,
             measure_cycles=MEASURE_CYCLES,
             drain_cycles=DRAIN_CYCLES,
+            engine=engine,
         )
     except AssertionError as exc:
         return {

@@ -3,7 +3,7 @@
 Hypothesis draws random topologies (mesh / Clos / adaptive Clos /
 mapped Clos / single router), traffic patterns, loads and seeds, runs
 the identical workload through both engines — the scalar object
-simulator (``REPRO_SCALAR_NETSIM=1``) and the compiled C kernel — and
+simulator (``engine="scalar"``) and the compiled C kernel — and
 requires bit-identical results: every latency sample, every
 per-terminal and per-router flit count, the final cycle and the
 leftover in-flight flits. Every kernel mode is covered: Bernoulli load
@@ -28,7 +28,6 @@ from tests.dcn.test_partition import _drain
 from tests.netsim.engines import ENGINES
 
 from repro import ckernel
-from repro.engines import resolve_netsim_engine
 from repro.netsim import fast_core
 from repro.netsim.config import RouterConfig, SimConfig
 from repro.netsim.mesh_network import mesh_network
@@ -130,7 +129,9 @@ def network_specs(draw, deep: bool = False):
     return spec
 
 
-def _run_summary(spec, pattern_name, load, seed, psize, warmup, measure, drain):
+def _run_summary(
+    spec, pattern_name, load, seed, psize, warmup, measure, drain, engine
+):
     """One clean-slate run, summarised down to every observable bit."""
     network = _build(spec)
     pattern = make_pattern(pattern_name, network.n_terminals)
@@ -140,7 +141,8 @@ def _run_summary(spec, pattern_name, load, seed, psize, warmup, measure, drain):
         packet_ids=packet_ids,
     )
     stats = sim.run(
-        warmup_cycles=warmup, measure_cycles=measure, drain_cycles=drain
+        warmup_cycles=warmup, measure_cycles=measure, drain_cycles=drain,
+        engine=engine,
     )
     return {
         "latencies": list(stats.latencies_cycles),
@@ -166,12 +168,13 @@ def _assert_engines_agree(spec, pattern_name, load, seed, psize, cycles):
         make_pattern(pattern_name, n_terminals)
     except ValueError:  # e.g. transpose on a non-power-of-two size
         assume(False)
-    results = {}
-    for engine, ctx in ENGINES.items():
-        with ctx():
-            results[engine] = _run_summary(
-                spec, pattern_name, load, seed, psize, warmup, measure, drain
-            )
+    results = {
+        label: _run_summary(
+            spec, pattern_name, load, seed, psize, warmup, measure, drain,
+            engine,
+        )
+        for label, engine in ENGINES.items()
+    }
     reference = results.pop("scalar")
     # Conservation holds on the oracle; equality then carries it over.
     assert reference["flits_offered"] + sum(
@@ -246,8 +249,8 @@ def test_spent_network_is_refused():
     """A compiled run writes back counters only, so the network it
     leaves is spent: every run entry point refuses it, and its
     in-flight count is the oracle's."""
-    if ckernel.load_kernel() is None or resolve_netsim_engine() == "scalar":
-        pytest.skip("no C kernel on this host (or the scalar oracle forced)")
+    if ckernel.load_kernel() is None:
+        pytest.skip("no C kernel on this host")
     config = SimConfig(
         warmup_cycles=50, measure_cycles=200, drain_cycles=0, seed=3
     )
@@ -309,11 +312,8 @@ def test_bernoulli_differential_deep(spec, pattern_name, load, seed, psize):
 )
 def test_flit_conservation_differential(spec, load, seed):
     """With no warmup, offered == delivered + in-flight on every engine."""
-    for engine, ctx in ENGINES.items():
-        with ctx():
-            result = _run_summary(
-                spec, "uniform", load, seed, 4, 0, 150, 200
-            )
+    for engine in ENGINES.values():
+        result = _run_summary(spec, "uniform", load, seed, 4, 0, 150, 200, engine)
         delivered = sum(t[1] for t in result["per_terminal"])
         assert result["flits_offered"] == delivered + result["in_flight"], (
             engine,
@@ -324,32 +324,30 @@ def test_flit_conservation_differential(spec, load, seed):
 def _replay_summaries(events, compression, max_cycles):
     """Replay ``events`` on every engine; each run summarised exactly."""
     results = {}
-    for engine, ctx in ENGINES.items():
-        with ctx():
-            network = waferscale_clos_network(
-                32, 8, num_vcs=2, buffer_flits_per_port=8, io_latency=2
-            )
-            packet_ids = PacketIds()
-            stats = replay_trace(
-                network,
-                events,
-                compression=compression,
-                max_cycles=max_cycles,
-                packet_ids=packet_ids,
-            )
-            results[engine] = {
-                "latencies": list(stats.latencies_cycles),
-                "flits_offered": stats.flits_offered,
-                "flits_delivered": stats.flits_delivered,
-                "packets_created": stats.packets_created,
-                "final_cycle": network.cycle,
-                "in_flight": network.in_flight_flits(),
-                "per_terminal": [
-                    t.flits_received for t in network.terminals
-                ],
-                # Where the run left its packet-id source.
-                "next_packet_id": packet_ids.next,
-            }
+    for label, engine in ENGINES.items():
+        network = waferscale_clos_network(
+            32, 8, num_vcs=2, buffer_flits_per_port=8, io_latency=2
+        )
+        packet_ids = PacketIds()
+        stats = replay_trace(
+            network,
+            events,
+            compression=compression,
+            max_cycles=max_cycles,
+            packet_ids=packet_ids,
+            engine=engine,
+        )
+        results[label] = {
+            "latencies": list(stats.latencies_cycles),
+            "flits_offered": stats.flits_offered,
+            "flits_delivered": stats.flits_delivered,
+            "packets_created": stats.packets_created,
+            "final_cycle": network.cycle,
+            "in_flight": network.in_flight_flits(),
+            "per_terminal": [t.flits_received for t in network.terminals],
+            # Where the run left its packet-id source.
+            "next_packet_id": packet_ids.next,
+        }
     return results
 
 
@@ -457,7 +455,7 @@ def test_replay_and_partitions_reach_the_kernel(monkeypatch):
     """Replay and partition runs use the kernel, not a silent fallback."""
     spec = WIDE_SPECS["single_128port"]
     if fast_core.engine_for(_build(spec)) is None:
-        pytest.skip("no C kernel on this host (or the scalar oracle forced)")
+        pytest.skip("no C kernel on this host")
     modes = []
     run = fast_core.FastEngine._c_run
 
@@ -496,10 +494,10 @@ def test_pregen_uniform_matches_python_rng(seed, load, cycles):
     )
     engine = fast_core.engine_for(network)
     if engine is None:
-        # The scalar oracle has no pre-generator to pin; with
-        # REPRO_SCALAR_NETSIM=1 forced, assume() would filter every
-        # input and trip hypothesis' health check instead of skipping.
-        pytest.skip("no fast engine available (scalar oracle forced)")
+        # The scalar oracle has no pre-generator to pin; on a host
+        # with no kernel, assume() would filter every input and trip
+        # hypothesis' health check instead of skipping.
+        pytest.skip("no C kernel on this host")
     pattern = make_pattern("uniform", network.n_terminals)
     injector = BernoulliInjector(pattern, load, 4, seed=seed)
     reference_rng = random.Random()

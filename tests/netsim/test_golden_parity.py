@@ -69,17 +69,14 @@ def test_flit_conservation(name):
     budget runs out. It is checked on every engine.
     """
     factory, pattern_name, load, seed = SCENARIOS[name]
-    for engine, ctx in ENGINES.items():
-        with ctx():
-            network = factory()
-            pattern = make_pattern(pattern_name, network.n_terminals)
-            sim = Simulator(
-                network, pattern, load, packet_size_flits=4, seed=seed
-            )
-            stats = sim.run(
-                warmup_cycles=0, measure_cycles=400, drain_cycles=600
-            )
-
+    for engine in ENGINES.values():
+        network = factory()
+        pattern = make_pattern(pattern_name, network.n_terminals)
+        sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)
+        stats = sim.run(
+            warmup_cycles=0, measure_cycles=400, drain_cycles=600,
+            engine=engine,
+        )
         delivered = sum(t.flits_received for t in network.terminals)
         in_flight = network.in_flight_flits()
         assert stats.flits_offered == delivered + in_flight, engine
@@ -139,18 +136,19 @@ def test_cross_engine_golden_parity(engine, name):
     engines in the fast tier.
     """
     runner = run_failure_scenario if name in FAILURE_SCENARIOS else run_scenario
-    with ENGINES[engine]():
-        assert runner(name) == _golden(name)
+    assert runner(name, ENGINES[engine]) == _golden(name)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("engine", sorted(ENGINES))
 def test_cross_engine_full_corpus(engine):
     """Slow tier: the whole golden corpus under each engine."""
-    with ENGINES[engine]():
-        for name in SCENARIOS:
-            assert run_scenario(name) == _golden(name), (engine, name)
-        for name in TRACE_SCENARIOS:
-            assert run_trace_scenario(name) == _golden(name), (engine, name)
-        for name in FAILURE_SCENARIOS:
-            assert run_failure_scenario(name) == _golden(name), (engine, name)
+    runners = (
+        (SCENARIOS, run_scenario),
+        (TRACE_SCENARIOS, run_trace_scenario),
+        (FAILURE_SCENARIOS, run_failure_scenario),
+    )
+    for scenarios, runner in runners:
+        for name in scenarios:
+            result = runner(name, ENGINES[engine])
+            assert result == _golden(name), (engine, name)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from tests.netsim.engines import scalar_oracle
 from tests.netsim.golden_scenarios import (
     DRAIN_CYCLES,
     MEASURE_CYCLES,
@@ -27,7 +26,7 @@ from repro.netsim.telemetry import Telemetry, validate_telemetry
 from repro.netsim.traffic import make_pattern
 
 
-def _run(name, telemetry, drain_cycles=DRAIN_CYCLES):
+def _run(name, telemetry, drain_cycles, engine):
     """One clean-slate golden-scenario run with a telemetry sink."""
     factory, pattern_name, load, seed = SCENARIOS[name]
     network = factory()
@@ -38,6 +37,7 @@ def _run(name, telemetry, drain_cycles=DRAIN_CYCLES):
         measure_cycles=MEASURE_CYCLES,
         drain_cycles=drain_cycles,
         telemetry=telemetry,
+        engine=engine,
     )
     return stats, telemetry.to_dict()
 
@@ -64,14 +64,13 @@ def _stats_tuple(stats):
 )
 def test_telemetry_report_parity(name, interval, flows, drain):
     vec_stats, vec_report = _run(
-        name, Telemetry(sample_interval=interval, collect_flows=flows), drain
+        name, Telemetry(sample_interval=interval, collect_flows=flows),
+        drain, "c",
     )
-    with scalar_oracle():
-        ref_stats, ref_report = _run(
-            name,
-            Telemetry(sample_interval=interval, collect_flows=flows),
-            drain,
-        )
+    ref_stats, ref_report = _run(
+        name, Telemetry(sample_interval=interval, collect_flows=flows),
+        drain, "scalar",
+    )
     validate_telemetry(vec_report)
     assert _stats_tuple(vec_stats) == _stats_tuple(ref_stats)
     # Windows first: a divergence here names the window and is far
@@ -85,7 +84,8 @@ def test_telemetry_report_parity(name, interval, flows, drain):
 
 def test_telemetry_parity_single_router():
     """Smallest network: every port is terminal-facing."""
-    def run(telemetry):
+    def run(engine):
+        telemetry = Telemetry(sample_interval=2, collect_flows=True)
         network = single_router_network(4)
         pattern = make_pattern("uniform", 4)
         sim = Simulator(network, pattern, 0.5, packet_size_flits=4, seed=3)
@@ -94,13 +94,11 @@ def test_telemetry_parity_single_router():
             measure_cycles=200,
             drain_cycles=200,
             telemetry=telemetry,
+            engine=engine,
         )
         return _stats_tuple(stats), telemetry.to_dict()
 
-    vec = run(Telemetry(sample_interval=2, collect_flows=True))
-    with scalar_oracle():
-        ref = run(Telemetry(sample_interval=2, collect_flows=True))
-    assert vec == ref
+    assert run("c") == run("scalar")
 
 
 def test_telemetry_attach_conflicts_still_raise():

@@ -63,6 +63,9 @@ def test_query_key_is_stable_and_engine_sensitive():
         query, engine="c"
     )
     assert api.query_key(query) != api.query_key(api.SimQuery(**{**TINY_SIM, "seed": 2}))
+    # Sweeps run the default engine whatever is asked, so share a key.
+    sweep = api.SweepQuery(experiments=("tab06",))
+    assert api.query_key(sweep, engine="scalar") == api.query_key(sweep)
 
 
 # ----------------------------------------------------------------------
@@ -75,11 +78,30 @@ def test_execute_simulate_envelope_and_engines():
     json.dumps(response)  # strictly serializable
     assert response["schema"] == api.RESPONSE_SCHEMA
     assert response["kind"] == "simulate"
-    assert response["engines"]["netsim"] == "c"
+    assert response["engines"] == {"netsim": "c"}
     assert len(response["result"]["points"]) == 1
     point = response["result"]["points"][0]
     assert point["offered_load"] == 0.2
     assert point["avg_latency_cycles"] > 0
+
+
+def test_envelope_names_the_engine_that_ran(monkeypatch):
+    """A host with no C kernel runs the oracle, and says so."""
+    from repro import ckernel
+
+    monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
+    response = api.execute(api.SimQuery(**TINY_SIM), engine="c")
+    assert response["engines"] == {"netsim": "scalar"}
+
+
+def test_sweep_envelope_names_the_default_engine():
+    """A sweep's experiments take no engine argument: asking for the
+    oracle leaves them, and so the envelope, on the default."""
+    from repro.engines import netsim_engine_tag
+
+    sweep = api.SweepQuery(experiments=("tab06",))
+    response = api.execute(sweep, engine="scalar", cache=None)
+    assert response["engines"] == {"netsim": netsim_engine_tag()}
 
 
 def test_execute_engine_forcing_is_bit_identical():

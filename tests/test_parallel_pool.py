@@ -164,19 +164,15 @@ def test_second_task_on_a_worker_imports_nothing(force_pool):
     assert stats[0]["new_modules"] == 0
 
 
-def test_env_propagates_per_task_not_per_spawn(force_pool, monkeypatch):
-    # Warm the pool first, then change the env: persistent workers must
-    # see the *current* value, not the spawn-time snapshot.
+def test_env_propagates_per_task_not_per_spawn(force_pool, monkeypatch, tmp_path):
+    # Warm the pool first, then move the cache root: persistent workers
+    # must see the *current* value, not the spawn-time snapshot.
     parallel.pool_map(_pid, [()], jobs=1)
-    monkeypatch.setenv("REPRO_SCALAR_MAPPING", "1")
-    (value,) = parallel.pool_map(
-        _env_value, [("REPRO_SCALAR_MAPPING",)], jobs=1
-    )
-    assert value == "1"
-    monkeypatch.delenv("REPRO_SCALAR_MAPPING")
-    (value,) = parallel.pool_map(
-        _env_value, [("REPRO_SCALAR_MAPPING",)], jobs=1
-    )
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    (value,) = parallel.pool_map(_env_value, [("REPRO_CACHE_DIR",)], jobs=1)
+    assert value == str(tmp_path)
+    monkeypatch.delenv("REPRO_CACHE_DIR")
+    (value,) = parallel.pool_map(_env_value, [("REPRO_CACHE_DIR",)], jobs=1)
     assert value is None
 
 
