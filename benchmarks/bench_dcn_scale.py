@@ -1,6 +1,6 @@
 """Fidelity-ladder benchmark: paper-scale DCN fabrics in minutes.
 
-Two measurements, one artifact (``BENCH_dcn_scale.json``), exit code
+Four measurements, one artifact (``BENCH_dcn_scale.json``), exit code
 enforcing every gate — the CI ``dcn-smoke`` job runs this on every
 push:
 
@@ -25,7 +25,15 @@ push:
    (Tables VII-IX account latency by hop count; docs/experiments.md
    carries the full comparison table).
 
-3. **Routing gate** (scale shape, uniform traffic).  The array router
+3. **Flow-epoch gate** (scale shape, flow fidelity, uniform traffic).
+   The epoch loop with every flow wafer stepped by one ``flow_advance``
+   kernel call per epoch must give the same ``parity_signature`` as the
+   loop that steps each wafer's :class:`~repro.dcn.flow.FlowWaferNode`
+   (the scalar oracle, ``engine="scalar"``), and its ``_run_epochs``
+   must beat the oracle's by ``FLOW_EPOCH_SPEEDUP_GATE``.  One plan per
+   side, best of 3.
+
+4. **Routing gate** (scale shape, uniform traffic).  The array router
    (``DCNFabric.route_all``, what every run plans with) must produce
    the same hops as the per-packet scalar oracle (``DCNFabric.route``)
    for every packet, and beat it by ``ROUTE_SPEEDUP_GATE``.  Both
@@ -54,6 +62,7 @@ import pathlib
 import time
 
 from repro.dcn import DCNConfig, DCNFabric, DCNShape, run_dcn
+from repro.dcn import sim as dcn_sim
 from repro.dcn import traffic as dcn_traffic
 from repro.dcn.flow import calibrate_wafer
 
@@ -69,6 +78,10 @@ SCALE_WALL_GATE_S = 900.0
 
 #: The array router must beat the scalar oracle by this factor.
 ROUTE_SPEEDUP_GATE = 10.0
+
+#: The kernel-stepped epoch loop must beat the FlowWaferNode oracle's
+#: by this factor at the scale shape.
+FLOW_EPOCH_SPEEDUP_GATE = 4.0
 
 #: Paper analytical context (Tables VII-IX): a WS leaf/spine DCN
 #: resolves any host pair in 3 switch hops (vs 5 for the TH-5 Clos),
@@ -266,6 +279,48 @@ def _best_of(repeats: int, fn):
     return best, value
 
 
+def run_flow_epoch_gate(
+    hosts: int = 2592,
+    wafer_radix: int = 72,
+    ssc_radix: int = 12,
+    duration: int = 256,
+    load: float = 0.03,
+    seed: int = 5,
+    repeats: int = 3,
+) -> dict:
+    """Flow wafers in one kernel call per epoch vs the node oracle."""
+    config = DCNConfig(
+        shape=DCNShape(
+            n_hosts=hosts, wafer_radix=wafer_radix, ssc_radix=ssc_radix
+        ),
+        pattern="uniform",
+        duration_cycles=duration,
+        load=load,
+        traffic_seed=seed,
+        fidelity="flow",
+    )
+    kernel_plan = dcn_sim._Plan(config)
+    oracle_plan = dcn_sim._Plan(dataclasses.replace(config, engine="scalar"))
+    epochs_s, result = _best_of(
+        repeats, lambda: dcn_sim._run_epochs(kernel_plan)
+    )
+    oracle_s, expected = _best_of(
+        repeats, lambda: dcn_sim._run_epochs(oracle_plan)
+    )
+    identical = result.parity_signature() == expected.parity_signature()
+    speedup = oracle_s / epochs_s if epochs_s else float("inf")
+    return {
+        "packets": result.packets_created,
+        "epochs": result.epochs,
+        "epochs_s": round(epochs_s, 4),
+        "epochs_oracle_s": round(oracle_s, 4),
+        "epoch_speedup": round(speedup, 1),
+        "speedup_gate": FLOW_EPOCH_SPEEDUP_GATE,
+        "identical": identical,
+        "passed": identical and speedup >= FLOW_EPOCH_SPEEDUP_GATE,
+    }
+
+
 def run_route_gate(
     hosts: int = 2592,
     wafer_radix: int = 72,
@@ -338,6 +393,14 @@ def main() -> int:
         duration=args.scale_duration,
         load=args.scale_load,
     )
+    print("flow-epoch gate (scale shape, flow fidelity, uniform traffic):")
+    flow_epochs = run_flow_epoch_gate(
+        hosts=args.scale_hosts,
+        wafer_radix=args.scale_wafer_radix,
+        ssc_radix=args.scale_radix,
+        duration=args.scale_duration,
+        load=args.scale_load,
+    )
     print("routing gate (scale shape, uniform traffic):")
     routing = run_route_gate(
         hosts=args.scale_hosts,
@@ -349,8 +412,10 @@ def main() -> int:
     report = {
         "smoke": smoke,
         "scale": scale,
+        "flow_epochs": flow_epochs,
         "routing": routing,
-        "passed": smoke["passed"] and scale["passed"] and routing["passed"],
+        "passed": smoke["passed"] and scale["passed"]
+        and flow_epochs["passed"] and routing["passed"],
     }
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {ARTIFACT_PATH}")
@@ -366,6 +431,15 @@ def main() -> int:
         f"{scale['total_wall_seconds']}s "
         f"(gate <= {SCALE_WALL_GATE_S:.0f}s: "
         f"{'pass' if scale['passed'] else 'FAIL'})"
+    )
+    print(
+        f"flow epochs: {flow_epochs['epochs']} epochs, kernel "
+        f"{flow_epochs['epochs_s']}s vs oracle "
+        f"{flow_epochs['epochs_oracle_s']}s = "
+        f"{flow_epochs['epoch_speedup']}x, identical "
+        f"{flow_epochs['identical']} "
+        f"(gate >= {FLOW_EPOCH_SPEEDUP_GATE:.0f}x: "
+        f"{'pass' if flow_epochs['passed'] else 'FAIL'})"
     )
     print(
         f"routing: {routing['packets']} packets, array "
@@ -394,6 +468,10 @@ def test_dcn_scale_bench_smoke():
         hosts=288, wafer_radix=24, ssc_radix=12, duration=96, repeats=1
     )
     assert routing["packets"] > 0 and routing["identical"]
+    flow_epochs = run_flow_epoch_gate(
+        hosts=288, wafer_radix=24, ssc_radix=12, duration=96, repeats=1
+    )
+    assert flow_epochs["packets"] > 0 and flow_epochs["identical"]
 
 
 if __name__ == "__main__":

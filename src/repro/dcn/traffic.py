@@ -10,7 +10,8 @@ generators know nothing about wafers.
 Patterns are the heavy-traffic scenarios the roadmap names:
 
 * ``uniform`` — independent Bernoulli arrivals per host per cycle,
-  uniform destinations (the classic baseline).
+  uniform destinations (the classic baseline); drawn in C by
+  :func:`repro.ckernel.draw_uniform` when the kernel loads.
 * ``alltoall`` — synchronized collective rounds: in round ``r`` every
   host ``i`` sends one packet to the host ``r + 1`` positions ahead,
   the ring-shifted exchange an HBM-fed NPU pod performs (the fm16
@@ -44,6 +45,10 @@ from __future__ import annotations
 
 import random
 from typing import List, Sequence, Tuple
+
+import numpy as np
+
+from repro import ckernel
 
 Event = Tuple[int, int, int, int]
 
@@ -86,6 +91,11 @@ def generate(
 
 
 def _uniform(hosts, duration, rng, load, size_flits):
+    drawn = ckernel.draw_uniform(rng, duration, len(hosts), load)
+    if drawn is not None:  # the loop below, run in C
+        cycle, src, dst, ids = *drawn, np.asarray(hosts)
+        sizes = [size_flits] * len(cycle)
+        return list(zip(cycle.tolist(), ids[src].tolist(), ids[dst].tolist(), sizes))
     events = []
     n = len(hosts)
     for cycle in range(duration):
@@ -214,7 +224,8 @@ def _elephant_mouse(hosts, duration, rng, load, size_flits):
         for cycle in range(rng.randrange(period), duration, period):
             events.append((cycle, hosts[i], hosts[j], elephant_size))
     # Everyone else contributes mice at the configured load.
-    mouse_hosts = [h for k, h in enumerate(hosts) if k not in set(sources)]
+    elephants = set(sources)
+    mouse_hosts = [h for k, h in enumerate(hosts) if k not in elephants]
     for cycle in range(duration):
         for src in mouse_hosts:
             if rng.random() < load:

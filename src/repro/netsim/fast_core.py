@@ -579,15 +579,8 @@ class FastEngine:
         return ev_when, ev_term, ev_dst
 
     def _c_pregen(self, injector, total: int):
-        """Pre-generate the Bernoulli stream in C, or ``None``.
-
-        Only the ``uniform`` pattern is transliterated (the kernel
-        replays CPython's MT19937 bit-for-bit and hands the advanced
-        state back to the Python RNG); every other pattern uses
-        :meth:`_py_pregen`.
-        """
-        if self.T < 2:
-            return None
+        """The ``uniform`` stream drawn in C (:func:`ckernel.draw_uniform`);
+        ``None`` for any other pattern, which :meth:`_py_pregen` draws."""
         pattern = injector.pattern
         fn = getattr(pattern, "destination_fn", None)
         if (
@@ -596,25 +589,9 @@ class FastEngine:
             or pattern.n_terminals != self.T
         ):
             return None
-        rng = injector.rng
-        version, internal, gauss = rng.getstate()
-        if version != 3 or len(internal) != 625:
-            return None
-        mt = np.array(internal[:624], dtype=np.uint32)
-        mti = np.array([internal[624]], dtype=np.int64)
-        cap = total * self.T
-        ev_when = np.empty(cap, dtype=np.int64)
-        ev_term = np.empty(cap, dtype=np.int64)
-        ev_dst = np.empty(cap, dtype=np.int64)
-        n = self._lib.pregen_uniform(
-            mt.ctypes.data, mti.ctypes.data, total, self.T,
-            injector.packet_probability, self.T,
-            ev_when.ctypes.data, ev_term.ctypes.data, ev_dst.ctypes.data,
+        return ckernel.draw_uniform(
+            injector.rng, total, self.T, injector.packet_probability
         )
-        rng.setstate(
-            (3, tuple(int(x) for x in mt) + (int(mti[0]),), gauss)
-        )
-        return ev_when[:n], ev_term[:n], ev_dst[:n]
 
     def _c_run_bernoulli(
         self, size, warmup_cycles, measure_cycles, drain_cycles,

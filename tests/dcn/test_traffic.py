@@ -1,7 +1,11 @@
 """DCN traffic generators: determinism and shape invariants."""
 
+import random
+
 import pytest
 
+from repro import ckernel
+from repro.dcn import traffic
 from repro.dcn.traffic import PATTERNS, generate
 
 HOSTS = tuple(range(16))
@@ -65,3 +69,66 @@ def test_incast_converges_on_victims():
 def test_unknown_pattern_rejected():
     with pytest.raises(ValueError):
         generate("nope", HOSTS, duration=10, seed=0)
+
+
+# ------------------------------------------------- uniform draws in C
+
+
+@pytest.fixture
+def kernel():
+    if ckernel.load_kernel() is None:
+        pytest.skip("no C kernel on this host")
+
+
+def _python_draws(rng, cycles, sources, probability):
+    draws = []
+    for cycle in range(cycles):
+        for src in range(sources):
+            if rng.random() < probability:
+                dst = rng.randrange(sources - 1)
+                draws.append((cycle, src, dst + (dst >= src)))
+    return draws
+
+
+@pytest.mark.parametrize("slots", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize("sources", [2, 3, 16, 101])
+def test_draw_uniform_replays_the_python_loop(kernel, sources, slots, monkeypatch):
+    """Chunked C draws: the same hits and the same RNG state after.
+
+    ``slots`` sets the chunk length (``slots // sources`` cycles, at
+    least one), so chunk edges fall inside and between cycles' worth of
+    sources, and 37 cycles never divide evenly.
+    """
+    monkeypatch.setattr(ckernel, "_DRAW_SLOTS", slots)
+    rng, reference = random.Random(sources * slots), random.Random(sources * slots)
+    cycle, src, dst = ckernel.draw_uniform(rng, 37, sources, 0.3)
+    expected = _python_draws(reference, 37, sources, 0.3)
+    assert list(zip(cycle.tolist(), src.tolist(), dst.tolist())) == expected
+    assert rng.getstate() == reference.getstate()
+
+
+def test_draw_uniform_declines_without_kernel_or_sources(monkeypatch):
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert ckernel.draw_uniform(rng, 10, 1, 0.5) is None
+    monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
+    assert ckernel.draw_uniform(rng, 10, 8, 0.5) is None
+    assert rng.getstate() == state
+
+
+@pytest.mark.parametrize(
+    "hosts",
+    [(0, 1), (3, 9, 12), tuple(range(16)), (0, 3, 4, 9, 15, 22, 23, 40)],
+    ids=["n2", "n3", "n16", "dead-hosts"],
+)
+@pytest.mark.parametrize("slots", [5, 1 << 16])
+def test_uniform_pattern_same_with_and_without_kernel(
+    kernel, hosts, slots, monkeypatch
+):
+    monkeypatch.setattr(ckernel, "_DRAW_SLOTS", slots)
+    fast_rng, slow_rng = random.Random(11), random.Random(11)
+    fast = traffic._uniform(list(hosts), 53, fast_rng, 0.2, 4)
+    monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
+    slow = traffic._uniform(list(hosts), 53, slow_rng, 0.2, 4)
+    assert fast == slow and fast
+    assert fast_rng.getstate() == slow_rng.getstate()
