@@ -107,10 +107,11 @@ def topology_digest(topology: LogicalTopology) -> str:
 
 @lru_cache(maxsize=None)
 def mapping_source_fingerprint() -> str:
-    """Fingerprint of the mapping layer's own source (kernel + tables).
+    """Fingerprint of the mapping layer's own source.
 
-    Walked from the optimizer façade so both kernels, the routing
-    tables and this store are covered; any edit to them invalidates
+    Walked from the optimizer façade and this store, so the scalar
+    exchange oracle, the C kernel source (``repro.ckernel``), the load
+    model and this store are covered; any edit to them invalidates
     every persisted mapping.
     """
     modules = set(transitive_modules("repro.mapping.exchange"))
