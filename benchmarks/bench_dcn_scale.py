@@ -1,6 +1,6 @@
 """Fidelity-ladder benchmark: paper-scale DCN fabrics in minutes.
 
-Four measurements, one artifact (``BENCH_dcn_scale.json``), exit code
+Five measurements, one artifact (``BENCH_dcn_scale.json``), exit code
 enforcing every gate — the CI ``dcn-smoke`` job runs this on every
 push:
 
@@ -39,6 +39,14 @@ push:
    for every packet, and beat it by ``ROUTE_SPEEDUP_GATE``.  Both
    sides build a fresh fabric and route the whole run; best of 3.
 
+5. **Plan gate** (scale shape, hybrid fidelity as perfbench's ``dcn``
+   workload runs it).  ``_Plan`` (failures, fabric tables, traffic,
+   routes, curves) best of 3 for ``uniform`` and ``dp_allreduce``; the
+   sum, ``plan_s``, must stay within ``PLAN_GATE_RATIO`` x the
+   committed value, scaled by the host-speed calibration probe as
+   ``bench_cold_start.py``'s key gate is.  Skipped when the shape or
+   traffic differs from the committed run's.
+
 The default scale shape is 2592 hosts over radix-72 wafers: 72 leaf +
 36 spine = **108 wafers**, the same 3-stage geometry as the paper's
 Table IX deployment (which fields 48 radix-600+ spine wafers for
@@ -66,6 +74,8 @@ from repro.dcn import sim as dcn_sim
 from repro.dcn import traffic as dcn_traffic
 from repro.dcn.flow import calibrate_wafer
 
+from bench_netsim_speed import calibration_score
+
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 ARTIFACT_PATH = REPO_ROOT / "BENCH_dcn_scale.json"
 
@@ -82,6 +92,9 @@ ROUTE_SPEEDUP_GATE = 10.0
 #: The kernel-stepped epoch loop must beat the FlowWaferNode oracle's
 #: by this factor at the scale shape.
 FLOW_EPOCH_SPEEDUP_GATE = 4.0
+
+#: Allowed ``plan_s`` over the committed value, after host calibration.
+PLAN_GATE_RATIO = 1.5
 
 #: Paper analytical context (Tables VII-IX): a WS leaf/spine DCN
 #: resolves any host pair in 3 switch hops (vs 5 for the TH-5 Clos),
@@ -337,8 +350,7 @@ def run_route_gate(
     events = dcn_traffic.generate(
         "uniform", range(hosts), duration, seed, load=load
     )
-    src = [event[1] for event in events]
-    dst = [event[2] for event in events]
+    src, dst = events[:, 1].tolist(), events[:, 2].tolist()
 
     def oracle():
         fabric = DCNFabric(shape)
@@ -368,6 +380,83 @@ def run_route_gate(
         "identical": identical,
         "passed": identical and speedup >= ROUTE_SPEEDUP_GATE,
     }
+
+
+def run_plan(
+    hosts: int = 2592,
+    wafer_radix: int = 72,
+    ssc_radix: int = 12,
+    duration: int = 256,
+    load: float = 0.03,
+    seed: int = 5,
+    repeats: int = 3,
+) -> dict:
+    """``_Plan`` best of ``repeats`` per pattern, hybrid as perfbench runs."""
+    shape = DCNShape(
+        n_hosts=hosts, wafer_radix=wafer_radix, ssc_radix=ssc_radix
+    )
+    calibration = calibration_score()
+    report = {
+        "config": {
+            "hosts": hosts,
+            "wafer_radix": wafer_radix,
+            "ssc_radix": ssc_radix,
+            "duration_cycles": duration,
+            "load": load,
+            "seed": seed,
+            "cycle_wafers": [0, shape.n_leaves],
+        },
+        "patterns": {},
+    }
+    for pattern in ("uniform", "dp_allreduce"):
+        config = DCNConfig(
+            shape=shape,
+            pattern=pattern,
+            duration_cycles=duration,
+            load=load,
+            traffic_seed=seed,
+            fidelity="hybrid",
+            cycle_wafers=(0, shape.n_leaves),
+        )
+        plan_s, plan = _best_of(repeats, lambda: dcn_sim._Plan(config))
+        report["patterns"][pattern] = {
+            "packets": len(plan.traffic),
+            "plan_s": round(plan_s, 4),
+        }
+    report["plan_s"] = round(
+        sum(p["plan_s"] for p in report["patterns"].values()), 4
+    )
+    report["calibration_ops_per_sec"] = round(
+        max(calibration, calibration_score()), 1
+    )
+    return report
+
+
+def plan_gate(report: dict, committed: dict) -> dict:
+    """Hold ``plan_s`` to :data:`PLAN_GATE_RATIO` x the committed value.
+
+    The ceiling scales with the calibration probe ratio, so a host half
+    as fast as the recording host gets twice the time.
+    """
+    gate: dict = {"max_ratio": PLAN_GATE_RATIO, "passed": True}
+    base = committed.get("plan_s")
+    base_calibration = committed.get("calibration_ops_per_sec")
+    if not base or not base_calibration:
+        gate["skipped"] = "committed report lacks plan_s/calibration"
+        return gate
+    if committed.get("config") != report["config"]:
+        gate["skipped"] = "committed report timed another shape or traffic"
+        return gate
+    scale = report["calibration_ops_per_sec"] / base_calibration
+    ceiling = base / scale * PLAN_GATE_RATIO
+    gate.update(
+        calibration_scale=round(scale, 3),
+        baseline_plan_s=base,
+        ceiling_plan_s=round(ceiling, 4),
+        measured_plan_s=report["plan_s"],
+        passed=report["plan_s"] <= ceiling,
+    )
+    return gate
 
 
 def main() -> int:
@@ -409,13 +498,27 @@ def main() -> int:
         duration=args.scale_duration,
         load=args.scale_load,
     )
+    print("plan gate (scale shape, hybrid fidelity):")
+    plan = run_plan(
+        hosts=args.scale_hosts,
+        wafer_radix=args.scale_wafer_radix,
+        ssc_radix=args.scale_radix,
+        duration=args.scale_duration,
+        load=args.scale_load,
+    )
+    committed = (
+        json.loads(ARTIFACT_PATH.read_text()) if ARTIFACT_PATH.exists() else {}
+    )
+    plan["gate"] = plan_gate(plan, committed.get("plan") or {})
     report = {
         "smoke": smoke,
         "scale": scale,
         "flow_epochs": flow_epochs,
         "routing": routing,
+        "plan": plan,
         "passed": smoke["passed"] and scale["passed"]
-        and flow_epochs["passed"] and routing["passed"],
+        and flow_epochs["passed"] and routing["passed"]
+        and plan["gate"]["passed"],
     }
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {ARTIFACT_PATH}")
@@ -448,6 +551,18 @@ def main() -> int:
         f"(gate >= {ROUTE_SPEEDUP_GATE:.0f}x: "
         f"{'pass' if routing['passed'] else 'FAIL'})"
     )
+    gate = plan["gate"]
+    print(
+        f"plan: uniform {plan['patterns']['uniform']['plan_s']}s + "
+        f"dp_allreduce {plan['patterns']['dp_allreduce']['plan_s']}s = "
+        f"{plan['plan_s']}s "
+        + (
+            f"(gate skipped: {gate['skipped']})"
+            if gate.get("skipped")
+            else f"(gate <= {gate['ceiling_plan_s']}s: "
+            f"{'pass' if gate['passed'] else 'FAIL'})"
+        )
+    )
     return 0 if report["passed"] else 1
 
 
@@ -472,6 +587,28 @@ def test_dcn_scale_bench_smoke():
         hosts=288, wafer_radix=24, ssc_radix=12, duration=96, repeats=1
     )
     assert flow_epochs["packets"] > 0 and flow_epochs["identical"]
+    plan = run_plan(
+        hosts=288, wafer_radix=24, ssc_radix=12, duration=96, repeats=1
+    )
+    assert all(p["packets"] > 0 for p in plan["patterns"].values())
+    assert plan["plan_s"] > 0 and plan["calibration_ops_per_sec"] > 0
+
+
+def test_plan_gate():
+    """Gate math: pass under the ceiling, fail over it, scale-aware."""
+    config = {"hosts": 2592}
+    committed = {
+        "config": config, "calibration_ops_per_sec": 1000.0, "plan_s": 0.02
+    }
+    report = {  # host half as fast -> ceiling 0.06
+        "config": config, "calibration_ops_per_sec": 500.0, "plan_s": 0.059
+    }
+    assert plan_gate(report, committed)["passed"]
+    report["plan_s"] = 0.061
+    assert not plan_gate(report, committed)["passed"]
+    assert plan_gate(report, {}).get("skipped")
+    other = dict(report, config={"hosts": 288})
+    assert plan_gate(other, committed).get("skipped")
 
 
 if __name__ == "__main__":

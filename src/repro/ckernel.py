@@ -19,7 +19,8 @@ Algorithm 1 per call, driven by :mod:`repro.mapping.fast_exchange` and
 held to the scalar oracle in :mod:`repro.mapping.exchange`. It also
 steps every DCN flow wafer of an epoch in one ``flow_advance`` call
 (:class:`repro.dcn.flow.FlowWafers`, oracle ``FlowWaferNode``) and
-draws uniform traffic with CPython's MT19937 (:func:`draw_uniform`).
+draws uniform traffic and ``elephant_mouse`` mice with CPython's
+MT19937 (:func:`draw_uniform`).
 
 Design constraints:
 
@@ -639,24 +640,32 @@ static uint32_t mt_next(uint32_t *mt, int64_t *mti) {
 }
 
 int64_t pregen_uniform(uint32_t *mt, int64_t *mti_io, int64_t total,
-                       int64_t T, double probability, int64_t *ev_when,
+                       const int64_t *srcs, int64_t n_src, int64_t n,
+                       int64_t redraw, double probability, int64_t *ev_when,
                        int64_t *ev_term, int64_t *ev_dst) {
+    /* Per cycle, per source srcs[k]: random() < probability, then a
+       destination in [0, n) other than the source — randrange(n - 1)
+       shifted past it, or (redraw) randrange(n) drawn again while it
+       hits it. */
     int64_t mti = *mti_io;
-    int64_t m = T - 1;
+    int64_t m = redraw ? n : n - 1;
     int bits = 0;                        /* m.bit_length() */
     for (int64_t v = m; v; v >>= 1) bits++;
     int64_t count = 0;
     for (int64_t c = 0; c < total; c++) {
-        for (int64_t src = 0; src < T; src++) {
+        for (int64_t k = 0; k < n_src; k++) {
+            int64_t src = srcs[k];
             uint32_t a = mt_next(mt, &mti) >> 5;
             uint32_t b = mt_next(mt, &mti) >> 6;
             double r = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
             if (r >= probability) continue;
             int64_t d;
             do {
-                d = mt_next(mt, &mti) >> (32 - bits);
-            } while (d >= m);
-            if (d >= src) d += 1;   /* skip self-traffic */
+                do {
+                    d = mt_next(mt, &mti) >> (32 - bits);
+                } while (d >= m);
+            } while (redraw && d == src);
+            if (!redraw && d >= src) d += 1;   /* skip self-traffic */
             ev_when[count] = c;
             ev_term[count] = src;
             ev_dst[count] = d;
@@ -944,7 +953,7 @@ def _build() -> ctypes.CDLL:
     lib.fast_run.restype = _I64
     ptr = ctypes.c_void_p
     lib.pregen_uniform.argtypes = [
-        ptr, ptr, _I64, _I64, ctypes.c_double, ptr, ptr, ptr,
+        ptr, ptr, _I64, ptr, _I64, _I64, _I64, ctypes.c_double, ptr, ptr, ptr,
     ]
     lib.pregen_uniform.restype = _I64
     lib.flow_advance.argtypes = [_I64, *[ptr] * 8, _I64, ptr, _I64, _I64,
@@ -962,7 +971,7 @@ def _build() -> ctypes.CDLL:
 _DRAW_SLOTS = 1 << 16
 
 
-def draw_uniform(rng, cycles: int, sources: int, probability: float):
+def draw_uniform(rng, cycles: int, sources, probability: float, mice_among: int = 0):
     """Uniform Bernoulli traffic drawn in C from ``rng``, or ``None``.
 
     Replays, per cycle and per source ``s``, ``rng.random() <
@@ -970,24 +979,33 @@ def draw_uniform(rng, cycles: int, sources: int, probability: float):
     chunk of cycles per call: int64 ``(cycle, source, destination)`` of
     the hits, ``rng`` left as that loop leaves it. ``None`` without the
     kernel or with fewer than two sources.
+
+    With ``mice_among=n``, ``sources`` is a list of indices into
+    ``range(n)`` instead of a count, and each destination is
+    ``rng.randrange(n)`` drawn again while it hits the source (the
+    ``elephant_mouse`` mice rule); ``None`` without the kernel or when
+    ``n < 2``.
     """
     import numpy as np
 
     lib = load_kernel()
     version, internal, gauss = rng.getstate()
-    if lib is None or sources < 2 or version != 3 or len(internal) != 625:
+    n = mice_among or sources
+    if lib is None or n < 2 or version != 3 or len(internal) != 625:
         return None
+    srcs = np.asarray(sources if mice_among else range(n), dtype=np.int64)
     mt = np.array(internal[:624], dtype=np.uint32)
     mti = np.array(internal[624:], dtype=np.int64)
-    chunk = max(1, _DRAW_SLOTS // sources)
-    buf = np.empty((3, chunk * sources), dtype=np.int64)
+    chunk = max(1, _DRAW_SLOTS // max(1, len(srcs)))
+    buf = np.empty((3, chunk * len(srcs)), dtype=np.int64)
     parts = [buf[:, :0]]
     for first in range(0, cycles, chunk):
-        n = lib.pregen_uniform(
+        count = lib.pregen_uniform(
             mt.ctypes.data, mti.ctypes.data, min(chunk, cycles - first),
-            sources, probability, *(row.ctypes.data for row in buf),
+            srcs.ctypes.data, len(srcs), n, int(bool(mice_among)), probability,
+            *(row.ctypes.data for row in buf),
         )
-        parts.append(buf[:, :n] + [[first], [0], [0]])
+        parts.append(buf[:, :count] + [[first], [0], [0]])
     rng.setstate((3, tuple(mt.tolist()) + (int(mti[0]),), gauss))
     return tuple(np.concatenate(parts, axis=1))
 

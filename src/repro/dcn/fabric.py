@@ -2,15 +2,16 @@
 
 The paper's Tables VII-IX size datacenter deployments of the
 waferscale switch analytically; this module builds the same leaf/spine
-folded Clos *as a simulable object*.  The construction literally
-reuses :func:`repro.topology.clos.folded_clos` — each wafer plays the
-role the sub-switch chiplet plays inside one wafer, one level up:
+folded Clos *as a simulable object*, with the geometry of
+:func:`repro.topology.clos.folded_clos` — each wafer plays the role the
+sub-switch chiplet plays inside one wafer, one level up:
 
 * ``wafer_radix`` external ports per wafer switch,
 * ``2 * n_hosts / wafer_radix`` **leaf wafers**, each terminating
   ``wafer_radix / 2`` hosts and spreading as many uplink channels
-  across the spine tier (remainders rotated per leaf, exactly as the
-  intra-wafer builder does),
+  evenly across the spine tier (:class:`DCNShape` rejects shapes that
+  do not divide, so every leaf/spine pair has
+  :attr:`DCNShape.channels_per_pair` channels),
 * ``n_hosts / wafer_radix`` **spine wafers**, each exactly filled.
 
 Every wafer — leaf or spine — is therefore a radix-``wafer_radix``
@@ -43,8 +44,6 @@ from typing import Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from repro.netsim.network import ClosShape, NetworkModel, waferscale_clos_network
-from repro.tech.chiplet import scaled_leaf_die, tomahawk5
-from repro.topology.clos import folded_clos
 
 _M64 = (1 << 64) - 1
 _GOLDEN, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
@@ -149,6 +148,11 @@ class DCNShape:
         return self.n_leaves + self.n_spines
 
     @property
+    def channels_per_pair(self) -> int:
+        """Channels between one leaf and one spine (or the trunk)."""
+        return self.hosts_per_leaf // (self.n_spines or 1)
+
+    @property
     def wafer_terminals(self) -> int:
         return self.wafer_radix
 
@@ -181,57 +185,46 @@ class DCNFabric:
 
         # channels[l][s]: inter-wafer channel count between leaf l and
         # spine s (back-to-back: one trunk of H channels, peer implied).
-        if shape.back_to_back:
-            self.channels = [[H], [H]]
-        else:
-            topology = folded_clos(
-                shape.n_hosts,
-                ssc=scaled_leaf_die(
-                    shape.wafer_radix,
-                    tomahawk5().port_bandwidth_gbps,
-                    reference=tomahawk5(),
-                ),
-            )
-            self.channels = [[0] * S for _ in range(L)]
-            for link in topology.links:
-                self.channels[link.a][link.b - L] = link.channels
+        per = shape.channels_per_pair
+        counts = np.full((L, S or 1), per, dtype=np.int64)
+        self.channels = counts.tolist()
 
         # Gateway terminal offsets.  Leaf l, spine s, channel c sits at
         # leaf terminal H + leaf_gw_base[l][s] + c, and at spine
         # terminal spine_entry_base[s][l] + c.
-        counts = np.array(self.channels, dtype=np.int64)
         self._gw_base = np.cumsum(counts, axis=1) - counts
         self._entry_base = (np.cumsum(counts, axis=0) - counts).T
-        if (H + counts.sum(axis=1) != shape.wafer_terminals).any():
-            raise AssertionError("leaf uplinks must fill the wafer")
-        if (counts.sum(axis=0) != shape.wafer_terminals).any():
-            raise AssertionError("spine entries must fill the wafer")
         self.leaf_gw_base = self._gw_base.tolist()
         self.spine_entry_base = self._entry_base.tolist()
 
         self._dead_terminals = frozenset(failures.dead_terminals if failures else ())
         self._dead_links = frozenset(failures.dead_links if failures else ())
-        self.alive_hosts = tuple(
-            host
-            for host in range(shape.n_hosts)
-            if (shape.leaf_of_host(host), shape.local_of_host(host))
-            not in self._dead_terminals
-        )
         self._options: Dict[Tuple[int, int], tuple] = {}
 
         # Per-leaf tables: alive[l, s, :n_alive[l, s]] are the surviving
         # channel ids between leaf l and spine s (the back-to-back trunk
-        # is spine 0), ascending; -1 pads the rest.
-        spines = len(self.channels[0])
-        width = max(max(row) for row in self.channels)
-        self.alive = np.full((L, spines, width), -1, dtype=np.int64)
-        self.n_alive = np.zeros((L, spines), dtype=np.int64)
-        for l, s in np.ndindex(L, spines):
-            ids = [
-                c for c in range(self.channels[l][s]) if self._channel_alive(l, s, c)
-            ]
-            self.alive[l, s, : len(ids)] = ids
-            self.n_alive[l, s] = len(ids)
+        # is spine 0), ascending; -1 pads the rest.  A dead terminal
+        # kills its channel; a back-to-back channel dies on both sides.
+        live = np.ones((L, S or 1, per), dtype=bool)
+        wafer, term = np.array(list(self._dead_terminals), np.int64).reshape(-1, 2).T
+        gateway = (wafer < L) & (term >= H)
+        spine, channel = np.divmod(term[gateway] - H, per)
+        live[wafer[gateway], spine, channel] = False
+        entry = wafer >= L
+        leaf, channel = np.divmod(term[entry], per)
+        live[leaf, wafer[entry] - L, channel] = False
+        links = np.array(list(self._dead_links), np.int64).reshape(-1, 3)
+        live[tuple(links.T)] = False
+        if shape.back_to_back:
+            live[:] = live.all(axis=0)
+        order = np.argsort(~live, axis=-1, kind="stable")
+        self.alive = np.where(np.take_along_axis(live, order, -1), order, -1)
+        self.n_alive = live.sum(axis=-1)
+
+        host = (wafer < L) & (term < H)
+        self.host_alive = np.ones(shape.n_hosts, dtype=bool)
+        self.host_alive[wafer[host] * H + term[host]] = False
+        self.alive_hosts = tuple(np.flatnonzero(self.host_alive).tolist())
 
     # -- wafer construction --------------------------------------------
 
@@ -314,7 +307,7 @@ class DCNFabric:
         dst = np.asarray(dst_hosts, dtype=np.int64)
         src_leaf, src_local = np.divmod(src, H)
         dst_leaf, dst_local = np.divmod(dst, H)
-        alive = np.isin(src, self.alive_hosts) & np.isin(dst, self.alive_hosts)
+        alive = self.host_alive[src] & self.host_alive[dst]
 
         # Option counts per distinct leaf pair, then per packet.
         ids = np.flatnonzero(alive & (src_leaf != dst_leaf))

@@ -29,7 +29,6 @@ import random
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.dcn.fabric import DCNFabric
 from repro.tech.yield_model import DEFAULT_BOND_YIELD, die_yield
 
 
@@ -92,19 +91,13 @@ def sample_failures(shape, config: FailureConfig) -> DCNFailures:
                 )
     dead_links: List[Tuple[int, int, int]] = []
     link_fail = config.link_failure_prob
-    if shape.back_to_back:
-        trunks = [(0, 0, shape.hosts_per_leaf)]
-    else:
-        # Use the fault-free fabric's own channel table so sampled
-        # channel indices always match what routing will look up.
-        channels = DCNFabric(shape).channels
-        trunks = [
-            (leaf, spine, channels[leaf][spine])
-            for leaf in range(shape.n_leaves)
-            for spine in range(shape.n_spines)
-        ]
-    for leaf, spine, count in trunks:
-        for channel in range(count):
+    trunks = [(0, 0)] if shape.back_to_back else [
+        (leaf, spine)
+        for leaf in range(shape.n_leaves)
+        for spine in range(shape.n_spines)
+    ]
+    for leaf, spine in trunks:
+        for channel in range(shape.channels_per_pair):
             if rng.random() < link_fail:
                 dead_links.append((leaf, spine, channel))
 

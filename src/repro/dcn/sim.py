@@ -154,16 +154,23 @@ class DCNResult:
     per_wafer: List[Dict[str, int]] = field(default_factory=list)
 
     def latency_stats(self) -> Dict[str, float]:
-        done = sorted(l for l in self.latencies if l >= 0)
-        if not done:
-            return {"count": 0}
+        return self._latency_summary()[0]
+
+    def _latency_summary(self) -> Tuple[Dict[str, float], int]:
+        """:meth:`latency_stats` and the delivered latency sum, from one
+        sort (plain ints and floats, so JSON and digests see no numpy)."""
+        done = np.asarray(self.latencies, dtype=np.int64)
+        done = np.sort(done[done >= 0])
+        if not done.size:
+            return {"count": 0}, 0
+        n, total = len(done), int(done.sum())
         return {
-            "count": len(done),
-            "avg": round(sum(done) / len(done), 3),
-            "p50": done[len(done) // 2],
-            "p99": done[min(len(done) - 1, (len(done) * 99) // 100)],
-            "max": done[-1],
-        }
+            "count": n,
+            "avg": round(total / n, 3),
+            "p50": int(done[n // 2]),
+            "p99": int(done[min(n - 1, (n * 99) // 100)]),
+            "max": int(done[-1]),
+        }, total
 
     def parity_signature(self) -> Dict[str, object]:
         """Everything two runs must agree on bit-for-bit."""
@@ -182,8 +189,7 @@ class DCNResult:
             for f in fields(self)
             if f.name not in ("latencies", "per_wafer")
         }
-        summary["latency"] = self.latency_stats()
-        summary["latency_sum"] = sum(l for l in self.latencies if l >= 0)
+        summary["latency"], summary["latency_sum"] = self._latency_summary()
         summary["delivered_throughput"] = (
             round(self.flits_delivered / self.makespan, 6)
             if self.makespan
@@ -206,7 +212,8 @@ class _Plan:
             config.failures and sample_failures(config.shape, config.failures)
         )
         self.fabric = DCNFabric(config.shape, self.failures)
-        self.events = dcn_traffic.generate(
+        #: (cycle, source, destination, size) of DCN packet i in row i
+        self.traffic = dcn_traffic.generate(
             config.pattern,
             self.fabric.alive_hosts,
             config.duration_cycles,
@@ -214,8 +221,6 @@ class _Plan:
             load=config.load,
             size_flits=config.size_flits,
         )
-        #: (cycle, source, destination, size) of DCN packet i in row i
-        self.traffic = np.array(self.events, dtype=np.int64).reshape(-1, 4)
         self.routes = self.fabric.route_all(
             self.traffic[:, 1], self.traffic[:, 2]
         )
@@ -358,8 +363,8 @@ def _run_epochs(plan: _Plan) -> DCNResult:
         epochs=epoch,
         epoch_cycles=epoch_cycles,
         cycles=epoch * epoch_cycles,
-        packets_created=len(plan.events),
-        packets_routed=len(plan.events) - plan.dropped,
+        packets_created=len(plan.traffic),
+        packets_routed=len(plan.traffic) - plan.dropped,
         packets_dropped_unroutable=plan.dropped,
         packets_delivered=int(done.sum()),
         flits_offered=int(offered.sum()),

@@ -1,11 +1,11 @@
 """DCN-level traffic generators.
 
-Each generator returns a list of ``(cycle, src_host, dst_host,
-size_flits)`` tuples over *global* host ids, sorted, deterministic in
-``(pattern args, seed)``, with ``src != dst`` and both endpoints drawn
-only from the ``hosts`` survivor list the caller passes (so failed
-ports neither send nor sink).  The coordinator routes and tags them;
-generators know nothing about wafers.
+:func:`generate` returns one ``(n, 4)`` int64 array of ``(cycle,
+src_host, dst_host, size_flits)`` rows over *global* host ids, sorted,
+deterministic in ``(pattern args, seed)``, with ``src != dst`` and both
+endpoints drawn only from the ``hosts`` survivor list the caller passes
+(so failed ports neither send nor sink).  The coordinator routes and
+tags them; generators know nothing about wafers.
 
 Patterns are the heavy-traffic scenarios the roadmap names:
 
@@ -20,7 +20,8 @@ Patterns are the heavy-traffic scenarios the roadmap names:
   hosts send to one victim (rotating per round), the straggler-making
   pattern that stresses egress buffering.
 * ``elephant_mouse`` — a few long-lived heavy flows (elephants) under
-  a background of one-packet mice, the canonical DCN mix.
+  a background of one-packet mice, the canonical DCN mix; the mice are
+  drawn in C like ``uniform`` when the kernel loads.
 
 The LLM-training patterns model the three parallelism axes of a
 distributed training job, à la Theseus (PAPERS.md) — the traffic the
@@ -44,13 +45,11 @@ paper's Table VIII GPU-cluster fabric must serve:
 from __future__ import annotations
 
 import random
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 import numpy as np
 
 from repro import ckernel
-
-Event = Tuple[int, int, int, int]
 
 PATTERNS = (
     "uniform",
@@ -73,7 +72,7 @@ def generate(
     seed: int,
     load: float = 0.1,
     size_flits: int = 4,
-) -> List[Event]:
+) -> np.ndarray:
     """Dispatch to a named pattern; see module docstring for the menu."""
     if pattern not in PATTERNS:
         raise ValueError(
@@ -83,19 +82,25 @@ def generate(
         raise ValueError("need at least two alive hosts to generate traffic")
     if duration < 1:
         raise ValueError("duration must be >= 1")
-    events = globals()[f"_{pattern}"](
-        list(hosts), duration, random.Random(seed), load, size_flits
-    )
-    events.sort()
-    return events
+    make = globals()[f"_{pattern}"]
+    events = make(list(hosts), duration, random.Random(seed), load, size_flits)
+    events = np.asarray(events, dtype=np.int64).reshape(-1, 4)
+    return events[np.lexsort(events.T[::-1])]
+
+
+def _columns(hosts, size_flits, cycle, src, dst, keep=True):
+    """Event rows where ``keep`` holds; ``cycle``, ``src`` and ``dst``
+    (host indices) and ``keep`` broadcast together."""
+    cycle, src, dst, keep = np.broadcast_arrays(cycle, src, dst, keep)
+    ids = np.asarray(hosts, dtype=np.int64)
+    size = np.full(np.count_nonzero(keep), size_flits, np.int64)
+    return np.column_stack((cycle[keep], ids[src[keep]], ids[dst[keep]], size))
 
 
 def _uniform(hosts, duration, rng, load, size_flits):
     drawn = ckernel.draw_uniform(rng, duration, len(hosts), load)
     if drawn is not None:  # the loop below, run in C
-        cycle, src, dst, ids = *drawn, np.asarray(hosts)
-        sizes = [size_flits] * len(cycle)
-        return list(zip(cycle.tolist(), ids[src].tolist(), ids[dst].tolist(), sizes))
+        return _columns(hosts, size_flits, *drawn)
     events = []
     n = len(hosts)
     for cycle in range(duration):
@@ -112,14 +117,11 @@ def _waves(hosts, duration, interval, size_flits, dst_of):
     """One round every ``interval`` cycles: in round ``r`` host ``i``
     sends to ``hosts[dst_of(r, i)]`` (none when that is ``i``),
     staggered to cycle ``start + i % interval`` so a round is a wave,
-    not a single-cycle wall (as the fm16 system scenario does)."""
-    events = []
-    for r, start in enumerate(range(0, duration, interval)):
-        for i, src in enumerate(hosts):
-            j, cycle = dst_of(r, i), start + i % interval
-            if j != i and cycle < duration:
-                events.append((cycle, src, hosts[j], size_flits))
-    return events
+    not a single-cycle wall (as the fm16 system scenario does).
+    ``dst_of`` takes a column of rounds and a row of host indices."""
+    r, i = np.arange(-(-duration // interval))[:, None], np.arange(len(hosts))
+    cycle, dst = r * interval + i % interval, dst_of(r, i)
+    return _columns(hosts, size_flits, cycle, i, dst, (dst != i) & (cycle < duration))
 
 
 def _alltoall(hosts, duration, rng, load, size_flits):
@@ -155,32 +157,16 @@ def _pp_stages(hosts, duration, rng, load, size_flits):
     # streams activations to rank r of stage k+1.  Microbatch m leaves
     # stage k at cycle (m + k) * interval — the steady-state skew of a
     # 1F1B schedule.  Activations are heavier than gradient chunks.
-    del rng
-    events = []
-    n = len(hosts)
-    n_stages = min(8, n)
-    ranks = n // n_stages
-    activation = size_flits * 2
+    n_stages = min(8, len(hosts))
+    ranks = len(hosts) // n_stages
     interval = max(1, int(round(1.0 / max(load, 1e-9))))
-    microbatches = max(1, duration // interval)
-    for m in range(microbatches):
-        for k in range(n_stages - 1):
-            base = (m + k) * interval
-            if base >= duration:
-                break
-            for r in range(ranks):
-                cycle = base + r % interval
-                if cycle >= duration:
-                    continue
-                events.append(
-                    (
-                        cycle,
-                        hosts[k * ranks + r],
-                        hosts[(k + 1) * ranks + r],
-                        activation,
-                    )
-                )
-    return events
+    m, k, r = np.ix_(
+        np.arange(max(1, duration // interval)),
+        np.arange(n_stages - 1),
+        np.arange(ranks),
+    )
+    cycle, src = (m + k) * interval + r % interval, k * ranks + r
+    return _columns(hosts, size_flits * 2, cycle, src, src + ranks, cycle < duration)
 
 
 def _tp_burst(hosts, duration, rng, load, size_flits):
@@ -189,23 +175,17 @@ def _tp_burst(hosts, duration, rng, load, size_flits):
     # member (dense intra-group all-to-all, staggered inside the
     # interval).  Interval scales with the per-burst volume so the
     # offered load tracks `load`.
-    del rng
-    events = []
-    n = len(hosts)
-    group_size = min(TP_DEGREE, n)
+    group_size = min(TP_DEGREE, len(hosts))
     interval = max(1, int(round((group_size - 1) / max(load, 1e-9))))
-    for start in range(0, duration, interval):
-        for g in range(0, n - group_size + 1, group_size):
-            members = hosts[g:g + group_size]
-            for i, src in enumerate(members):
-                for j, dst in enumerate(members):
-                    if i == j:
-                        continue
-                    cycle = start + (i + j) % interval
-                    if cycle >= duration:
-                        continue
-                    events.append((cycle, src, dst, size_flits))
-    return events
+    start, g, i, j = np.ix_(
+        np.arange(0, duration, interval),
+        np.arange(len(hosts) // group_size) * group_size,
+        np.arange(group_size),
+        np.arange(group_size),
+    )
+    cycle = start + (i + j) % interval
+    keep = (i != j) & (cycle < duration)
+    return _columns(hosts, size_flits, cycle, g + i, g + j, keep)
 
 
 def _elephant_mouse(hosts, duration, rng, load, size_flits):
@@ -225,12 +205,18 @@ def _elephant_mouse(hosts, duration, rng, load, size_flits):
             events.append((cycle, hosts[i], hosts[j], elephant_size))
     # Everyone else contributes mice at the configured load.
     elephants = set(sources)
-    mouse_hosts = [h for k, h in enumerate(hosts) if k not in elephants]
+    mice = [k for k in range(n) if k not in elephants]
+    drawn = ckernel.draw_uniform(rng, duration, mice, load, mice_among=n)
+    if drawn is not None:  # the loop below, run in C
+        return np.concatenate(
+            (np.array(events, np.int64).reshape(-1, 4),
+             _columns(hosts, size_flits, *drawn))
+        )
     for cycle in range(duration):
-        for src in mouse_hosts:
+        for k in mice:
             if rng.random() < load:
-                dst = src
-                while dst == src:
-                    dst = hosts[rng.randrange(n)]
-                events.append((cycle, src, dst, size_flits))
+                dst = k
+                while dst == k:
+                    dst = rng.randrange(n)
+                events.append((cycle, hosts[k], hosts[dst], size_flits))
     return events

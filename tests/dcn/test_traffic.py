@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro import ckernel
@@ -15,15 +16,16 @@ HOSTS = tuple(range(16))
 def test_generate_is_deterministic(pattern):
     first = generate(pattern, HOSTS, duration=200, seed=5, load=0.2)
     second = generate(pattern, HOSTS, duration=200, seed=5, load=0.2)
-    assert first == second
-    assert first, f"{pattern} produced no traffic at load=0.2"
+    assert first.dtype == np.int64 and first.shape[1] == 4
+    assert np.array_equal(first, second)
+    assert len(first), f"{pattern} produced no traffic at load=0.2"
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_generate_invariants(pattern):
     events = generate(pattern, HOSTS, duration=200, seed=7, load=0.2)
-    assert events == sorted(events)
-    for cycle, src, dst, size in events:
+    assert events.tolist() == sorted(events.tolist())
+    for cycle, src, dst, size in events.tolist():
         assert 0 <= cycle < 200
         assert src in HOSTS and dst in HOSTS
         assert src != dst
@@ -33,15 +35,13 @@ def test_generate_invariants(pattern):
 def test_generate_respects_alive_subset():
     alive = (0, 3, 4, 9, 15)
     events = generate("uniform", alive, duration=400, seed=2, load=0.3)
-    endpoints = {src for _, src, _, _ in events} | {
-        dst for _, _, dst, _ in events
-    }
+    endpoints = set(events[:, 1].tolist()) | set(events[:, 2].tolist())
     assert endpoints <= set(alive)
 
 
 def test_seeds_change_traffic():
     runs = {
-        tuple(generate("uniform", HOSTS, duration=100, seed=s, load=0.2))
+        generate("uniform", HOSTS, duration=100, seed=s, load=0.2).tobytes()
         for s in range(6)
     }
     assert len(runs) > 1
@@ -51,7 +51,7 @@ def test_elephant_mouse_is_bimodal():
     events = generate(
         "elephant_mouse", HOSTS, duration=400, seed=1, load=0.2, size_flits=4
     )
-    sizes = {size for _, _, _, size in events}
+    sizes = set(events[:, 3].tolist())
     assert 4 in sizes and 16 in sizes
 
 
@@ -61,7 +61,7 @@ def test_incast_converges_on_victims():
     # Four complete rounds with rotating victims: exactly four hosts
     # each absorb a full n-1 fan-in, everyone else receives nothing.
     events = generate("incast", HOSTS, duration=20, seed=1, load=0.2)
-    fanin = Counter(dst for _, _, dst, _ in events)
+    fanin = Counter(events[:, 2].tolist())
     assert max(fanin.values()) == len(HOSTS) - 1
     assert len(fanin) == 4
 
@@ -107,10 +107,39 @@ def test_draw_uniform_replays_the_python_loop(kernel, sources, slots, monkeypatc
     assert rng.getstate() == reference.getstate()
 
 
+def _python_mice(rng, cycles, sources, n, probability):
+    draws = []
+    for cycle in range(cycles):
+        for src in sources:
+            if rng.random() < probability:
+                dst = src
+                while dst == src:
+                    dst = rng.randrange(n)
+                draws.append((cycle, src, dst))
+    return draws
+
+
+@pytest.mark.parametrize("slots", [1, 7, 64, 1 << 16])
+@pytest.mark.parametrize(
+    "n, sources",
+    [(2, [0, 1]), (3, [2]), (16, [0, 1, 4, 5, 9, 15]), (101, list(range(0, 101, 3))),
+     (9, [])],
+)
+def test_draw_mice_replays_the_python_loop(kernel, n, sources, slots, monkeypatch):
+    """The mice rule: same hits and the same RNG state after."""
+    monkeypatch.setattr(ckernel, "_DRAW_SLOTS", slots)
+    rng, reference = random.Random(n * slots), random.Random(n * slots)
+    cycle, src, dst = ckernel.draw_uniform(rng, 37, sources, 0.3, mice_among=n)
+    expected = _python_mice(reference, 37, sources, n, 0.3)
+    assert list(zip(cycle.tolist(), src.tolist(), dst.tolist())) == expected
+    assert rng.getstate() == reference.getstate()
+
+
 def test_draw_uniform_declines_without_kernel_or_sources(monkeypatch):
     rng = random.Random(1)
     state = rng.getstate()
     assert ckernel.draw_uniform(rng, 10, 1, 0.5) is None
+    assert ckernel.draw_uniform(rng, 10, [0], 0.5, mice_among=1) is None
     monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
     assert ckernel.draw_uniform(rng, 10, 8, 0.5) is None
     assert rng.getstate() == state
@@ -130,5 +159,5 @@ def test_uniform_pattern_same_with_and_without_kernel(
     fast = traffic._uniform(list(hosts), 53, fast_rng, 0.2, 4)
     monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
     slow = traffic._uniform(list(hosts), 53, slow_rng, 0.2, 4)
-    assert fast == slow and fast
+    assert np.array_equal(fast, slow) and len(fast)
     assert fast_rng.getstate() == slow_rng.getstate()
