@@ -69,9 +69,10 @@ import json
 import pathlib
 import time
 
-from repro.dcn import DCNConfig, DCNFabric, DCNShape, run_dcn
 from repro.dcn import sim as dcn_sim
 from repro.dcn import traffic as dcn_traffic
+from repro.dcn.fabric import DCNFabric, DCNShape
+from repro.dcn.sim import DCNConfig, run_dcn
 from repro.dcn.flow import calibrate_wafer
 
 from bench_netsim_speed import calibration_score

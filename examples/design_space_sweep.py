@@ -12,15 +12,9 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import max_feasible_design
-from repro.core.explorer import ideal_max_ports
-from repro.tech import (
-    AREA_IO,
-    OPTICAL_IO,
-    SERDES_IO,
-    SI_IF,
-    SI_IF_OVERDRIVEN,
-)
+from repro.core.explorer import ideal_max_ports, max_feasible_design
+from repro.tech.external_io import AREA_IO, OPTICAL_IO, SERDES_IO
+from repro.tech.wsi import SI_IF, SI_IF_OVERDRIVEN
 
 
 def main() -> None:

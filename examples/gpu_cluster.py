@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from repro.core.design import evaluate_design
 from repro.core.use_cases import NVSWITCH_BASELINE, gpu_cluster_comparison
-from repro.tech import OPTICAL_IO, SI_IF_OVERDRIVEN
 from repro.tech.chiplet import TH5_CONFIGURATIONS
-from repro.topology import folded_clos
+from repro.tech.external_io import OPTICAL_IO
+from repro.tech.wsi import SI_IF_OVERDRIVEN
+from repro.topology.clos import folded_clos
 
 
 def main() -> None:

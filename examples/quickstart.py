@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 
-from repro.core import (
-    apply_heterogeneity,
-    design_system_architecture,
-    max_feasible_design,
-)
-from repro.tech import OPTICAL_IO, SI_IF_OVERDRIVEN
+from repro.core.explorer import max_feasible_design
+from repro.core.hetero import apply_heterogeneity
+from repro.core.system_arch import design_system_architecture
+from repro.tech.external_io import OPTICAL_IO
+from repro.tech.wsi import SI_IF_OVERDRIVEN
 
 
 def main() -> None:

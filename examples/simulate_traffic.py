@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import argparse
 
-from repro.netsim import (
-    baseline_switch_network,
+from repro.netsim.network import baseline_switch_network, waferscale_clos_network
+from repro.netsim.sim import load_latency_sweep
+from repro.netsim.trace import (
+    SyntheticTraceSpec,
     duplicate_trace,
-    load_latency_sweep,
+    replay_trace,
     synthetic_nersc_trace,
-    waferscale_clos_network,
 )
-from repro.netsim.trace import SyntheticTraceSpec, replay_trace
 from repro.netsim.traffic import make_pattern
 
 

@@ -1,6 +1,7 @@
 """repro: a reproduction of "Waferscale Network Switches" (ISCA 2024).
 
-Public API overview:
+Public API overview (each package ``__init__`` holds only its
+docstring; import every name from the module that defines it):
 
 * ``repro.tech`` — technology parameter models (WSI substrates,
   external I/O, TH-5-like chiplets, power scaling, cooling).
@@ -13,12 +14,16 @@ Public API overview:
   power breakdowns, system architecture, and use-case comparisons.
 * ``repro.netsim`` — cycle-accurate network simulator (Booksim2
   equivalent) for the Section VI performance experiments.
+* ``repro.dcn`` — multi-wafer datacenter network simulation.
 * ``repro.experiments`` — one module per paper table/figure.
+* ``repro.api`` / ``repro.serve`` — the query facade and its HTTP
+  service.
 
 Quickstart::
 
-    from repro.core import max_feasible_design
-    from repro.tech import SI_IF_OVERDRIVEN, OPTICAL_IO
+    from repro.core.explorer import max_feasible_design
+    from repro.tech.external_io import OPTICAL_IO
+    from repro.tech.wsi import SI_IF_OVERDRIVEN
 
     design = max_feasible_design(
         300, wsi=SI_IF_OVERDRIVEN, external_io=OPTICAL_IO

@@ -457,8 +457,9 @@ def _execute_sim(
 
 
 def _execute_dcn(query: DCNQuery, engine: str) -> Dict[str, Any]:
-    from repro.dcn import DCNConfig, DCNShape, FailureConfig, run_dcn
-    from repro.dcn.sim import FIDELITIES
+    from repro.dcn.fabric import DCNShape
+    from repro.dcn.failures import FailureConfig
+    from repro.dcn.sim import FIDELITIES, DCNConfig, run_dcn
     from repro.dcn.traffic import PATTERNS
 
     if query.executor not in ("auto", "serial"):

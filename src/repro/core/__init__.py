@@ -20,57 +20,3 @@ into the paper's analyses:
 * :mod:`repro.core.use_cases` / :mod:`repro.core.costs` — single-switch
   datacenter, singular GPU, and DCN comparisons (Tables III, VI-IX).
 """
-
-from repro.core.buffering import (
-    buffer_requirements_by_connection,
-    required_buffer_bits,
-    required_buffer_flits,
-)
-from repro.core.constraints import ConstraintLimits, ConstraintReport
-from repro.core.deradix import deradix_sweep
-from repro.core.latency import latency_report
-from repro.core.design import DesignPoint, evaluate_design
-from repro.core.explorer import (
-    clos_radix_candidates,
-    ideal_max_ports,
-    max_feasible_design,
-)
-from repro.core.hetero import HeterogeneousResult, apply_heterogeneity
-from repro.core.physical_clos import PhysicalClosResult, evaluate_physical_clos
-from repro.core.power_breakdown import PowerBreakdown, power_breakdown
-from repro.core.system_arch import SystemArchitecture, design_system_architecture
-from repro.core.use_cases import (
-    datacenter_comparison,
-    dcn_comparison,
-    gpu_cluster_comparison,
-    microarchitecture_chiplet_counts,
-    modular_switch_comparison,
-)
-
-__all__ = [
-    "ConstraintLimits",
-    "ConstraintReport",
-    "DesignPoint",
-    "HeterogeneousResult",
-    "PhysicalClosResult",
-    "PowerBreakdown",
-    "SystemArchitecture",
-    "apply_heterogeneity",
-    "buffer_requirements_by_connection",
-    "clos_radix_candidates",
-    "datacenter_comparison",
-    "dcn_comparison",
-    "deradix_sweep",
-    "design_system_architecture",
-    "evaluate_design",
-    "evaluate_physical_clos",
-    "gpu_cluster_comparison",
-    "ideal_max_ports",
-    "latency_report",
-    "max_feasible_design",
-    "required_buffer_bits",
-    "required_buffer_flits",
-    "microarchitecture_chiplet_counts",
-    "modular_switch_comparison",
-    "power_breakdown",
-]

@@ -278,6 +278,11 @@ def _run_epochs(plan: _Plan) -> DCNResult:
     fly_tag = fly_arrive = pend_tag[:0]
     counts = np.zeros((n_wafers, len(COUNTERS)), dtype=np.int64)
     inflight, offered, offered_packets, delivered, delivered_packets = counts.T
+
+    def per_wafer(wafers, weights=None):
+        # Weighted bincount sums in float64, exact below 2**53 flits.
+        return np.bincount(wafers, weights, n_wafers).astype(np.int64)
+
     epoch = 0
     truncated = False
     while pend_tag.size or inflight.any():
@@ -322,18 +327,20 @@ def _run_epochs(plan: _Plan) -> DCNResult:
                 size, end,
             )
             new = is_flow[wafer]
-            np.add.at(offered, wafer[new], size[new])
-            np.add.at(offered_packets, wafer[new], 1)
-            np.add.at(inflight, wafer[new], size[new])
+            flits = per_wafer(wafer[new], size[new])
+            offered += flits
+            offered_packets += per_wafer(wafer[new])
+            inflight += flits
             fly_tag = np.concatenate((fly_tag, tag[new]))
             fly_arrive = np.concatenate((fly_arrive, arrive[new]))
             land = fly_arrive < end
             tags, arrives = fly_tag[land], fly_arrive[land]
             fly_tag, fly_arrive = fly_tag[~land], fly_arrive[~land]
             landed = routes.wafer[tags, hop[tags]]
-            np.add.at(delivered, landed, sizes[tags])
-            np.add.at(delivered_packets, landed, 1)
-            np.subtract.at(inflight, landed, sizes[tags])
+            flits = per_wafer(landed, sizes[tags])
+            delivered += flits
+            delivered_packets += per_wafer(landed)
+            inflight -= flits
             bundles.append((routes.exit[tags, hop[tags]], tags, arrives))
         if bundles:
             terms, tags, arrives = (np.concatenate(b) for b in zip(*bundles))

@@ -6,7 +6,3 @@ harness runs the full configurations.
 :func:`repro.experiments.runner.run_experiments` executes any subset;
 ``python -m repro experiments`` prints the paper-style tables.
 """
-
-from repro.experiments.base import ExperimentResult, available_experiments, get_experiment
-
-__all__ = ["ExperimentResult", "available_experiments", "get_experiment"]

@@ -9,21 +9,3 @@ dropped in place (area I/O). The figure of merit is ``C(M)``: the
 maximum channel load on any inter-chiplet edge (Section IV.A), minimized
 with the paper's pairwise-exchange heuristic (Algorithm 1).
 """
-
-from repro.mapping.exchange import MappingResult, optimize_mapping, pairwise_exchange
-from repro.mapping.grid import WaferGrid, grid_for
-from repro.mapping.placement import Placement, initial_placement
-from repro.mapping.routing import EdgeLoads, IOStyle, compute_edge_loads
-
-__all__ = [
-    "EdgeLoads",
-    "IOStyle",
-    "MappingResult",
-    "Placement",
-    "WaferGrid",
-    "compute_edge_loads",
-    "grid_for",
-    "initial_placement",
-    "optimize_mapping",
-    "pairwise_exchange",
-]

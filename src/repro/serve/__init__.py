@@ -17,8 +17,3 @@ Layers:
 Start it with ``python -m repro serve`` and see ``docs/serve.md`` for
 the endpoint and query schema reference.
 """
-
-from repro.serve.dispatch import Dispatcher, ResponseCache
-from repro.serve.server import ServeServer, main
-
-__all__ = ["Dispatcher", "ResponseCache", "ServeServer", "main"]

@@ -4,75 +4,3 @@ These are the input-parameter layers of the design-space study
 (Tables I, II, IV, V of the paper) plus the scaling laws used throughout
 (quadratic switch power, link Vdd/frequency scaling, process normalization).
 """
-
-from repro.tech.chiplet import (
-    TH5_CONFIGURATIONS,
-    SubSwitchChiplet,
-    scaled_leaf_die,
-    tomahawk5,
-)
-from repro.tech.cooling import (
-    AIR_COOLING,
-    COOLING_SOLUTIONS,
-    MULTIPHASE_COOLING,
-    WATER_COOLING,
-    CoolingSolution,
-)
-from repro.tech.external_io import (
-    AREA_IO,
-    EXTERNAL_IO_TECHNOLOGIES,
-    OPTICAL_IO,
-    SERDES_IO,
-    ExternalIOTechnology,
-)
-from repro.tech.power import (
-    link_energy_scaling,
-    quadratic_power_fit,
-    switch_core_power,
-)
-from repro.tech.process import normalize_power_to_node
-from repro.tech.wsi import (
-    INFO_SOW,
-    SI_IF,
-    SI_IF_OVERDRIVEN,
-    SILICON_INTERPOSER,
-    WSI_TECHNOLOGIES,
-    WSITechnology,
-)
-from repro.tech.yield_model import (
-    chiplet_system_yield,
-    compare_integration_yield,
-    die_yield,
-    monolithic_wafer_yield,
-)
-
-__all__ = [
-    "AIR_COOLING",
-    "AREA_IO",
-    "COOLING_SOLUTIONS",
-    "EXTERNAL_IO_TECHNOLOGIES",
-    "INFO_SOW",
-    "MULTIPHASE_COOLING",
-    "OPTICAL_IO",
-    "SERDES_IO",
-    "SI_IF",
-    "SI_IF_OVERDRIVEN",
-    "SILICON_INTERPOSER",
-    "TH5_CONFIGURATIONS",
-    "WATER_COOLING",
-    "WSI_TECHNOLOGIES",
-    "CoolingSolution",
-    "ExternalIOTechnology",
-    "SubSwitchChiplet",
-    "WSITechnology",
-    "chiplet_system_yield",
-    "compare_integration_yield",
-    "die_yield",
-    "link_energy_scaling",
-    "monolithic_wafer_yield",
-    "normalize_power_to_node",
-    "quadratic_power_fit",
-    "scaled_leaf_die",
-    "switch_core_power",
-    "tomahawk5",
-]

@@ -6,23 +6,3 @@ channels. The folded 2-level Clos is the paper's primary topology
 (Section IV); mesh, butterfly, flattened butterfly and dragonfly cover
 the Section VII discussion (Fig 25).
 """
-
-from repro.topology.base import LogicalLink, LogicalTopology, NodeRole, SwitchNode
-from repro.topology.butterfly import tapered_butterfly
-from repro.topology.clos import folded_clos, heterogeneous_clos
-from repro.topology.dragonfly import dragonfly
-from repro.topology.flattened_butterfly import flattened_butterfly
-from repro.topology.mesh import direct_mesh
-
-__all__ = [
-    "LogicalLink",
-    "LogicalTopology",
-    "NodeRole",
-    "SwitchNode",
-    "dragonfly",
-    "direct_mesh",
-    "flattened_butterfly",
-    "folded_clos",
-    "heterogeneous_clos",
-    "tapered_butterfly",
-]

@@ -20,7 +20,9 @@ import pytest
 
 from repro import ckernel
 from repro.cas import CACHE_DIR_ENV
-from repro.dcn import DCNConfig, DCNShape, FailureConfig, run_dcn
+from repro.dcn.fabric import DCNShape
+from repro.dcn.failures import FailureConfig
+from repro.dcn.sim import DCNConfig, run_dcn
 
 B2B = DCNConfig(
     shape=DCNShape(n_hosts=16, wafer_radix=16, ssc_radix=8, back_to_back=True),

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.api import DCNQuery, QueryError, execute
-from repro.dcn import DCNConfig, DCNShape, FailureConfig, run_dcn
+from repro.dcn.fabric import DCNShape
+from repro.dcn.failures import FailureConfig
+from repro.dcn.sim import DCNConfig, run_dcn
 from repro.engines import netsim_engine_tag
 
 GOLDEN = DCNConfig(

@@ -8,13 +8,15 @@ import threading
 import pytest
 
 from repro.api import DCNQuery, QueryError, execute
-from repro.dcn import DCNConfig, DCNShape, flow, run_dcn
+from repro.dcn import flow
+from repro.dcn.fabric import DCNShape
 from repro.dcn.flow import (
     FlowWaferNode,
     ServiceCurve,
     calibrate_wafer,
     curves_for_shape,
 )
+from repro.dcn.sim import DCNConfig, run_dcn
 
 SPINED = DCNConfig(
     shape=DCNShape(n_hosts=32, wafer_radix=16, ssc_radix=8),

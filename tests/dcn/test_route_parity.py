@@ -86,7 +86,7 @@ def test_vectorized_mix_matches_scalar():
 
 
 def test_simulator_plans_without_the_oracle(monkeypatch):
-    from repro.dcn import DCNConfig, run_dcn
+    from repro.dcn.sim import DCNConfig, run_dcn
 
     def oracle(*args):
         raise AssertionError("the simulator must route with route_all")

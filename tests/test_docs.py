@@ -4,6 +4,7 @@ Part of the fast tier so docs can't rot silently: a renamed file breaks
 the link check and a stale docstring example breaks the doctest pass.
 """
 
+import ast
 import doctest
 import importlib
 import pathlib
@@ -67,3 +68,31 @@ def test_docstring_examples_run(module_name):
     outcome = doctest.testmod(module, verbose=False)
     assert outcome.attempted > 0, f"{module_name}: '>>>' present but no doctests collected"
     assert outcome.failed == 0, f"{module_name}: {outcome.failed} doctest failure(s)"
+
+
+_PYTHON_BLOCK = re.compile(r"^```python\n(.*?)^```", re.DOTALL | re.MULTILINE)
+
+SNIPPET_FILES = [p for p in MARKDOWN_FILES if _PYTHON_BLOCK.search(p.read_text())]
+
+
+def test_snippet_check_covers_the_readme():
+    assert REPO_ROOT / "README.md" in SNIPPET_FILES
+
+
+@pytest.mark.parametrize(
+    "md_file", SNIPPET_FILES, ids=lambda p: str(p.relative_to(REPO_ROOT))
+)
+def test_snippet_imports_resolve(md_file):
+    """Every name a ``python`` block imports from ``repro`` exists in
+    the module it names."""
+    missing = []
+    for block in _PYTHON_BLOCK.findall(md_file.read_text()):
+        for node in ast.walk(ast.parse(block)):
+            if isinstance(node, ast.ImportFrom) and node.module.startswith("repro"):
+                module = importlib.import_module(node.module)
+                missing += [
+                    f"{node.module}.{alias.name}"
+                    for alias in node.names
+                    if not hasattr(module, alias.name)
+                ]
+    assert not missing, f"{md_file.name}: unresolved snippet import(s): {missing}"

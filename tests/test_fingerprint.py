@@ -214,3 +214,30 @@ def test_importing_a_root_loads_only_its_closure():
     """Every ``repro`` module that importing a key root executes, package
     ``__init__`` files included, is in that root's closure."""
     assert _run(_SOUNDNESS_SCRIPT) == {}
+
+
+#: The only package ``__init__`` that may import: the benchmark harness
+#: imports these three names from ``repro.dcn``.
+_DCN_REEXPORTS = {"DCNConfig", "DCNShape", "run_dcn"}
+
+
+def test_package_inits_import_nothing():
+    """Whatever a package ``__init__`` imports joins the key of every
+    module under that package, so no ``__init__`` re-exports names."""
+    for path in sorted((SRC / "repro").rglob("__init__.py")):
+        package = ".".join(path.parent.relative_to(SRC).parts)
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_bytes())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported |= {alias.name for alias in node.names}
+        expected = _DCN_REEXPORTS if package == "repro.dcn" else set()
+        assert imported == expected, package
+
+
+def test_closed_form_tables_exclude_the_mapping_layer():
+    """The use-case and cost tables are arithmetic: their keys cover no
+    mapping module and no compiled kernel."""
+    for experiment_id in ("tab03", "tab06", "tab07", "tab08"):
+        closure = transitive_modules(f"repro.experiments.{experiment_id}")
+        assert "repro.ckernel" not in closure, experiment_id
+        assert not [m for m in closure if m.startswith("repro.mapping")], experiment_id
