@@ -141,7 +141,7 @@ def run_workload(
         start = time.perf_counter()
         stats = run(telemetry, engine)
         elapsed = time.perf_counter() - start
-        flits_moved = sum(r.flits_forwarded for r in network.routers)
+        flits_moved = sum(stats.final.flits_forwarded)
         result = {
             "workload": name,
             "cycles": network.cycle,

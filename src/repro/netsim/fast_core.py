@@ -26,7 +26,9 @@ The kernel serves every vectorized run: Bernoulli load points
 (:meth:`FastEngine.run_epoch`, driven by
 :class:`repro.netsim.partition.WaferPartition`), at any port count.
 Without a C toolchain :func:`engine_for` declines and the scalar object
-simulator runs instead.
+simulator runs instead. A run hands its end state back on
+:attr:`RunStats.final <repro.netsim.stats.RunStats.final>`; of the
+network it compiled from, the engine advances only ``network.cycle``.
 
 The engine is held to *bit parity* with the object simulator: the
 golden corpus (``tests/netsim/goldens``) and the differential fuzz
@@ -48,9 +50,8 @@ from typing import Optional
 import numpy as np
 
 from repro import ckernel, engines
-from repro.netsim.packet import Packet
 from repro.netsim.router import ACTIVE, IDLE, ROUTE
-from repro.netsim.stats import RunStats
+from repro.netsim.stats import RunEnd, RunStats
 from repro.netsim.telemetry import LatencyHistogram
 
 # Flit codes pack (packet id, flit index) into one int64.
@@ -86,64 +87,16 @@ class _Incompatible(Exception):
     """Network shape the vectorized engine does not support."""
 
 
-class _LazyPackets:
-    """List-alike of delivered :class:`Packet` objects, built on touch.
-
-    ``Terminal.packets_received`` can hold tens of thousands of
-    packets after a run; most callers never look at them (the engine
-    computes latency stats from its arrays). This defers the object
-    construction until something iterates, indexes or appends —
-    at which point it behaves exactly like the list the scalar engine
-    would have produced.
-    """
-
-    __slots__ = ("_mk", "_pids", "_items")
-
-    def __init__(self, mk, pids):
-        self._mk = mk
-        self._pids = pids
-        self._items = None
-
-    def _real(self):
-        items = self._items
-        if items is None:
-            mk = self._mk
-            items = self._items = [mk(pid) for pid in self._pids.tolist()]
-        return items
-
-    def __len__(self):
-        items = self._items
-        return len(self._pids) if items is None else len(items)
-
-    def __bool__(self):
-        return len(self) > 0
-
-    def __iter__(self):
-        return iter(self._real())
-
-    def __getitem__(self, i):
-        return self._real()[i]
-
-    def append(self, packet):
-        self._real().append(packet)
-
-    def __eq__(self, other):
-        return self._real() == other
-
-    def __repr__(self):
-        return repr(self._real())
-
-
 def engine_for(network, telemetry=None, engine: str = "auto") -> Optional["FastEngine"]:
     """Compile a vectorized engine for ``network``, or ``None``.
 
     ``engine`` is a :data:`repro.engines.NETSIM_ENGINES` name, resolved
     once here (callers that resolved already may pass the concrete
     value through — resolution is idempotent). ``None`` falls back to
-    the scalar object simulator: a ``"scalar"`` resolution (requested
-    or env-forced), no C toolchain on this host, an un-tagged route
-    function (no ``route_spec``), a network that is not pristine (a
-    spent one included), or a shape outside the engine's support
+    the scalar object simulator: a ``"scalar"`` resolution, no C
+    toolchain on this host, an un-tagged route function (no
+    ``route_spec``), a network that is not pristine (its clock off 0 or
+    flits in flight), or a shape outside the engine's support
     (non-uniform radix/VC/buffer config, more than 63 VCs) all decline
     rather than risk divergence.
     """
@@ -166,11 +119,7 @@ class FastEngine:
             raise _Incompatible("no C kernel on this host")
         if network.telemetry is not None:
             raise _Incompatible("a telemetry sink is already attached")
-        if (
-            network.spent_inflight is not None
-            or network.cycle != 0
-            or network.in_flight_flits() != 0
-        ):
+        if network.cycle != 0 or network.in_flight_flits() != 0:
             raise _Incompatible("network is not pristine")
         routers = network.routers
         terminals = network.terminals
@@ -481,7 +430,6 @@ class FastEngine:
 
     def _set_packets(self, base, src, dst, size, create) -> None:
         """Install a fresh packet store (packet ``i`` = offer event ``i``)."""
-        self.pk_base = base
         n = len(src)
         for name, fill in self._STORE:
             setattr(self, name, np.full(n, fill, dtype=np.int64))
@@ -627,10 +575,7 @@ class FastEngine:
         self._c_run(_DRAIN, drain_cycles)
         self._finish(stats)
         if tel is not None:
-            # _finish wrote the terminal counters and packet lists
-            # back above, so the final boundary only refreshes the
-            # router counter views.
-            self._tel_boundary(tel, terminals=False)
+            self._tel_boundary(tel)
             self._tel_histograms(tel)
             tel.finish(st.cycle)
         return stats
@@ -698,7 +643,7 @@ class FastEngine:
     # Telemetry bridging (kernel counters -> Telemetry machinery)
     # ------------------------------------------------------------------
 
-    def _tel_boundary(self, tel, terminals: bool = True) -> None:
+    def _tel_boundary(self, tel) -> None:
         """Sync the kernel's telemetry counters into the sink's views.
 
         Called at every window boundary *before* ``begin_window`` /
@@ -707,7 +652,7 @@ class FastEngine:
         engine's live counters would hold at that cycle.
         """
         st, aux = self.st, self.aux
-        P, V, T = self.P, self.V, self.T
+        P, V = self.P, self.V
         sa_requests = aux["tel_sa_requests"]
         channel_load = aux["tel_channel_load"]
         credit_stall = aux["tel_credit_stall"]
@@ -734,19 +679,12 @@ class FastEngine:
         tel._backlog_sum = st.tel_backlog_sum
         tel._backlog_peak = st.tel_backlog_peak
         tel._backlog_samples = st.tel_backlog_samples
-        if terminals:
-            # Mid-run the object-model terminals are stale; mirror the
-            # counters the terminal snapshot reads (sums only — the
-            # run-final write-back installs the real packet lists).
-            n_log = st.log_count
-            received = np.bincount(
-                self.log_term[:n_log], minlength=T
-            ) if n_log else np.zeros(T, dtype=np.int64)
-            for ti, terminal in enumerate(self.network.terminals):
-                terminal.flits_sent = int(self.tsent[ti])
-                terminal.flits_received = int(self.trecv[ti])
-                terminal.packets_sent = int(self.tpsent[ti])
-                terminal.packets_received = range(int(received[ti]))
+        tel.terminal_totals = {
+            "flits_sent": int(self.tsent.sum()),
+            "flits_received": int(self.trecv.sum()),
+            "packets_sent": int(self.tpsent.sum()),
+            "packets_received": int(st.log_count),
+        }
 
     def _tel_reset_sampled(self) -> None:
         """Zero the kernel's sampled accumulators (window start)."""
@@ -796,86 +734,33 @@ class FastEngine:
                     histogram.add(one)
 
     # ------------------------------------------------------------------
-    # Finalization: stats + counters written back; the network is spent
+    # Finalization: the run's stats and end state
     # ------------------------------------------------------------------
 
-    def _delivered_sorted(self):
-        """Delivered ``(terminal, packet id)`` arrays, terminal-major.
-
-        Within a terminal, packets keep their arrival order (the
-        stable sort preserves the delivery log's global order) — the
-        same order the scalar engine's per-terminal
-        ``packets_received`` lists produce.
-        """
-        count = self.st.log_count
-        dterm = self.log_term[:count]
-        order = np.argsort(dterm, kind="stable")
-        return dterm[order], self.log_pidx[:count][order] + self.pk_base
-
     def _finish(self, stats: RunStats, window_filter: bool = True) -> None:
-        dterm, dpid = self._delivered_sorted()
-        idx = dpid - self.pk_base
+        """Fill ``stats`` from the arrays; the network gets only the clock."""
+        dterm = self.log_term[:self.st.log_count]
+        # Terminal-major, arrival order within a terminal: the order the
+        # scalar engine's per-terminal ``packets_received`` lists give.
+        order = np.argsort(dterm, kind="stable")
+        idx = self.log_pidx[:dterm.size][order]
         create = self.pk_create[idx]
         lat = self.pk_arrive[idx] - create
         if window_filter:
-            m = (create >= stats.measure_start) & (
-                create < stats.measure_end
-            )
-            stats.latencies_cycles.extend(lat[m].tolist())
+            lat = lat[(create >= stats.measure_start)
+                      & (create < stats.measure_end)]
         else:
-            stats.latencies_cycles.extend(lat.tolist())
             stats.flits_delivered = int(self.pk_size[idx].sum())
-        self._writeback(dterm, dpid)
-
-    def _packet_factory(self):
-        base = self.pk_base
-        src = self.pk_src
-        dst = self.pk_dst
-        size = self.pk_size
-        create = self.pk_create
-        inject = self.pk_inject
-        arrive = self.pk_arrive
-
-        def mk(pid: int) -> Packet:
-            i = pid - base
-            packet = Packet(
-                int(src[i]), int(dst[i]), int(size[i]), int(create[i]), pid
-            )
-            packet.inject_cycle = int(inject[i])
-            packet.arrive_cycle = int(arrive[i])
-            return packet
-
-        return mk
-
-    def _writeback(self, dterm, dpid) -> None:
-        """Write the run's counters into the object model.
-
-        Callers read the final cycle, per-router forwarded and buffered
-        flit totals, per-terminal send/receive counters and the
-        delivered packets (built on first touch). Router queues, VC
-        state, wires and source queues are not rebuilt, so the network
-        is left *spent*: ``spent_inflight`` carries the kernel's
-        in-flight count (source backlog included) and every run entry
-        point refuses the network from now on.
-        """
-        network = self.network
-        network.cycle = self.cycle
-        network.spent_inflight = int(self.inflight)
-        per_router = (self.R, self.P)
-        forwarded = self.fwd_g.reshape(per_router).sum(axis=1).tolist()
-        buffered = self.occ.reshape(per_router).sum(axis=1).tolist()
-        for router, fwd, buf in zip(network.routers, forwarded, buffered):
-            router.flits_forwarded = fwd
-            router._buffered_total = buf
-        mk = self._packet_factory()
-        bounds = np.searchsorted(dterm, np.arange(self.T + 1)).tolist()
-        sent = self.tsent.tolist()
-        packets_sent = self.tpsent.tolist()
-        received = self.trecv.tolist()
-        for ti, terminal in enumerate(network.terminals):
-            terminal.flits_sent = sent[ti]
-            terminal.packets_sent = packets_sent[ti]
-            terminal.flits_received = received[ti]
-            terminal.packets_received = _LazyPackets(
-                mk, dpid[bounds[ti]:bounds[ti + 1]]
-            )
+        stats.latencies_cycles.extend(lat.tolist())
+        forwarded = self.fwd_g.reshape(self.R, self.P).sum(axis=1)
+        stats.final = RunEnd(
+            in_flight_flits=int(self.inflight),
+            flits_sent=tuple(self.tsent.tolist()),
+            packets_sent=tuple(self.tpsent.tolist()),
+            flits_received=tuple(self.trecv.tolist()),
+            packets_received=tuple(
+                np.bincount(dterm, minlength=self.T).tolist()
+            ),
+            flits_forwarded=tuple(forwarded.tolist()),
+        )
+        self.network.cycle = self.cycle

@@ -43,6 +43,9 @@ class NetworkModel:
     routers: List[Router]
     terminals: List[Terminal]
     links: List[tuple] = field(default_factory=list)  # (link, sink_kind, sink, port)
+    #: The clock. Every run starts at 0, so a network runs once. A
+    #: compiled-kernel run advances only this; the run's counters come
+    #: back on its :class:`~repro.netsim.stats.RunStats`.
     cycle: int = 0
     #: arrival cycle -> [index into ``links``] — flits in flight.
     _link_events: Dict[int, list] = field(default_factory=dict, repr=False)
@@ -62,10 +65,6 @@ class NetworkModel:
     #: routing decision into array ops; ``None`` (custom route
     #: functions) keeps runs on the scalar object engine.
     route_spec: Optional[tuple] = field(default=None, repr=False)
-    #: Flits still in flight when a compiled-kernel run finished. Set,
-    #: the network is *spent*: the run wrote back its counters but not
-    #: its queues, wires or allocator state, so it cannot be stepped.
-    spent_inflight: Optional[int] = field(default=None, repr=False)
 
     @property
     def n_terminals(self) -> int:
@@ -161,18 +160,16 @@ class NetworkModel:
                 telemetry.sample(self, now)
         self.cycle += 1
 
-    def require_unspent(self) -> None:
-        """Refuse a network a compiled-kernel run has already spent."""
-        if self.spent_inflight is not None:
+    def require_fresh(self) -> None:
+        """Refuse a network whose clock has moved: a network runs once."""
+        if self.cycle != 0:
             raise RuntimeError(
-                f"network {self.name!r} was spent by a compiled-kernel run, "
-                "which writes back counters only; build a fresh network"
+                f"network {self.name!r} has already run (cycle "
+                f"{self.cycle}); build a fresh network"
             )
 
     def in_flight_flits(self) -> int:
         """Flits queued at sources, in router buffers or on the wire."""
-        if self.spent_inflight is not None:
-            return self.spent_inflight
         buffered = sum(router._buffered_total for router in self.routers)
         on_wire = sum(len(link._in_flight) for link, _, _, _ in self.links)
         backlog = sum(len(t.source_queue) for t in self.terminals)

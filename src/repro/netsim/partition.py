@@ -74,7 +74,7 @@ class WaferPartition:
     """One wafer's network, steppable in externally bounded epochs."""
 
     def __init__(self, network: NetworkModel, engine: str = "auto"):
-        network.require_unspent()
+        network.require_fresh()
         resolved = resolve_netsim_engine(engine)
         self.engine = fast_core.engine_for(network, None, engine=resolved)
         self.network = network
@@ -90,7 +90,7 @@ class WaferPartition:
 
     @property
     def cycle(self) -> int:
-        return self.network.cycle if self.engine is None else self.engine.cycle
+        return self.network.cycle
 
     @property
     def inflight_flits(self) -> int:
@@ -168,6 +168,7 @@ class WaferPartition:
         else:
             cycle = src = dst = size = ()
         terms, gids = engine.run_epoch(src, dst, size, cycle, to_cycle)
+        self.network.cycle = engine.cycle
         tags = self._tags
         self._delivered_packets_fast += int(gids.size)
         return (

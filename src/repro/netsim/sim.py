@@ -18,7 +18,7 @@ from repro.netsim import fast_core
 from repro.netsim.config import SimConfig
 from repro.netsim.network import NetworkModel
 from repro.netsim.packet import Packet, PacketIds
-from repro.netsim.stats import RunStats
+from repro.netsim.stats import RunEnd, RunStats
 from repro.netsim.telemetry import Telemetry
 from repro.netsim.traffic import BernoulliInjector, TrafficPattern, make_pattern
 
@@ -106,7 +106,7 @@ class Simulator:
         :class:`~repro.netsim.stats.RunStats`.
         """
         network = self.network
-        network.require_unspent()
+        network.require_fresh()
         # Engine selection happens once per run (repro.engines): the
         # vectorized struct-of-arrays core when requested and
         # supported, the object simulator otherwise. All engines
@@ -155,6 +155,7 @@ class Simulator:
         for terminal in network.terminals:
             for packet in terminal.packets_received:
                 stats.record_arrival(packet)
+        stats.final = RunEnd.of(network)
         return stats
 
     def _delivered_flits(self) -> int:

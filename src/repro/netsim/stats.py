@@ -20,12 +20,17 @@ Windowing contract (Booksim's methodology, made explicit):
 * A bounded drain can cut off the slowest measurement-window packets
   (right-censoring the latency distribution);
   :attr:`RunStats.packets_outstanding` says how many.
+
+Every run also hands back its end state (:class:`RunEnd`, on
+:attr:`RunStats.final`): the whole-run counters a network held when the
+run stopped. Both engines fill it, so it is the one place to read them;
+after a compiled run the network's objects hold only the clock.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.netsim.config import CYCLE_TIME_NS
 
@@ -34,6 +39,36 @@ from repro.netsim.config import CYCLE_TIME_NS
 #: payloads from a different major version.
 RUN_STATS_SCHEMA = "repro-run-stats"
 RUN_STATS_SCHEMA_VERSION = 1
+
+
+@dataclass(frozen=True)
+class RunEnd:
+    """A run's end state: whole-run counters, not window-attributed.
+
+    ``in_flight_flits`` counts flits still queued at sources, in router
+    buffers or on the wire; the tuples hold one entry per terminal
+    (``flits_*``/``packets_*``) or per router (``flits_forwarded``).
+    """
+
+    in_flight_flits: int
+    flits_sent: Tuple[int, ...]
+    packets_sent: Tuple[int, ...]
+    flits_received: Tuple[int, ...]
+    packets_received: Tuple[int, ...]
+    flits_forwarded: Tuple[int, ...]
+
+    @classmethod
+    def of(cls, network) -> "RunEnd":
+        """Read the end state off a network the scalar engine ran."""
+        terminals = network.terminals
+        return cls(
+            in_flight_flits=network.in_flight_flits(),
+            flits_sent=tuple(t.flits_sent for t in terminals),
+            packets_sent=tuple(t.packets_sent for t in terminals),
+            flits_received=tuple(t.flits_received for t in terminals),
+            packets_received=tuple(len(t.packets_received) for t in terminals),
+            flits_forwarded=tuple(r.flits_forwarded for r in network.routers),
+        )
 
 
 @dataclass
@@ -48,6 +83,8 @@ class RunStats:
     n_terminals: int = 0
     #: Packets created during the measurement window (delivered or not).
     packets_created: int = 0
+    #: The run's end state; not serialized and not compared.
+    final: Optional[RunEnd] = field(default=None, compare=False, repr=False)
 
     def record_arrival(self, packet) -> bool:
         """Count a delivered packet iff it was created in the window.

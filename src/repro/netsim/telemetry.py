@@ -281,6 +281,9 @@ class Telemetry:
         self._network = None
         self._routers: List[RouterTelemetry] = []
         self.terminal_credit_stalls: List[int] = []
+        #: Terminal counter totals a compiled run hands over at each
+        #: window boundary; ``None`` sums the attached terminals'.
+        self.terminal_totals: Optional[Dict[str, int]] = None
         self._windows: List[_Window] = []
         self._backlog_sum = 0
         self._backlog_peak = 0
@@ -409,13 +412,20 @@ class Telemetry:
     # ------------------------------------------------------------------
 
     def _terminal_snapshot(self) -> dict:
-        terminals = self._network.terminals
+        totals = self.terminal_totals
+        if totals is None:
+            terminals = self._network.terminals
+            totals = {
+                "flits_sent": sum(t.flits_sent for t in terminals),
+                "flits_received": sum(t.flits_received for t in terminals),
+                "packets_sent": sum(t.packets_sent for t in terminals),
+                "packets_received": sum(
+                    len(t.packets_received) for t in terminals
+                ),
+            }
         return {
             "credit_stall_cycles": list(self.terminal_credit_stalls),
-            "flits_sent": sum(t.flits_sent for t in terminals),
-            "flits_received": sum(t.flits_received for t in terminals),
-            "packets_sent": sum(t.packets_sent for t in terminals),
-            "packets_received": sum(len(t.packets_received) for t in terminals),
+            **totals,
         }
 
     def _backlog_record(self) -> dict:

@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.netsim.network import NetworkModel
 from repro.netsim.packet import Packet, PacketIds
-from repro.netsim.stats import RunStats
+from repro.netsim.stats import RunEnd, RunStats
 
 
 @dataclass(frozen=True)
@@ -260,7 +260,7 @@ def replay_trace(
     """
     if compression <= 0:
         raise ValueError("compression must be positive")
-    network.require_unspent()
+    network.require_fresh()
     packet_ids = packet_ids or PacketIds()
     from repro.engines import resolve_netsim_engine
 
@@ -301,4 +301,5 @@ def replay_trace(
         for packet in terminal.packets_received:
             stats.latencies_cycles.append(packet.latency_cycles)
             stats.flits_delivered += packet.size_flits
+    stats.final = RunEnd.of(network)
     return stats

@@ -117,13 +117,9 @@ def run_scenario(name: str, engine: str = "auto") -> dict:
         "measure_start": stats.measure_start,
         "measure_end": stats.measure_end,
         "final_cycle": network.cycle,
-        "in_flight_after_drain": network.in_flight_flits(),
-        "flits_received_per_terminal": [
-            t.flits_received for t in network.terminals
-        ],
-        "flits_forwarded_per_router": [
-            r.flits_forwarded for r in network.routers
-        ],
+        "in_flight_after_drain": stats.final.in_flight_flits,
+        "flits_received_per_terminal": list(stats.final.flits_received),
+        "flits_forwarded_per_router": list(stats.final.flits_forwarded),
     }
 
 
@@ -165,13 +161,9 @@ def run_trace_scenario(name: str, engine: str = "auto") -> dict:
         "packets_created": stats.packets_created,
         "packets_delivered": stats.packets_delivered,
         "final_cycle": network.cycle,
-        "in_flight_after_drain": network.in_flight_flits(),
-        "flits_received_per_terminal": [
-            t.flits_received for t in network.terminals
-        ],
-        "flits_forwarded_per_router": [
-            r.flits_forwarded for r in network.routers
-        ],
+        "in_flight_after_drain": stats.final.in_flight_flits,
+        "flits_received_per_terminal": list(stats.final.flits_received),
+        "flits_forwarded_per_router": list(stats.final.flits_forwarded),
     }
 
 

@@ -144,6 +144,7 @@ def _run_summary(
         warmup_cycles=warmup, measure_cycles=measure, drain_cycles=drain,
         engine=engine,
     )
+    final = stats.final
     return {
         "latencies": list(stats.latencies_cycles),
         # One id per packet created over warmup and measurement.
@@ -152,12 +153,11 @@ def _run_summary(
         "flits_delivered": stats.flits_delivered,
         "packets_created": stats.packets_created,
         "final_cycle": network.cycle,
-        "in_flight": network.in_flight_flits(),
-        "per_terminal": [
-            (t.flits_sent, t.flits_received, len(t.packets_received))
-            for t in network.terminals
-        ],
-        "per_router": [r.flits_forwarded for r in network.routers],
+        "in_flight": final.in_flight_flits,
+        "per_terminal": list(
+            zip(final.flits_sent, final.flits_received, final.packets_received)
+        ),
+        "per_router": list(final.flits_forwarded),
     }
 
 
@@ -245,37 +245,98 @@ def test_backlogged_run_differential(pattern_name):
     assert reference["in_flight"] > 0
 
 
-def test_spent_network_is_refused():
-    """A compiled run writes back counters only, so the network it
-    leaves is spent: every run entry point refuses it, and its
-    in-flight count is the oracle's."""
-    if ckernel.load_kernel() is None:
-        pytest.skip("no C kernel on this host")
-    config = SimConfig(
-        warmup_cycles=50, measure_cycles=200, drain_cycles=0, seed=3
+_BACKLOG_CONFIG = SimConfig(
+    warmup_cycles=50, measure_cycles=200, drain_cycles=0, seed=3
+)
+
+#: A few messages per cycle for the first 40 cycles, cut off at 60.
+_BACKLOG_EVENTS = [
+    (cycle, src, (src + 5) % 32, 4)
+    for cycle in range(0, 40, 4)
+    for src in range(0, 32, 3)
+]
+
+
+def _bernoulli_run(network, engine):
+    run_sim(network, "uniform", 1.0, config=_BACKLOG_CONFIG, engine=engine)
+
+
+def _telemetry_run(network, engine):
+    run_sim(
+        network, "uniform", 1.0, config=_BACKLOG_CONFIG,
+        telemetry=Telemetry(), engine=engine,
     )
 
-    def run(engine):
-        network = _build(BACKLOG_SPEC)
-        run_sim(network, "uniform", 1.0, config=config, engine=engine)
-        return network
 
-    oracle = run("scalar")
-    network = run("c")
-    assert network.in_flight_flits() == oracle.in_flight_flits() > 0
+def _replay_run(network, engine):
+    events = [TraceEvent(*event) for event in _BACKLOG_EVENTS]
+    replay_trace(network, events, max_cycles=60, engine=engine)
+
+
+def _partition_run(network, engine):
+    partition = WaferPartition(network, engine=engine)
+    partition.enqueue(
+        [event + (tag,) for tag, event in enumerate(_BACKLOG_EVENTS)]
+    )
+    partition.advance(60)
+
+
+#: Every way to run a network: label -> run(network, engine).
+RUN_ENTRY_POINTS = {
+    "bernoulli": _bernoulli_run,
+    "bernoulli_telemetry": _telemetry_run,
+    "replay": _replay_run,
+    "partition": _partition_run,
+}
+
+
+def _object_state(network):
+    """Every counter, queue, wire and packet list of the object model."""
+    routers = [
+        (
+            r.flits_forwarded, r._buffered_total, list(r.occupancy),
+            list(r.out_credits), [[len(q) for q in port] for port in r.queues],
+            sorted(r.rc_pending), sorted(r.active_out_ports),
+        )
+        for r in network.routers
+    ]
+    terminals = [
+        (
+            t.flits_sent, t.packets_sent, t.flits_received,
+            list(t.packets_received), len(t.source_queue), t.credits,
+        )
+        for t in network.terminals
+    ]
+    wires = [len(link._in_flight) for link, _, _, _ in network.links]
+    return routers, terminals, wires
+
+
+@pytest.mark.parametrize("entry", sorted(RUN_ENTRY_POINTS))
+def test_compiled_run_moves_only_the_clock(entry):
+    """A compiled run hands its end state back on the result: the
+    network's objects keep a fresh network's counters and packet
+    lists, and only ``network.cycle`` moves."""
+    if ckernel.load_kernel() is None:
+        pytest.skip("no C kernel on this host")
+    network = _build(BACKLOG_SPEC)
+    RUN_ENTRY_POINTS[entry](network, "c")
+    assert network.cycle > 0
+    assert _object_state(network) == _object_state(_build(BACKLOG_SPEC))
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES.values()))
+@pytest.mark.parametrize("entry", sorted(RUN_ENTRY_POINTS))
+def test_network_runs_once(entry, engine):
+    """Once a run has moved a network's clock, every entry point
+    refuses it, whichever engine ran it."""
+    network = _build(BACKLOG_SPEC)
+    RUN_ENTRY_POINTS[entry](network, engine)
+    assert network.cycle > 0
     assert fast_core.engine_for(network) is None
-    pattern = make_pattern("uniform", network.n_terminals)
-    events = [TraceEvent(0, 0, 1, 4)]
-    with pytest.raises(RuntimeError, match="spent"):
-        Simulator(network, pattern, 0.1).run(10, 10, 10)
-    with pytest.raises(RuntimeError, match="spent"):
-        replay_trace(network, events)
-    with pytest.raises(RuntimeError, match="spent"):
-        replay_trace(network, events, telemetry=Telemetry())
-    with pytest.raises(RuntimeError, match="spent"):
-        WaferPartition(network)
-    # The scalar oracle leaves its network resumable, as before.
-    Simulator(oracle, pattern, 0.1).run(10, 10, 10)
+    for again in sorted(RUN_ENTRY_POINTS):
+        for retry in ENGINES.values():
+            with pytest.raises(RuntimeError, match="already run"):
+                RUN_ENTRY_POINTS[again](network, retry)
 
 
 @pytest.mark.slow
@@ -343,8 +404,8 @@ def _replay_summaries(events, compression, max_cycles):
             "flits_delivered": stats.flits_delivered,
             "packets_created": stats.packets_created,
             "final_cycle": network.cycle,
-            "in_flight": network.in_flight_flits(),
-            "per_terminal": [t.flits_received for t in network.terminals],
+            "in_flight": stats.final.in_flight_flits,
+            "per_terminal": list(stats.final.flits_received),
             # Where the run left its packet-id source.
             "next_packet_id": packet_ids.next,
         }

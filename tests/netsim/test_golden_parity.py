@@ -77,8 +77,8 @@ def test_flit_conservation(name):
             warmup_cycles=0, measure_cycles=400, drain_cycles=600,
             engine=engine,
         )
-        delivered = sum(t.flits_received for t in network.terminals)
-        in_flight = network.in_flight_flits()
+        delivered = sum(stats.final.flits_received)
+        in_flight = stats.final.in_flight_flits
         assert stats.flits_offered == delivered + in_flight, engine
         if engine != "scalar":
             # A compiled run leaves no source queues to inspect; the
@@ -88,7 +88,7 @@ def test_flit_conservation(name):
         # Cross-check the terminal send counters against the same
         # identity: injected = delivered + in-network (in_flight minus
         # source backlog).
-        injected = sum(t.flits_sent for t in network.terminals)
+        injected = sum(stats.final.flits_sent)
         backlog = sum(len(t.source_queue) for t in network.terminals)
         assert injected == delivered + in_flight - backlog
 

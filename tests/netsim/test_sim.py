@@ -141,10 +141,18 @@ def test_record_arrival_excludes_warmup_and_drain_creations():
 
 
 def test_run_latencies_only_cover_measurement_creations():
-    """End to end: every measured latency maps to an in-window packet."""
+    """End to end: every measured latency maps to an in-window packet.
+
+    It inspects delivered ``Packet`` objects, which only the scalar
+    engine builds; the differential harness holds the compiled
+    engine's latency lists equal to the oracle's.
+    """
     network = _small_network()
     sim = Simulator(network, make_pattern("uniform", 32), 0.4, seed=9)
-    stats = sim.run(warmup_cycles=150, measure_cycles=300, drain_cycles=2000)
+    stats = sim.run(
+        warmup_cycles=150, measure_cycles=300, drain_cycles=2000,
+        engine="scalar",
+    )
     in_window = sorted(
         packet.latency_cycles
         for terminal in network.terminals
