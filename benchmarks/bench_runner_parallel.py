@@ -8,9 +8,13 @@ Times three runs of the same experiment suite through
 2. **serial cold** — one process, storing into a fresh result cache;
 3. **warm cache** — the same suite again, served from the cache.
 
-Both cold phases start from an empty in-process mapping memo AND an
-empty persistent mapping store (redirected into the benchmark's temp
-directory), so they measure genuine compute. Verifies the parallel
+Every phase starts from an empty in-process mapping memo and Clos
+topology memo, and both cold phases from an empty persistent mapping
+store (redirected into the benchmark's temp directory), so they measure
+genuine compute: on one core the "parallel" phase runs in-process, and
+without the clear the serial phase would inherit its topologies. The
+serial cold phase's topology builds and requests are recorded as
+``topology_builds``. Verifies the parallel
 tables are identical to the serial ones, measures the warm pool's
 per-task dispatch latency with a microbenchmark, and writes
 ``BENCH_runner.json`` with the wall-clocks, the speedups, and two
@@ -58,6 +62,7 @@ from repro.parallel import (
     pool_map,
     shutdown_shared_executor,
 )
+from repro.topology.clos import _build_clos
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 ARTIFACT_PATH = REPO_ROOT / "BENCH_runner.json"
@@ -68,6 +73,7 @@ DISPATCH_PROBE_TASKS = 32
 
 def _timed(label: str, cold: bool = False, **kwargs):
     clear_mapping_cache()
+    _build_clos.cache_clear()
     if cold:
         MappingStore().clear()
     start = time.perf_counter()
@@ -138,6 +144,7 @@ def run_bench(ids, fast: bool = True, jobs: int = 4) -> dict:
             serial, serial_s = _timed(
                 "serial cold", cold=True, ids=ids, fast=fast, jobs=1, cache=cache
             )
+            built = _build_clos.cache_info()
             warm, warm_s = _timed(
                 "warm cache", ids=ids, fast=fast, jobs=1, cache=cache
             )
@@ -172,6 +179,9 @@ def run_bench(ids, fast: bool = True, jobs: int = 4) -> dict:
         "effective_cores": cores,
         "parallel_cold_seconds": round(parallel_s, 3),
         "serial_cold_seconds": round(serial_s, 3),
+        "topology_builds": {
+            "builds": built.misses, "requests": built.hits + built.misses
+        },
         "warm_cache_seconds": round(warm_s, 6),
         "parallel_speedup": (
             {"speedup": speedup, "effective_cores": cores}
@@ -238,6 +248,8 @@ def test_runner_parallel_smoke(tmp_path, monkeypatch):
     assert report["rows_identical"]
     assert report["warm_cache_seconds"] > 0
     assert report["warm_pool_dispatch"]["dispatch_p50_ms"] is not None
+    builds = report["topology_builds"]
+    assert 0 <= builds["builds"] <= builds["requests"]
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ least a bandwidth of 200Gbps" is expressed by integer channel counts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from repro.tech.chiplet import SubSwitchChiplet
@@ -89,9 +89,6 @@ class LogicalTopology:
     #: Channels of path diversity between a representative leaf pair
     #: (Clos: number of spines; single-path topologies: 1).
     path_diversity: int = 1
-    _degree_cache: Dict[int, int] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         require_positive("port_bandwidth_gbps", self.port_bandwidth_gbps)

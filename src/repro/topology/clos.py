@@ -16,19 +16,26 @@ The **heterogeneous** variant (Section V.B) disaggregates each leaf into
 ``split=2``, scaled TH-3-like for ``split=4``) while keeping the spine
 connections, trading a tiny average-hop increase for a superlinear SSC
 power reduction.
+
+Both constructors share one builder, memoized per process on
+``(n_ports, chiplet, leaf_split)``: a design sweep asks for the same few
+Clos switches hundreds of times, and every value involved is frozen, so
+callers share one immutable topology per argument set. Arguments are
+validated before the memo, so a bad one raises on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional
 
 from repro.tech.chiplet import SubSwitchChiplet, scaled_leaf_die, tomahawk5
 from repro.topology.base import (
+    LogicalLink,
     LogicalTopology,
     NodeRole,
     SwitchNode,
     distribute_evenly,
-    merge_links,
 )
 
 
@@ -52,6 +59,51 @@ def _validate_clos_parameters(n_ports: int, ssc_radix: int) -> None:
         )
 
 
+@lru_cache(maxsize=256)
+def _build_clos(
+    n_ports: int, chiplet: SubSwitchChiplet, leaf_split: int
+) -> LogicalTopology:
+    """The Clos of validated arguments; ``leaf_split=1`` is the folded one."""
+    k = chiplet.radix
+    if leaf_split == 1:
+        leaf_die = chiplet
+        name = f"folded-clos N={n_ports} k={k}"
+    else:
+        leaf_die = scaled_leaf_die(
+            k // leaf_split, chiplet.port_bandwidth_gbps, reference=chiplet
+        )
+        name = f"hetero-clos N={n_ports} k={k} split={leaf_split}"
+    leaf_count = (2 * n_ports // k) * leaf_split
+    spine_count = n_ports // k
+    down_per_leaf = leaf_die.radix // 2
+
+    leaves = (
+        SwitchNode(i, NodeRole.LEAF, leaf_die, down_per_leaf)
+        for i in range(leaf_count)
+    )
+    spines = (
+        SwitchNode(leaf_count + j, NodeRole.SPINE, chiplet, 0)
+        for j in range(spine_count)
+    )
+    shares = distribute_evenly(down_per_leaf, spine_count)
+    links = []
+    for i in range(leaf_count):
+        # Rotate the remainder so spines are loaded evenly across leaves.
+        rotation = i % spine_count
+        for j in range(spine_count):
+            channels = shares[(j - rotation) % spine_count]
+            if channels:
+                links.append(LogicalLink(i, leaf_count + j, channels))
+
+    return LogicalTopology(
+        name=name,
+        nodes=(*leaves, *spines),
+        links=tuple(links),
+        port_bandwidth_gbps=chiplet.port_bandwidth_gbps,
+        path_diversity=spine_count,
+    )
+
+
 def folded_clos(
     n_ports: int,
     ssc: Optional[SubSwitchChiplet] = None,
@@ -64,49 +116,8 @@ def folded_clos(
             (TH-5 256x200G by default).
     """
     chiplet = ssc if ssc is not None else tomahawk5()
-    k = chiplet.radix
-    _validate_clos_parameters(n_ports, k)
-
-    leaf_count = 2 * n_ports // k
-    spine_count = n_ports // k
-    down_per_leaf = k // 2
-
-    nodes = []
-    for i in range(leaf_count):
-        nodes.append(
-            SwitchNode(
-                index=i,
-                role=NodeRole.LEAF,
-                chiplet=chiplet,
-                external_ports=down_per_leaf,
-            )
-        )
-    for j in range(spine_count):
-        nodes.append(
-            SwitchNode(
-                index=leaf_count + j,
-                role=NodeRole.SPINE,
-                chiplet=chiplet,
-                external_ports=0,
-            )
-        )
-
-    raw_links = []
-    for i in range(leaf_count):
-        shares = distribute_evenly(down_per_leaf, spine_count)
-        # Rotate the remainder so spines are loaded evenly across leaves.
-        rotation = i % spine_count
-        for j in range(spine_count):
-            channels = shares[(j - rotation) % spine_count]
-            raw_links.append((i, leaf_count + j, channels))
-
-    return LogicalTopology(
-        name=f"folded-clos N={n_ports} k={k}",
-        nodes=tuple(nodes),
-        links=tuple(merge_links(raw_links)),
-        port_bandwidth_gbps=chiplet.port_bandwidth_gbps,
-        path_diversity=spine_count,
-    )
+    _validate_clos_parameters(n_ports, chiplet.radix)
+    return _build_clos(n_ports, chiplet, 1)
 
 
 def heterogeneous_clos(
@@ -120,61 +131,18 @@ def heterogeneous_clos(
         n_ports: Total external port count ``N``.
         ssc: Spine chiplet and the reference for scaled leaf dies.
         leaf_split: How many smaller dies replace one full-radix leaf;
-            ``2`` gives half-radix (TH-4-like) leaves, ``4`` gives
-            quarter-radix (TH-3-like) leaves — the configuration behind
-            the paper's 30.8 %-33.5 % power reduction.
+            ``1`` gives the folded Clos, ``2`` half-radix (TH-4-like)
+            leaves, ``4`` quarter-radix (TH-3-like) leaves — the
+            configuration behind the paper's 30.8 %-33.5 % power
+            reduction.
     """
     chiplet = ssc if ssc is not None else tomahawk5()
     k = chiplet.radix
     _validate_clos_parameters(n_ports, k)
     if leaf_split < 1:
         raise ValueError("leaf_split must be >= 1")
-    if leaf_split == 1:
-        return folded_clos(n_ports, chiplet)
     if k % (2 * leaf_split) != 0:
         raise ValueError(
             f"leaf_split {leaf_split} must divide half the SSC radix ({k // 2})"
         )
-
-    small_leaf = scaled_leaf_die(
-        k // leaf_split, chiplet.port_bandwidth_gbps, reference=chiplet
-    )
-    leaf_count = (2 * n_ports // k) * leaf_split
-    spine_count = n_ports // k
-    down_per_leaf = small_leaf.radix // 2
-
-    nodes = []
-    for i in range(leaf_count):
-        nodes.append(
-            SwitchNode(
-                index=i,
-                role=NodeRole.LEAF,
-                chiplet=small_leaf,
-                external_ports=down_per_leaf,
-            )
-        )
-    for j in range(spine_count):
-        nodes.append(
-            SwitchNode(
-                index=leaf_count + j,
-                role=NodeRole.SPINE,
-                chiplet=chiplet,
-                external_ports=0,
-            )
-        )
-
-    raw_links = []
-    for i in range(leaf_count):
-        shares = distribute_evenly(down_per_leaf, spine_count)
-        rotation = i % spine_count
-        for j in range(spine_count):
-            channels = shares[(j - rotation) % spine_count]
-            raw_links.append((i, leaf_count + j, channels))
-
-    return LogicalTopology(
-        name=f"hetero-clos N={n_ports} k={k} split={leaf_split}",
-        nodes=tuple(nodes),
-        links=tuple(merge_links(raw_links)),
-        port_bandwidth_gbps=chiplet.port_bandwidth_gbps,
-        path_diversity=spine_count,
-    )
+    return _build_clos(n_ports, chiplet, leaf_split)

@@ -1,10 +1,244 @@
-"""Folded Clos construction (Section IV, Table VI)."""
+"""Folded Clos construction (Section IV, Table VI).
+
+The constructors share one memoized builder. The reference constructors
+below are the two separate, unmemoized loops it replaced, kept here
+verbatim; the builder must return topologies equal to theirs, names
+included, since mapping memo keys and store digests read the names.
+"""
+
+import dataclasses
+from typing import Optional
 
 import pytest
 
-from repro.tech.chiplet import scaled_leaf_die, tomahawk5
-from repro.topology.base import NodeRole
-from repro.topology.clos import folded_clos, heterogeneous_clos
+from repro.core.explorer import max_feasible_design
+from repro.tech.chiplet import SubSwitchChiplet, scaled_leaf_die, tomahawk5
+from repro.topology.base import (
+    LogicalLink,
+    LogicalTopology,
+    NodeRole,
+    SwitchNode,
+    distribute_evenly,
+    merge_links,
+)
+from repro.topology.clos import (
+    _build_clos,
+    _validate_clos_parameters,
+    folded_clos,
+    heterogeneous_clos,
+)
+
+# ------------------------------------------------ reference constructors
+
+
+def _reference_folded_clos(
+    n_ports: int,
+    ssc: Optional[SubSwitchChiplet] = None,
+) -> LogicalTopology:
+    chiplet = ssc if ssc is not None else tomahawk5()
+    k = chiplet.radix
+    _validate_clos_parameters(n_ports, k)
+
+    leaf_count = 2 * n_ports // k
+    spine_count = n_ports // k
+    down_per_leaf = k // 2
+
+    nodes = []
+    for i in range(leaf_count):
+        nodes.append(
+            SwitchNode(
+                index=i,
+                role=NodeRole.LEAF,
+                chiplet=chiplet,
+                external_ports=down_per_leaf,
+            )
+        )
+    for j in range(spine_count):
+        nodes.append(
+            SwitchNode(
+                index=leaf_count + j,
+                role=NodeRole.SPINE,
+                chiplet=chiplet,
+                external_ports=0,
+            )
+        )
+
+    raw_links = []
+    for i in range(leaf_count):
+        shares = distribute_evenly(down_per_leaf, spine_count)
+        rotation = i % spine_count
+        for j in range(spine_count):
+            channels = shares[(j - rotation) % spine_count]
+            raw_links.append((i, leaf_count + j, channels))
+
+    return LogicalTopology(
+        name=f"folded-clos N={n_ports} k={k}",
+        nodes=tuple(nodes),
+        links=tuple(merge_links(raw_links)),
+        port_bandwidth_gbps=chiplet.port_bandwidth_gbps,
+        path_diversity=spine_count,
+    )
+
+
+def _reference_heterogeneous_clos(
+    n_ports: int,
+    ssc: Optional[SubSwitchChiplet] = None,
+    leaf_split: int = 4,
+) -> LogicalTopology:
+    chiplet = ssc if ssc is not None else tomahawk5()
+    k = chiplet.radix
+    _validate_clos_parameters(n_ports, k)
+    if leaf_split < 1:
+        raise ValueError("leaf_split must be >= 1")
+    if leaf_split == 1:
+        return _reference_folded_clos(n_ports, chiplet)
+    if k % (2 * leaf_split) != 0:
+        raise ValueError(
+            f"leaf_split {leaf_split} must divide half the SSC radix ({k // 2})"
+        )
+
+    small_leaf = scaled_leaf_die(
+        k // leaf_split, chiplet.port_bandwidth_gbps, reference=chiplet
+    )
+    leaf_count = (2 * n_ports // k) * leaf_split
+    spine_count = n_ports // k
+    down_per_leaf = small_leaf.radix // 2
+
+    nodes = []
+    for i in range(leaf_count):
+        nodes.append(
+            SwitchNode(
+                index=i,
+                role=NodeRole.LEAF,
+                chiplet=small_leaf,
+                external_ports=down_per_leaf,
+            )
+        )
+    for j in range(spine_count):
+        nodes.append(
+            SwitchNode(
+                index=leaf_count + j,
+                role=NodeRole.SPINE,
+                chiplet=chiplet,
+                external_ports=0,
+            )
+        )
+
+    raw_links = []
+    for i in range(leaf_count):
+        shares = distribute_evenly(down_per_leaf, spine_count)
+        rotation = i % spine_count
+        for j in range(spine_count):
+            channels = shares[(j - rotation) % spine_count]
+            raw_links.append((i, leaf_count + j, channels))
+
+    return LogicalTopology(
+        name=f"hetero-clos N={n_ports} k={k} split={leaf_split}",
+        nodes=tuple(nodes),
+        links=tuple(merge_links(raw_links)),
+        port_bandwidth_gbps=chiplet.port_bandwidth_gbps,
+        path_diversity=spine_count,
+    )
+
+
+# ------------------------------------------------ parity with the references
+
+TH5_SLICINGS = [(256, 200.0), (128, 400.0), (64, 800.0)]
+
+
+@pytest.mark.parametrize("ports,gbps", TH5_SLICINGS)
+@pytest.mark.parametrize("leaf_split", [1, 2, 4])
+def test_builder_equals_reference(ports, gbps, leaf_split):
+    """``n_ports`` from k to 16k: 3k, 5k, 6k, 7k, ... leave a remainder
+    that ``distribute_evenly`` spreads over the spines."""
+    ssc = tomahawk5(ports, gbps)
+    uneven = 0
+    for multiple in range(1, 17):
+        n_ports = multiple * ports
+        expected = _reference_heterogeneous_clos(n_ports, ssc, leaf_split)
+        got = heterogeneous_clos(n_ports, ssc, leaf_split)
+        assert got == expected
+        assert got.name == expected.name
+        if leaf_split == 1:
+            assert folded_clos(n_ports, ssc) == _reference_folded_clos(n_ports, ssc)
+        uneven += len({link.channels for link in got.links}) > 1
+    assert uneven
+
+
+@pytest.mark.parametrize("leaf_split", [1, 2, 4])
+def test_default_chiplet_equals_reference(leaf_split):
+    for n_ports in (256, 768, 2048):
+        default = heterogeneous_clos(n_ports, leaf_split=leaf_split)
+        explicit = heterogeneous_clos(n_ports, tomahawk5(), leaf_split)
+        assert default == _reference_heterogeneous_clos(
+            n_ports, leaf_split=leaf_split
+        )
+        assert default is explicit
+    assert folded_clos(2048) == _reference_folded_clos(2048)
+
+
+@pytest.mark.parametrize(
+    "n_ports,leaf_split", [(300, 1), (128, 2), (384, 4), (1024, 0), (1024, 256)]
+)
+def test_invalid_arguments_raise_like_reference(n_ports, leaf_split):
+    with pytest.raises(ValueError):
+        _reference_heterogeneous_clos(n_ports, leaf_split=leaf_split)
+    with pytest.raises(ValueError):
+        heterogeneous_clos(n_ports, leaf_split=leaf_split)
+
+
+# ------------------------------------------------ the memo
+
+
+def test_same_arguments_share_one_topology():
+    assert folded_clos(1024) is folded_clos(1024)
+    assert folded_clos(1024) is folded_clos(1024, tomahawk5())
+    assert heterogeneous_clos(1024, leaf_split=1) is folded_clos(1024)
+    assert heterogeneous_clos(1024, leaf_split=2) is heterogeneous_clos(
+        1024, tomahawk5(), 2
+    )
+
+
+def test_memoized_topology_is_immutable():
+    topo = folded_clos(1024)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.name = "changed"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.nodes[0].external_ports = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        topo.links[0].channels = 1
+    assert isinstance(topo.nodes, tuple) and isinstance(topo.links, tuple)
+
+
+@pytest.mark.parametrize(
+    "cls", [LogicalTopology, SwitchNode, LogicalLink, SubSwitchChiplet]
+)
+def test_topology_values_have_no_mutable_defaults(cls):
+    assert cls.__dataclass_params__.frozen
+    for f in dataclasses.fields(cls):
+        assert f.default_factory is dataclasses.MISSING, f.name
+        assert not isinstance(f.default, (list, dict, set)), f.name
+
+
+def test_invalid_radix_caches_nothing():
+    before = _build_clos.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            folded_clos(300)
+        with pytest.raises(ValueError):
+            heterogeneous_clos(1024, leaf_split=256)
+    assert _build_clos.cache_info().currsize == before
+
+
+def test_repeat_design_search_builds_no_topology():
+    """A second search over the same substrates reuses every Clos."""
+    substrates = (100.0, 150.0)
+    for side in substrates:
+        max_feasible_design(side, mapping_restarts=1)
+    misses = _build_clos.cache_info().misses
+    for side in substrates:
+        max_feasible_design(side, mapping_restarts=1)
+    assert _build_clos.cache_info().misses == misses
 
 
 def test_chiplet_count_formula():
