@@ -44,10 +44,10 @@ Design constraints:
   directly — no batched tie-breaking tricks are needed.
 * **Shared state.** All SoA arrays are numpy buffers owned by
   ``FastEngine``; C mutates them through raw pointers, so
-  finalization (stats + the counters written back to the object
-  model) is engine code reading the arrays directly. Output-port and
-  candidate sets are bitmask words (``ceil(P/64)`` and
-  ``ceil(P*V/64)`` per port group), so any port count runs.
+  finalization (the run's stats and end state; of the object model
+  only the clock moves) is engine code reading the arrays directly.
+  Output-port and candidate sets are bitmask words (``ceil(P/64)``
+  and ``ceil(P*V/64)`` per port group), so any port count runs.
 
 Kernel modes (:func:`fast_run`): 0 offers and steps a fixed number of
 cycles (Bernoulli warmup/measure), 1 drains, 2 replays a trace

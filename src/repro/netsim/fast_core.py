@@ -21,12 +21,13 @@ with no Python per cycle:
   ``pk_create[i]`` from terminal ``pk_src[i]``.
 
 The kernel serves every vectorized run: Bernoulli load points
-(:meth:`FastEngine.run_bernoulli`, telemetry included), trace replay
-(:meth:`FastEngine.run_replay`) and partition epochs
-(:meth:`FastEngine.run_epoch`, driven by
+(:meth:`FastEngine.run_bernoulli`) and trace replay
+(:meth:`FastEngine.run_replay`), each with or without a telemetry
+sink, and partition epochs (:meth:`FastEngine.run_epoch`, driven by
 :class:`repro.netsim.partition.WaferPartition`), at any port count.
-Without a C toolchain :func:`engine_for` declines and the scalar object
-simulator runs instead. A run hands its end state back on
+The scalar object simulator is the oracle: it runs when asked for by
+name, and when :func:`engine_for` declines (no C toolchain, an
+unsupported shape). A run hands its end state back on
 :attr:`RunStats.final <repro.netsim.stats.RunStats.final>`; of the
 network it compiled from, the engine advances only ``network.cycle``.
 
@@ -548,9 +549,7 @@ class FastEngine:
         tel = self.telemetry
         if tel is not None:
             tel.attach(self.network)
-            self._tel_boundary(tel)
-            tel.begin_window("warmup", st.cycle)
-            self._tel_reset_sampled()
+            self._tel_window(tel, "warmup")
         self._c_run(_OFFER_STEP, warmup_cycles)
         measure_start = st.cycle
         stats = RunStats(
@@ -559,9 +558,7 @@ class FastEngine:
             n_terminals=self.T,
         )
         if tel is not None:
-            self._tel_boundary(tel)
-            tel.begin_window("measurement", st.cycle)
-            self._tel_reset_sampled()
+            self._tel_window(tel, "measurement")
         delivered_before = st.delivered_total
         self._c_run(_OFFER_STEP, measure_cycles)
         stats.flits_delivered = st.delivered_total - delivered_before
@@ -569,19 +566,15 @@ class FastEngine:
         stats.flits_offered = in_window * size
         stats.packets_created = in_window
         if tel is not None:
-            self._tel_boundary(tel)
-            tel.begin_window("drain", st.cycle)
-            self._tel_reset_sampled()
+            self._tel_window(tel, "drain")
         self._c_run(_DRAIN, drain_cycles)
         self._finish(stats)
         if tel is not None:
-            self._tel_boundary(tel)
-            self._tel_histograms(tel)
-            tel.finish(st.cycle)
+            self._tel_finish(tel)
         return stats
 
     def run_replay(self, schedule, max_cycles: int, packet_ids):
-        """Mirror of ``replay_trace``'s driving loop (no telemetry).
+        """Mirror of ``replay_trace``'s driving loop, telemetry included.
 
         ``schedule`` is the sorted list of ``(inject_cycle, event)``
         pairs; packet index = schedule index. The scalar loop takes an
@@ -589,7 +582,8 @@ class FastEngine:
         ``base, base+1, ...`` in schedule order and the source is left
         after the last *offered* event — under ``max_cycles``
         truncation that is short of the schedule's end, exactly where
-        the scalar loop stops.
+        the scalar loop stops. A telemetry sink sees one ``replay``
+        window spanning the whole run.
         """
         self._set_packets(
             packet_ids.next,
@@ -598,6 +592,10 @@ class FastEngine:
             [event.size_flits for _, event in schedule],
             [cycle for cycle, _ in schedule],
         )
+        tel = self.telemetry
+        if tel is not None:
+            tel.attach(self.network)
+            self._tel_window(tel, "replay")
         self._c_run(_REPLAY, max_cycles)
         offered = self.st.ev_index
         packet_ids.take(offered)
@@ -607,6 +605,8 @@ class FastEngine:
         stats.packets_created = offered
         stats.flits_offered = int(self.pk_size[:offered].sum())
         self._finish(stats, window_filter=False)
+        if tel is not None:
+            self._tel_finish(tel)
         return stats
 
     def run_epoch(self, src, dst, size, create, to_cycle: int):
@@ -686,15 +686,28 @@ class FastEngine:
             "packets_received": int(st.log_count),
         }
 
-    def _tel_reset_sampled(self) -> None:
-        """Zero the kernel's sampled accumulators (window start)."""
-        for name in ("tel_occ_sum", "tel_occ_peak", "tel_vc_occ_sum"):
-            self.aux[name][:] = 0
+    def _tel_window(self, tel, name: str) -> None:
+        """Close the open window and begin ``name`` at the kernel's clock.
+
+        The sink closes the old window on the synced counters, then the
+        kernel's sampled accumulators restart from zero, as the scalar
+        views' ``reset_sampled`` does.
+        """
+        self._tel_boundary(tel)
         st = self.st
+        tel.begin_window(name, st.cycle)
+        for key in ("tel_occ_sum", "tel_occ_peak", "tel_vc_occ_sum"):
+            self.aux[key][:] = 0
         st.tel_samples = 0
         st.tel_backlog_sum = 0
         st.tel_backlog_peak = 0
         st.tel_backlog_samples = 0
+
+    def _tel_finish(self, tel) -> None:
+        """Close the last window once :meth:`_finish` has set the clock."""
+        self._tel_boundary(tel)
+        self._tel_histograms(tel)
+        tel.finish(self.st.cycle)
 
     def _tel_histograms(self, tel) -> None:
         """Replay the delivery log into the window latency histograms.

@@ -139,25 +139,17 @@ class NetworkModel:
             # their credit returns are absorbed lazily on next use.
             if terminal.source_queue:
                 terminal.inject(now)
-        # 3. Router pipelines (only where work is pending). The one
-        # branch on ``self.telemetry`` here is the entire disabled-mode
-        # cost of instrumentation: the plain allocate methods carry no
-        # telemetry checks at all (their ``*_telemetry`` twins do).
+        # 3. Router pipelines (only where work is pending). Each router
+        # counts into its own telemetry view; the network samples
+        # occupancy every ``sample_interval`` cycles when a sink is on.
+        for router in self.routers:
+            if router.rc_pending:
+                router.vc_allocate(now)
+            if router.active_out_ports:
+                router.switch_allocate(now)
         telemetry = self.telemetry
-        if telemetry is None:
-            for router in self.routers:
-                if router.rc_pending:
-                    router.vc_allocate(now)
-                if router.active_out_ports:
-                    router.switch_allocate(now)
-        else:
-            for router in self.routers:
-                if router.rc_pending:
-                    router.vc_allocate_telemetry(now)
-                if router.active_out_ports:
-                    router.switch_allocate_telemetry(now)
-            if now % telemetry.sample_interval == 0:
-                telemetry.sample(self, now)
+        if telemetry is not None and now % telemetry.sample_interval == 0:
+            telemetry.sample(self, now)
         self.cycle += 1
 
     def require_fresh(self) -> None:

@@ -25,7 +25,10 @@ Hot-path notes: the per-cycle driver only calls ``vc_allocate`` /
 ``active_out_ports`` non-empty — the active-set scheduler), both
 arbitration loops are inlined over the actual candidates instead of
 scanning the full index space, and the router caches its config
-scalars to avoid dataclass attribute lookups per cycle.
+scalars to avoid dataclass attribute lookups per cycle. Each stage has
+one loop: telemetry counters sit behind ``if tele is not None`` on a
+local loaded once per call, so a run without a sink pays those checks
+and no calls.
 """
 
 from __future__ import annotations
@@ -151,9 +154,10 @@ class Router:
         self._buffered_total = 0
         self.flits_forwarded = 0
         #: Optional per-router telemetry view
-        #: (:class:`~repro.netsim.telemetry.RouterTelemetry`). ``None``
-        #: keeps every instrumentation point to a single local
-        #: ``is not None`` check — near-zero cost when telemetry is off.
+        #: (:class:`~repro.netsim.telemetry.RouterTelemetry`). The
+        #: allocate loops read it into a local once per call; ``None``
+        #: reduces every counter update to that local's ``is not None``
+        #: check.
         self.telemetry = None
 
     # ------------------------------------------------------------------
@@ -234,69 +238,7 @@ class Router:
                     out_credits[port] += channel.deliver(now)
 
     def vc_allocate(self, now: int) -> None:
-        """RC completion + VC allocation for waiting head flits.
-
-        :meth:`vc_allocate_telemetry` is the instrumented twin; the two
-        must stay decision-for-decision identical (the telemetry on/off
-        parity test enforces it).
-        """
-        pending = self.rc_pending
-        if not pending:
-            return
-        queues = self.queues
-        rc_ready = self.rc_ready
-        ivc_out_port = self.ivc_out_port
-        granted = []
-        for key in sorted(pending) if len(pending) > 1 else tuple(pending):
-            port, vc = key
-            if now < rc_ready[port][vc]:
-                continue
-            out_port = ivc_out_port[port][vc]
-            if out_port < 0:
-                head = queues[port][vc][0]
-                out_port = self.route_fn(self, port, head)
-                if not 0 <= out_port < self.n_ports:
-                    raise AssertionError(
-                        f"route function returned invalid port {out_port}"
-                    )
-                ivc_out_port[port][vc] = out_port
-            if self.out_is_terminal[out_port]:
-                out_vc = 0
-            else:
-                owners = self.ovc_owner[out_port]
-                arbiter = self._vc_arbiters[out_port]
-                vcs = arbiter.size
-                pointer = arbiter._pointer
-                out_vc = -1
-                for offset in range(vcs):
-                    candidate = pointer + offset
-                    if candidate >= vcs:
-                        candidate -= vcs
-                    if owners[candidate] is None:
-                        out_vc = candidate
-                        break
-                if out_vc < 0:
-                    continue  # try again next cycle
-                arbiter._pointer = out_vc + 1 if out_vc + 1 < vcs else 0
-                owners[out_vc] = key
-            self.ivc_out_vc[port][vc] = out_vc
-            self.ivc_state[port][vc] = ACTIVE
-            if queues[port][vc]:
-                self.sa_candidates[out_port].add(key)
-                self.active_out_ports.add(out_port)
-            granted.append(key)
-        for key in granted:
-            pending.discard(key)
-
-    def vc_allocate_telemetry(self, now: int) -> None:
-        """Counter-instrumented copy of :meth:`vc_allocate`.
-
-        The network driver calls this variant instead of the plain one
-        when a telemetry sink is attached, so the disabled hot path
-        carries zero per-flit checks. Apart from the ``tele`` counter
-        updates this must stay line-for-line identical to
-        :meth:`vc_allocate`.
-        """
+        """RC completion + VC allocation for waiting head flits."""
         pending = self.rc_pending
         if not pending:
             return
@@ -308,7 +250,8 @@ class Router:
         for key in sorted(pending) if len(pending) > 1 else tuple(pending):
             port, vc = key
             if now < rc_ready[port][vc]:
-                tele.rc_wait_cycles += 1
+                if tele is not None:
+                    tele.rc_wait_cycles += 1
                 continue
             out_port = ivc_out_port[port][vc]
             if out_port < 0:
@@ -335,7 +278,8 @@ class Router:
                         out_vc = candidate
                         break
                 if out_vc < 0:
-                    tele.va_stalls += 1
+                    if tele is not None:
+                        tele.va_stalls += 1
                     continue  # try again next cycle
                 arbiter._pointer = out_vc + 1 if out_vc + 1 < vcs else 0
                 owners[out_vc] = key
@@ -344,7 +288,8 @@ class Router:
             if queues[port][vc]:
                 self.sa_candidates[out_port].add(key)
                 self.active_out_ports.add(out_port)
-            tele.va_grants += 1
+            if tele is not None:
+                tele.va_grants += 1
             granted.append(key)
         for key in granted:
             pending.discard(key)
@@ -355,122 +300,6 @@ class Router:
         Switch traversal (the old ``_forward``) is inlined in the grant
         branch, including the winning flit's link send and the credit
         return — this is the single hottest loop in the simulator.
-
-        :meth:`switch_allocate_telemetry` is the instrumented twin; the
-        two must stay decision-for-decision identical (the telemetry
-        on/off parity test enforces it).
-        """
-        active = self.active_out_ports
-        if not active:
-            return
-        vcs = self.num_vcs
-        queues = self.queues
-        occupancy = self.occupancy
-        out_credits = self.out_credits
-        out_is_terminal = self.out_is_terminal
-        sa_candidates = self.sa_candidates
-        pipeline_delay = self.pipeline_delay
-        used_stamp = self._used_stamp
-        generation = self._used_generation + 1
-        self._used_generation = generation
-        # sorted() both preserves the original ascending port order and
-        # snapshots the set (the grant branch prunes it mid-loop).
-        ordered = sorted(active) if len(active) > 1 else tuple(active)
-        for out_port in ordered:
-            candidates = sa_candidates[out_port]
-            if not candidates:
-                continue
-            is_terminal = out_is_terminal[out_port]
-            if not is_terminal and out_credits[out_port] <= 0:
-                continue
-            arbiter = self._sa_arbiters[out_port]
-            size = arbiter.size
-            pointer = arbiter._pointer
-            best = -1
-            best_distance = size
-            for port, vc in candidates:
-                if used_stamp[port] == generation or not queues[port][vc]:
-                    continue
-                request = port * vcs + vc
-                distance = request - pointer
-                if distance < 0:
-                    distance += size
-                if distance < best_distance:
-                    best_distance = distance
-                    best = request
-            if best < 0:
-                continue
-            arbiter._pointer = best + 1 if best + 1 < size else 0
-            port = best // vcs
-            vc = best - port * vcs
-            used_stamp[port] = generation
-
-            # --- switch traversal (inlined flit forward) ---
-            queue = queues[port][vc]
-            flit = queue.popleft()
-            occupancy[port] -= 1
-            self._buffered_total -= 1
-            self.flits_forwarded += 1
-            upstream = self.in_credit_channel[port]
-            if upstream is not None:
-                # Inlined CreditChannel.send(1, now).
-                pending = upstream._in_flight
-                credit_arrival = now + upstream.latency
-                events = upstream._events
-                if not pending and events is not None:
-                    bucket = events.get(credit_arrival)
-                    if bucket is None:
-                        events[credit_arrival] = [upstream._event_key]
-                    else:
-                        bucket.append(upstream._event_key)
-                pending.append((credit_arrival, 1))
-            out_vc = self.ivc_out_vc[port][vc]
-            flit.vc = out_vc
-            if not is_terminal:
-                out_credits[out_port] -= 1
-            link = self.out_link[out_port]
-            if link is None:
-                raise AssertionError(f"output port {out_port} is not wired")
-            # Inlined Link.send(flit, now, extra_delay=pipeline_delay).
-            arrival = now + link.latency + pipeline_delay
-            in_flight = link._in_flight
-            if not in_flight:
-                events = link._events
-                if events is not None:
-                    bucket = events.get(arrival)
-                    if bucket is None:
-                        events[arrival] = [link._event_key]
-                    else:
-                        bucket.append(link._event_key)
-            in_flight.append((arrival, flit))
-
-            if flit.is_tail:
-                if not is_terminal:
-                    self.ovc_owner[out_port][out_vc] = None
-                self.ivc_state[port][vc] = IDLE
-                self.ivc_out_port[port][vc] = -1
-                self.ivc_out_vc[port][vc] = -1
-                candidates.discard((port, vc))
-                if not candidates:
-                    active.discard(out_port)
-                if queue:
-                    # The next packet's head is now at the queue front.
-                    self._start_route(port, vc, now)
-            elif not queue:
-                # Body flits still in flight upstream; pause SA requests.
-                candidates.discard((port, vc))
-                if not candidates:
-                    active.discard(out_port)
-
-    def switch_allocate_telemetry(self, now: int) -> None:
-        """Counter-instrumented copy of :meth:`switch_allocate`.
-
-        The network driver calls this variant instead of the plain one
-        when a telemetry sink is attached, so the disabled hot path
-        carries zero per-flit checks. Apart from the ``tele`` counter
-        updates (credit stalls, SA requests, channel load, VC grants)
-        this must stay line-for-line identical to
-        :meth:`switch_allocate`.
         """
         active = self.active_out_ports
         if not active:
@@ -495,15 +324,17 @@ class Router:
                 continue
             is_terminal = out_is_terminal[out_port]
             if not is_terminal and out_credits[out_port] <= 0:
-                tele.credit_stall_cycles[out_port] += 1
+                if tele is not None:
+                    tele.credit_stall_cycles[out_port] += 1
                 continue
-            # Requests seen by this port's arbiter this cycle;
-            # credit-starved cycles are attributed above instead.
-            requests = 0
-            for port, vc in candidates:
-                if used_stamp[port] != generation and queues[port][vc]:
-                    requests += 1
-            tele.sa_requests[out_port] += requests
+            if tele is not None:
+                # Requests seen by this port's arbiter this cycle;
+                # credit-starved cycles are attributed above instead.
+                requests = 0
+                for port, vc in candidates:
+                    if used_stamp[port] != generation and queues[port][vc]:
+                        requests += 1
+                tele.sa_requests[out_port] += requests
             arbiter = self._sa_arbiters[out_port]
             size = arbiter.size
             pointer = arbiter._pointer
@@ -532,8 +363,9 @@ class Router:
             occupancy[port] -= 1
             self._buffered_total -= 1
             self.flits_forwarded += 1
-            tele.channel_load[out_port] += 1
-            tele.vc_grants[vc] += 1
+            if tele is not None:
+                tele.channel_load[out_port] += 1
+                tele.vc_grants[vc] += 1
             upstream = self.in_credit_channel[port]
             if upstream is not None:
                 # Inlined CreditChannel.send(1, now).

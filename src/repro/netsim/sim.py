@@ -61,10 +61,10 @@ class Simulator:
         self.packet_ids = packet_ids or PacketIds()
 
     def _generate(self, now: int, count_stats: Optional[RunStats]) -> None:
-        # Inlined BernoulliInjector.generate: one rng.random() per
-        # terminal per cycle dominates the generation cost, so hoist
-        # every attribute lookup out of the loop. The RNG consumption
-        # order is identical to calling generate() per terminal.
+        # One Bernoulli draw per terminal per cycle, in terminal order,
+        # then one destination draw per packet: the consumption order
+        # FastEngine's pre-generation reproduces. The draw dominates
+        # generation cost, so every attribute lookup is hoisted.
         injector = self.injector
         rng = injector.rng
         draw = rng.random

@@ -252,7 +252,9 @@ def replay_trace(
     single ``replay`` window spanning the whole run (trace replay has
     no warmup/measurement split — every packet counts). ``engine``
     picks the simulation kernel explicitly (see :mod:`repro.engines`),
-    resolved once here.
+    resolved once here; the compiled kernel runs the replay, telemetry
+    or not, wherever :func:`~repro.netsim.fast_core.engine_for`
+    accepts the network.
 
     Packets take ids from ``packet_ids`` (fresh when ``None``) in
     schedule order; a ``max_cycles`` cutoff leaves the source just past
@@ -263,18 +265,16 @@ def replay_trace(
     network.require_fresh()
     packet_ids = packet_ids or PacketIds()
     from repro.engines import resolve_netsim_engine
+    from repro.netsim import fast_core
 
     engine = resolve_netsim_engine(engine)
     schedule = sorted(
         ((max(0, int(e.cycle / compression)), e) for e in events),
         key=lambda pair: pair[0],
     )
-    if telemetry is None:
-        from repro.netsim import fast_core
-
-        fast = fast_core.engine_for(network, engine=engine)
-        if fast is not None:
-            return fast.run_replay(schedule, max_cycles, packet_ids)
+    fast = fast_core.engine_for(network, telemetry, engine=engine)
+    if fast is not None:
+        return fast.run_replay(schedule, max_cycles, packet_ids)
     stats = RunStats(measure_start=0, measure_end=0, n_terminals=network.n_terminals)
     if telemetry is not None:
         telemetry.attach(network)

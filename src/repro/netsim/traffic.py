@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 
 def _require_power_of_two(n: int, pattern: str) -> None:
@@ -214,10 +214,3 @@ class BernoulliInjector:
         self.packet_probability = load_flits_per_cycle / packet_size_flits
         self.packet_size_flits = packet_size_flits
         self.rng = random.Random(seed)
-
-    def generate(self, now: int, terminal_id: int) -> Optional[tuple]:
-        """(dst, size) if this terminal creates a packet this cycle."""
-        if self.rng.random() >= self.packet_probability:
-            return None
-        dst = self.pattern.destination(terminal_id, self.rng)
-        return dst, self.packet_size_flits

@@ -135,7 +135,9 @@ TRACE_SCENARIOS = {
 }
 
 
-def run_trace_scenario(name: str, engine: str = "auto") -> dict:
+def run_trace_scenario(
+    name: str, engine: str = "auto", telemetry=None
+) -> dict:
     """Replay one synthetic mini-app trace and summarise it exactly."""
     factory, trace_name, compression, max_cycles = TRACE_SCENARIOS[name]
     network = factory()
@@ -151,6 +153,7 @@ def run_trace_scenario(name: str, engine: str = "auto") -> dict:
         events,
         compression=compression,
         max_cycles=max_cycles,
+        telemetry=telemetry,
         engine=engine,
     )
     return {

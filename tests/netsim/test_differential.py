@@ -268,9 +268,15 @@ def _telemetry_run(network, engine):
     )
 
 
-def _replay_run(network, engine):
+def _replay_run(network, engine, telemetry=None):
     events = [TraceEvent(*event) for event in _BACKLOG_EVENTS]
-    replay_trace(network, events, max_cycles=60, engine=engine)
+    replay_trace(
+        network, events, max_cycles=60, telemetry=telemetry, engine=engine
+    )
+
+
+def _replay_telemetry_run(network, engine):
+    _replay_run(network, engine, telemetry=Telemetry(sample_interval=4))
 
 
 def _partition_run(network, engine):
@@ -286,6 +292,7 @@ RUN_ENTRY_POINTS = {
     "bernoulli": _bernoulli_run,
     "bernoulli_telemetry": _telemetry_run,
     "replay": _replay_run,
+    "replay_telemetry": _replay_telemetry_run,
     "partition": _partition_run,
 }
 

@@ -303,29 +303,6 @@ def test_disabled_run_never_calls_into_telemetry():
     assert calls["telemetry"] == 0
 
 
-def test_plain_hot_paths_reference_no_telemetry_names():
-    """The disabled-mode allocate loops carry zero telemetry bytecode.
-
-    ``Telemetry.attach`` routes instrumented runs through the
-    ``*_telemetry`` twins, so the plain ``vc_allocate`` /
-    ``switch_allocate`` — the two hottest loops — must not even name
-    telemetry state. This is the deterministic half of the <=2 %
-    disabled-overhead budget: the only per-cycle cost left is one
-    ``telemetry is None`` branch in ``NetworkModel.step``. (The timing
-    half is the REPRO_BENCH_STRICT test below.)
-    """
-    from repro.netsim.router import Router
-
-    for method in (Router.vc_allocate, Router.switch_allocate):
-        names = method.__code__.co_names
-        assert "telemetry" not in names, (
-            f"{method.__name__} touches self.telemetry; instrumentation "
-            "belongs in its *_telemetry twin"
-        )
-    for method in (Router.vc_allocate_telemetry, Router.switch_allocate_telemetry):
-        assert "telemetry" in method.__code__.co_names
-
-
 @pytest.mark.slow
 @pytest.mark.skipif(
     os.environ.get("REPRO_BENCH_STRICT") != "1",

@@ -6,18 +6,29 @@ its routers and terminals bump the telemetry counters inline. The
 compiled kernel maintains the same counters in C arrays and bridges
 them back at window boundaries; this suite holds the bridged reports
 (counters, stall attribution, occupancy samples, histograms, per-flow
-histograms) to exact equality on full warmup/measurement/drain runs.
+histograms) to exact equality on full warmup/measurement/drain runs and
+on whole trace replays.
+
+Parity alone cannot catch a change to the oracle itself, and on a host
+without the kernel both legs run the oracle. ``PINNED_REPORTS`` fixes
+three reports outright, by digest.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
+from tests.netsim.engines import ENGINES
 from tests.netsim.golden_scenarios import (
     DRAIN_CYCLES,
     MEASURE_CYCLES,
     SCENARIOS,
+    TRACE_SCENARIOS,
     WARMUP_CYCLES,
+    run_trace_scenario,
 )
 
 from repro.netsim.network import single_router_network
@@ -80,6 +91,52 @@ def test_telemetry_report_parity(name, interval, flows, drain):
     ):
         assert vec_window == ref_window, (name, vec_window.get("name"))
     assert vec_report == ref_report
+
+
+@pytest.mark.parametrize(
+    "interval, flows", [(1, True), (7, False), (16, True)]
+)
+@pytest.mark.parametrize("name", sorted(TRACE_SCENARIOS))
+def test_trace_telemetry_report_parity(name, interval, flows):
+    """One ``replay`` window, truncated replay included."""
+    vec_tel = Telemetry(sample_interval=interval, collect_flows=flows)
+    ref_tel = Telemetry(sample_interval=interval, collect_flows=flows)
+    vec_summary = run_trace_scenario(name, "c", telemetry=vec_tel)
+    ref_summary = run_trace_scenario(name, "scalar", telemetry=ref_tel)
+    vec_report = vec_tel.to_dict()
+    validate_telemetry(vec_report)
+    assert vec_summary == ref_summary
+    assert vec_report == ref_tel.to_dict()
+
+
+def _digest(report) -> str:
+    canonical = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+#: (scenario, sample interval) -> sha256 of the canonical-JSON report
+#: of a flows-on run (Bernoulli scenarios with their drain window),
+#: recorded on the scalar engine. A digest moves only when what
+#: telemetry reports changes; re-record it only for such a change.
+PINNED_REPORTS = {
+    ("mesh_low", 4):
+        "c49f383c62d2fe5350e1733d9223089b9c32b2c9d36609cd5965f21d59e62821",
+    ("clos_adaptive_high", 8):
+        "929d0ebbe337276b45d6e4276d9121291e9c36785ac80c557ca703d21e9682aa",
+    ("trace_nekbone_clos", 7):
+        "0a2753b6baa121a2e5c27df1cc1de68702aca35bfa5f8c63f1d220e8716f9f9e",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINES.values()))
+@pytest.mark.parametrize("name, interval", sorted(PINNED_REPORTS))
+def test_telemetry_report_pinned(name, interval, engine):
+    telemetry = Telemetry(sample_interval=interval, collect_flows=True)
+    if name in TRACE_SCENARIOS:
+        run_trace_scenario(name, engine, telemetry=telemetry)
+    else:
+        _run(name, telemetry, DRAIN_CYCLES, engine)
+    assert _digest(telemetry.to_dict()) == PINNED_REPORTS[name, interval]
 
 
 def test_telemetry_parity_single_router():

@@ -5,6 +5,8 @@ from collections import Counter
 
 import pytest
 
+from repro.netsim.network import single_router_network
+from repro.netsim.sim import Simulator
 from repro.netsim.traffic import (
     BernoulliInjector,
     TRAFFIC_PATTERNS,
@@ -87,15 +89,18 @@ def test_asymmetric_prefers_first_half():
 
 
 def test_bernoulli_rate():
-    pattern = make_pattern("uniform", 8)
-    injector = BernoulliInjector(pattern, 0.4, packet_size_flits=4, seed=5)
-    generated = sum(
-        1
-        for cycle in range(20000)
-        if injector.generate(cycle, cycle % 8) is not None
+    network = single_router_network(8)
+    sim = Simulator(
+        network, make_pattern("uniform", 8), 0.4, packet_size_flits=4, seed=5
     )
-    # 0.4 flits/cycle at 4-flit packets = 0.1 packets/cycle.
-    assert generated / 20000 == pytest.approx(0.1, rel=0.1)
+    cycles = 2500
+    stats = sim.run(
+        warmup_cycles=0, measure_cycles=cycles, drain_cycles=0,
+        engine="scalar",
+    )
+    # 0.4 flits/cycle at 4-flit packets = 0.1 packets/cycle per terminal.
+    rate = stats.packets_created / (cycles * network.n_terminals)
+    assert rate == pytest.approx(0.1, rel=0.1)
 
 
 def test_bernoulli_rejects_overload():
