@@ -9,12 +9,8 @@ stall watchdog, degraded-to-serial fast path on small machines — live
 in :func:`repro.parallel.pool_map`, shared with the mapping
 optimizer's parallel restarts and the serve dispatcher.
 
-Dispatch is **cost-aware**: units are submitted most-expensive-first
-using per-unit wall times recorded by previous runs (persisted via
-:class:`~repro.experiments.unit_costs.CostBook` under the cache root;
-never-measured units get a coarse simulation-vs-analytical prior), so
-a big netsim unit never starts last and strands the pool behind it.
-Every run records the times it observed back into the book.
+Units are submitted in task order (experiment by experiment, unit by
+unit) and the pool runs them first in, first out.
 
 Workers receive only ``(module name, experiment id, unit index)``, so
 nothing un-picklable ever crosses the process boundary; each worker
@@ -36,7 +32,6 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.base import ExperimentResult, ExperimentSpec
-from repro.experiments.unit_costs import CostBook
 from repro.parallel import pool_map
 
 
@@ -76,53 +71,35 @@ def execute(
     <mapping-store counters>}``.
     """
     specs = list(specs)
-    if not specs:
-        return []
     unit_lists = [spec.units(fast=fast) for spec in specs]
-    book = CostBook()
-    tasks = []
-    labels = []
-    owners = []
-    for spec, units in zip(specs, unit_lists):
-        for unit_index in range(len(units)):
-            tasks.append((spec.module_name, spec.experiment_id, unit_index, fast))
-            labels.append(f"{spec.experiment_id}[{unit_index}]")
-            owners.append((spec.experiment_id, unit_index))
-
+    owners = [
+        (spec, unit_index)
+        for spec, units in zip(specs, unit_lists)
+        for unit_index in range(len(units))
+    ]
     dispatch_stats: List[Optional[Dict[str, Any]]] = []
     outcomes = pool_map(
         _execute_unit,
-        tasks,
+        [(spec.module_name, spec.experiment_id, index, fast) for spec, index in owners],
         jobs=jobs,
         timeout=unit_timeout,
-        labels=labels,
-        costs=[book.get(label) for label in labels],
+        labels=[f"{spec.experiment_id}[{index}]" for spec, index in owners],
         dispatch_stats=dispatch_stats,
     )
 
-    unit_results: List[List[Any]] = [[None] * len(units) for units in unit_lists]
-    cursor = 0
-    for spec_index, units in enumerate(unit_lists):
+    done = iter(zip(outcomes, dispatch_stats))
+    merged = []
+    for spec, units in zip(specs, unit_lists):
+        row = []
         for unit_index in range(len(units)):
-            result, stats = outcomes[cursor]
-            unit_results[spec_index][unit_index] = result
-            book.record(labels[cursor], stats.get("seconds", 0.0))
+            (result, stats), pool_stats = next(done)
+            row.append(result)
             if profile_out is not None:
-                row = {"experiment_id": owners[cursor][0], "unit": unit_index}
-                row.update(stats)
-                pool_stats = (
-                    dispatch_stats[cursor]
-                    if cursor < len(dispatch_stats)
-                    else None
-                )
-                row["dispatch_s"] = (
-                    pool_stats.get("dispatch_s", 0.0) if pool_stats else 0.0
-                )
-                profile_out.append(row)
-            cursor += 1
-    book.save()
-
-    return [
-        spec.merge(row, fast=fast)
-        for spec, row in zip(specs, unit_results)
-    ]
+                profile_out.append({
+                    "experiment_id": spec.experiment_id,
+                    "unit": unit_index,
+                    **stats,
+                    "dispatch_s": pool_stats["dispatch_s"],
+                })
+        merged.append(spec.merge(row, fast=fast))
+    return merged

@@ -97,7 +97,8 @@ def engine_for(network, telemetry=None, engine: str = "auto") -> Optional["FastE
     the scalar object simulator: a ``"scalar"`` resolution, no C
     toolchain on this host, an un-tagged route function (no
     ``route_spec``), a network that is not pristine (its clock off 0 or
-    flits in flight), or a shape outside the engine's support
+    flits in flight) or that carries a sink other than ``telemetry``,
+    or a shape outside the engine's support
     (non-uniform radix/VC/buffer config, more than 63 VCs) all decline
     rather than risk divergence.
     """
@@ -118,8 +119,8 @@ class FastEngine:
         self._lib = ckernel.load_kernel()
         if self._lib is None:
             raise _Incompatible("no C kernel on this host")
-        if network.telemetry is not None:
-            raise _Incompatible("a telemetry sink is already attached")
+        if network.telemetry is not None and network.telemetry is not telemetry:
+            raise _Incompatible("another telemetry sink is already attached")
         if network.cycle != 0 or network.in_flight_flits() != 0:
             raise _Incompatible("network is not pristine")
         routers = network.routers

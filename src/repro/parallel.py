@@ -1,9 +1,8 @@
 """Warm-worker dispatch: one persistent pool behind every parallel path.
 
-This module used to build a throwaway ``ProcessPoolExecutor`` per
-:func:`pool_map` call; each work unit paid task pickling, and on small
-machines the fan-out *lost* to serial (``BENCH_runner.json`` recorded a
-0.55x "speedup" on one core). It is now organized around a single
+A throwaway ``ProcessPoolExecutor`` per call paid worker spawn and
+cold imports for every work unit and lost to serial on small machines
+(a 0.55x "speedup" on one core), so everything runs on a single
 long-lived :class:`WorkerPool`:
 
 * **Warm workers.** Worker processes are spawned once (``forkserver``
@@ -16,12 +15,9 @@ long-lived :class:`WorkerPool`:
   parallel restarts (:mod:`repro.mapping.exchange`) and the serve
   dispatcher (:mod:`repro.serve.dispatch`) all share the pool returned
   by :func:`shared_pool`.
-* **Compact results.** Workers ship results back through the
-  :mod:`repro.wire` encoding (raw buffers for numpy arrays, pickle
-  only as an explicit fallback) rather than pickling whole rows.
-* **Cost-aware dispatch.** Tasks carry an optional cost estimate;
-  the pool dispatches expensive tasks first so a big netsim unit never
-  starts last and strands the pool behind it.
+* **First in, first out.** Pending tasks wait in one queue and run in
+  submission order; a retried task goes back to the front. Results
+  travel back through :mod:`repro.wire` (one pickle per result).
 * **Serial fast path.** :func:`effective_jobs` degrades a parallel
   request to plain in-process serial execution when the *effective*
   core count (CPU affinity and cgroup quota respected, see
@@ -30,12 +26,13 @@ long-lived :class:`WorkerPool`:
   (tests and benchmarks use it); ``REPRO_PARALLEL=serial`` forces the
   serial path outright.
 
-Failure policy (unchanged from the old layer, enforced per task):
+Failure policy (enforced per task):
 
-1. a task that raises in a worker is **retried once** on the pool;
-2. a task that fails twice is **quarantined** — a structured report is
-   emitted (see ``quarantine`` on :func:`pool_map`) and the task falls
-   back to serial execution in the parent;
+1. a task that raises in a worker, or whose result cannot be encoded,
+   is **retried once** on the pool;
+2. a task that fails twice is reported on stderr and falls back to
+   serial execution in the parent; its future carries the original
+   exception type;
 3. a worker that *dies* (hard crash) is respawned and its task retried
    under the same accounting; one crash no longer abandons the run;
 4. a stall (no completion within ``timeout`` seconds) abandons all
@@ -53,7 +50,6 @@ reference: ``docs/parallel.md``.
 
 from __future__ import annotations
 
-import heapq
 import importlib
 import itertools
 import math
@@ -62,15 +58,18 @@ import pickle
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import CancelledError, FIRST_COMPLETED, Future
 from concurrent.futures import wait as futures_wait
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro import wire
+
 #: Placeholder for a result not yet produced.
 _UNSET = object()
 
-#: Total attempts per task on the pool before quarantine + serial fallback.
+#: Total attempts per task on the pool before the serial fallback.
 MAX_POOL_ATTEMPTS = 2
 
 #: ``REPRO_PARALLEL``: ``auto`` (default heuristic), ``force`` (always
@@ -88,7 +87,7 @@ PROPAGATED_ENV_VARS = (
 #: Modules imported once per worker at spawn, before any task runs.
 #: Importing the experiments layer pulls in numpy, the ctypes kernel
 #: loader, and the mapping kernel's driver — the bulk of cold-import
-#: cost for every real workload this pool serves.
+#: time for every real workload this pool serves.
 PRELOAD_MODULES = (
     "numpy",
     "repro.engines",
@@ -200,16 +199,12 @@ def _worker_main(
     env: Dict[str, str],
 ) -> None:
     """Persistent worker loop: preload once, then task after task."""
-    from repro import wire
-
     _apply_env(env)
-    preload_start = time.monotonic()
     for name in preload_modules:
         try:
             importlib.import_module(name)
         except Exception:  # noqa: BLE001 — preload is best-effort warmth
             pass
-    preload_seconds = time.monotonic() - preload_start
 
     while True:
         try:
@@ -222,20 +217,6 @@ def _worker_main(
         t_start = time.monotonic()
         try:
             value = fn(*args)
-        except Exception as exc:  # noqa: BLE001 — worker errors are policy
-            t_end = time.monotonic()
-            try:
-                blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:  # noqa: BLE001 — unpicklable exception
-                blob = None
-            stats = {
-                "t_start": t_start,
-                "t_end": t_end,
-                "worker_pid": os.getpid(),
-                "error": repr(exc),
-            }
-            payload = wire.encode(("err", seq, stats, blob))
-        else:
             t_end = time.monotonic()
             stats = {
                 "t_start": t_start,
@@ -243,9 +224,16 @@ def _worker_main(
                 "seconds_in_worker": t_end - t_start,
                 "worker_pid": os.getpid(),
                 "new_modules": len(sys.modules) - modules_before,
-                "preload_seconds": preload_seconds,
             }
+            # Encoding sits inside the try: a result that cannot be
+            # pickled fails the task, not the worker.
             payload = wire.encode(("ok", seq, stats, value))
+        except Exception as exc:  # noqa: BLE001 — worker errors are policy
+            try:
+                blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+            except Exception:  # noqa: BLE001 — unpicklable exception
+                blob = None
+            payload = wire.encode(("err", seq, {"error": repr(exc)}, blob))
         try:
             conn.send_bytes(payload)
         except (BrokenPipeError, OSError):
@@ -276,31 +264,19 @@ class _Item:
     """One submitted task and its bookkeeping."""
 
     __slots__ = (
-        "seq", "fn", "args", "future", "cost", "label",
-        "env", "attempts", "worker_pids", "t_send",
+        "seq", "fn", "args", "future", "label",
+        "env", "attempts", "t_send",
     )
 
-    def __init__(self, seq, fn, args, cost, label, env):
+    def __init__(self, seq, fn, args, label, env):
         self.seq = seq
         self.fn = fn
         self.args = args
         self.future: "Future[Tuple[Any, Dict[str, Any]]]" = Future()
-        self.cost = cost
         self.label = label
         self.env = env
         self.attempts = 0
-        self.worker_pids: List[int] = []
         self.t_send = 0.0
-
-    def report(self, error: str) -> Dict[str, Any]:
-        """Structured quarantine report for a task the pool gave up on."""
-        return {
-            "label": self.label,
-            "attempts": self.attempts,
-            "error": error,
-            "worker_pids": list(self.worker_pids),
-            "quarantined": True,
-        }
 
 
 class _Worker:
@@ -320,8 +296,7 @@ class WorkerPool:
     :meth:`submit_task`, which return ``concurrent.futures.Future``
     objects resolving to ``(value, stats)`` pairs (:meth:`submit`
     unwraps to just the value for drop-in executor compatibility).
-    Pending tasks are dispatched most-expensive-first by their ``cost``
-    estimate.
+    Pending tasks are dispatched first in, first out.
     """
 
     def __init__(self, preload: Sequence[str] = PRELOAD_MODULES):
@@ -334,7 +309,7 @@ class WorkerPool:
             self._ctx = multiprocessing.get_context("spawn")
         self._preload = tuple(preload)
         self._lock = threading.Lock()
-        self._pending: List[Tuple[float, int, _Item]] = []
+        self._pending: "deque[_Item]" = deque()
         self._items: Dict[int, _Item] = {}
         self._workers: List[_Worker] = []
         self._kill: List[_Worker] = []
@@ -364,12 +339,11 @@ class WorkerPool:
         self,
         fn: Callable[..., Any],
         args: Tuple = (),
-        cost: float = 0.0,
         label: Optional[str] = None,
     ) -> "Future[Tuple[Any, Dict[str, Any]]]":
         """Queue one task; the future resolves to ``(value, stats)``."""
         item = _Item(
-            next(self._seq), fn, tuple(args), cost,
+            next(self._seq), fn, tuple(args),
             label or getattr(fn, "__name__", "task"),
             _propagated_env(),
         )
@@ -378,7 +352,7 @@ class WorkerPool:
                 raise RuntimeError("pool is shut down")
             self._target = max(self._target, 1)
             self._items[item.seq] = item
-            heapq.heappush(self._pending, (-item.cost, item.seq, item))
+            self._pending.append(item)
         self._start_thread()
         self._wake()
         return item.future
@@ -469,7 +443,7 @@ class WorkerPool:
                 self._closed = True
                 items = list(self._items.values())
                 self._items = {}
-                self._pending = []
+                self._pending.clear()
             for item in items:
                 _settle(item.future, error=RuntimeError(
                     f"pool dispatcher failed: {exc!r}"
@@ -528,23 +502,14 @@ class WorkerPool:
     def _assign_pending(self) -> None:
         while True:
             with self._lock:
-                item = None
-                while self._pending:
-                    _, _, candidate = heapq.heappop(self._pending)
-                    if not candidate.future.cancelled():
-                        item = candidate
-                        break
-                    self._items.pop(candidate.seq, None)
-                if item is None:
-                    return
+                while self._pending and self._pending[0].future.cancelled():
+                    self._items.pop(self._pending.popleft().seq, None)
                 idle = next(
                     (w for w in self._workers if w.item is None), None
                 )
-                if idle is None:
-                    heapq.heappush(
-                        self._pending, (-item.cost, item.seq, item)
-                    )
+                if not self._pending or idle is None:
                     return
+                item = self._pending.popleft()
                 idle.item = item
             item.attempts += 1
             item.t_send = time.monotonic()
@@ -557,8 +522,6 @@ class WorkerPool:
                 self._on_death(idle)
 
     def _on_readable(self, worker: _Worker) -> None:
-        from repro import wire
-
         try:
             payload = worker.conn.recv_bytes()
         except (EOFError, OSError):
@@ -572,7 +535,6 @@ class WorkerPool:
                 worker.item = None
         if item is None or item.future.cancelled():
             return
-        item.worker_pids.append(stats.get("worker_pid", -1))
         if status == "ok":
             stats["dispatch_s"] = round(
                 max(0.0, stats.pop("t_start") - item.t_send)
@@ -590,9 +552,7 @@ class WorkerPool:
                     f"{item.label} failed in worker ({error_repr}); retrying"
                 )
                 with self._lock:
-                    heapq.heappush(
-                        self._pending, (-item.cost, item.seq, item)
-                    )
+                    self._pending.appendleft(item)
             else:
                 try:
                     exc = pickle.loads(value) if value is not None else None
@@ -600,7 +560,6 @@ class WorkerPool:
                     exc = None
                 if not isinstance(exc, BaseException):
                     exc = RuntimeError(error_repr)
-                exc.worker_report = item.report(error_repr)
                 with self._lock:
                     self._items.pop(seq, None)
                 _settle(item.future, error=exc)
@@ -618,19 +577,16 @@ class WorkerPool:
         worker.proc.join(timeout=0.1)
         if item is None or item.future.cancelled():
             return
-        pid = worker.proc.pid or -1
-        item.worker_pids.append(pid)
+        pid = worker.proc.pid
         error = f"worker process {pid} died while running {item.label}"
         if item.attempts < MAX_POOL_ATTEMPTS:
             _warn(f"{error}; retrying")
             with self._lock:
-                heapq.heappush(self._pending, (-item.cost, item.seq, item))
+                self._pending.appendleft(item)
         else:
-            exc = RuntimeError(error)
-            exc.worker_report = item.report(error)
             with self._lock:
                 self._items.pop(item.seq, None)
-            _settle(item.future, error=exc)
+            _settle(item.future, error=RuntimeError(error))
 
     def _terminate_worker(self, worker: _Worker) -> None:
         with self._lock:
@@ -652,7 +608,7 @@ class WorkerPool:
         with self._lock:
             workers, self._workers = self._workers, []
             items, self._items = list(self._items.values()), {}
-            self._pending = []
+            self._pending.clear()
         for worker in workers:
             self._terminate_worker(worker)
         for item in items:
@@ -714,9 +670,7 @@ def pool_map(
     jobs: Optional[int] = 1,
     timeout: Optional[float] = None,
     labels: Optional[Sequence[str]] = None,
-    costs: Optional[Sequence[float]] = None,
     dispatch_stats: Optional[List[Optional[Dict[str, Any]]]] = None,
-    quarantine: Optional[List[Dict[str, Any]]] = None,
 ) -> List[Any]:
     """Ordered ``[fn(*task) for task in tasks]`` fanned over warm workers.
 
@@ -724,17 +678,16 @@ def pool_map(
     :func:`effective_jobs` may degrade it to the serial fast path.
     ``timeout`` is a stall watchdog: if no task completes for that many
     seconds, outstanding tasks are abandoned to serial execution and
-    their workers recycled. ``costs`` (same length as ``tasks``) makes
-    dispatch cost-aware — expensive tasks first; results keep task
-    order regardless. ``labels`` names tasks in warnings and reports.
+    their workers recycled. Tasks are submitted in order. ``labels``
+    names tasks in warnings.
 
     ``dispatch_stats``, if given, is filled with one dict per task
     (``dispatch_s``, ``worker_pid``, ``attempts``, ``new_modules``, …
     for pool-executed tasks; ``{"mode": "serial"}`` for tasks the fast
-    path or a fallback ran in the parent). ``quarantine`` receives one
-    structured report per task that failed :data:`MAX_POOL_ATTEMPTS`
-    times on the pool; those tasks still run serially afterwards, so an
-    error that reproduces serially propagates to the caller.
+    path or a fallback ran in the parent). A task that failed
+    :data:`MAX_POOL_ATTEMPTS` times on the pool runs serially
+    afterwards, so an error that reproduces serially propagates to the
+    caller.
     """
     tasks = list(tasks)
     results: List[Any] = [_UNSET] * len(tasks)
@@ -742,10 +695,7 @@ def pool_map(
     eff = effective_jobs(jobs, len(tasks))
     forced = os.environ.get(PARALLEL_MODE_ENV) == "force" and tasks
     if eff > 1 or forced:
-        _run_pool(
-            fn, tasks, results, stats_rows, eff, timeout, labels, costs,
-            quarantine,
-        )
+        _run_pool(fn, tasks, results, stats_rows, eff, timeout, labels)
     # Serial completion: everything the pool did not produce (all of it
     # on the fast path) runs in the parent, where errors propagate.
     for index, task in enumerate(tasks):
@@ -764,23 +714,13 @@ def _label(labels: Optional[Sequence[str]], index: int) -> str:
     return f"task[{index}]"
 
 
-def _run_pool(
-    fn, tasks, results, stats_rows, eff, timeout, labels, costs, quarantine
-) -> None:
+def _run_pool(fn, tasks, results, stats_rows, eff, timeout, labels) -> None:
     """Best-effort parallel pass; leaves failed cells as ``_UNSET``."""
     pool = shared_pool(eff)
-    futures: Dict["Future", int] = {}
-    order = range(len(tasks))
-    if costs is not None:
-        order = sorted(order, key=lambda i: -costs[i])
-    for index in order:
-        future = pool.submit_task(
-            fn,
-            tasks[index],
-            cost=(costs[index] if costs is not None else 0.0),
-            label=_label(labels, index),
-        )
-        futures[future] = index
+    futures = {
+        pool.submit_task(fn, task, label=_label(labels, index)): index
+        for index, task in enumerate(tasks)
+    }
     remaining = set(futures)
     while remaining:
         done, _ = futures_wait(
@@ -797,26 +737,15 @@ def _run_pool(
         for future in done:
             remaining.discard(future)
             index = futures[future]
-            label = _label(labels, index)
             try:
                 value, stats = future.result()
             except CancelledError:
                 continue
             except Exception as exc:  # noqa: BLE001 — worker errors are policy
-                report = getattr(exc, "worker_report", None) or {
-                    "label": label,
-                    "attempts": MAX_POOL_ATTEMPTS,
-                    "error": repr(exc),
-                    "worker_pids": [],
-                    "quarantined": True,
-                }
-                report["task_index"] = index
                 _warn(
-                    f"{label} failed {report['attempts']}x in workers "
-                    f"({report['error']}); falling back to serial"
+                    f"{_label(labels, index)} failed in workers ({exc!r}); "
+                    "falling back to serial"
                 )
-                if quarantine is not None:
-                    quarantine.append(report)
                 continue
             results[index] = value
             stats_rows[index] = stats

@@ -175,3 +175,34 @@ def test_telemetry_attach_conflicts_still_raise():
             drain_cycles=10,
             telemetry=other,
         )
+
+
+def test_pre_attached_sink_keeps_the_kernel():
+    """``Telemetry.attach`` is idempotent on one network, so a sink the
+    caller attached first still gets the compiled engine, and its
+    report equals that of a run that attached nothing."""
+    from repro import ckernel
+    from repro.netsim.fast_core import FastEngine, engine_for
+
+    if ckernel.load_kernel() is None:
+        pytest.skip("no C kernel on this host")
+    factory, pattern_name, load, seed = SCENARIOS["mesh_low"]
+    network = factory()
+    telemetry = Telemetry(sample_interval=4, collect_flows=True)
+    telemetry.attach(network)
+    assert isinstance(engine_for(network, telemetry, engine="c"), FastEngine)
+    pattern = make_pattern(pattern_name, network.n_terminals)
+    sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)
+    stats = sim.run(
+        warmup_cycles=WARMUP_CYCLES,
+        measure_cycles=MEASURE_CYCLES,
+        drain_cycles=DRAIN_CYCLES,
+        telemetry=telemetry,
+        engine="c",
+    )
+    ref_stats, ref_report = _run(
+        "mesh_low", Telemetry(sample_interval=4, collect_flows=True),
+        DRAIN_CYCLES, "c",
+    )
+    assert _stats_tuple(stats) == _stats_tuple(ref_stats)
+    assert telemetry.to_dict() == ref_report

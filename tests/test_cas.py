@@ -12,7 +12,6 @@ from repro.cli import main as cli_main
 from repro.dcn.flow import ServiceCurve, _curve_cache_key
 from repro.experiments.base import ExperimentResult
 from repro.experiments.cache import ResultCache, cache_key
-from repro.experiments.unit_costs import COST_BOOK_NAME, CostBook
 from repro.mapping.grid import grid_for
 from repro.mapping.routing import IOStyle
 from repro.mapping.store import MappingStore, entry_key
@@ -49,28 +48,22 @@ def test_corrupt_entry_is_a_miss(namespace, tmp_path):
 
 
 def test_clear_touches_only_its_own_namespace(tmp_path):
-    book = CostBook(tmp_path / COST_BOOK_NAME)
-    book.record("fig01[0]", 1.0)
-    book.save()
     for namespace in cas.NAMESPACES:
         cas.Store(namespace, tmp_path).put("k", {"namespace": namespace})
     for cleared, namespace in enumerate(cas.NAMESPACES, start=1):
         assert cas.Store(namespace, tmp_path).clear() == 1
         for other in cas.NAMESPACES[cleared:]:
             assert cas.Store(other, tmp_path).get("k") == {"namespace": other}
-    assert CostBook(tmp_path / COST_BOOK_NAME).get("fig01[0]") == 1.0
 
 
-def test_cache_clear_command_keeps_the_cost_book(tmp_path, monkeypatch, capsys):
+def test_cache_clear_command_clears_only_results(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cas.CACHE_DIR_ENV, str(tmp_path))
-    book = CostBook()
-    book.record("fig01[0]", 1.0)
-    book.save()
     ResultCache().store("fig01", True, ExperimentResult("fig01", "t", ("a",), [(1,)]))
+    cas.Store("serve", tmp_path).put("k", {"kept": True})
     assert cli_main(["experiments", "--cache-clear"]) == 0
     assert "cleared 1 cache entry" in capsys.readouterr().out
-    assert (tmp_path / COST_BOOK_NAME).is_file()
-    assert CostBook().get("fig01[0]") == 1.0
+    assert ResultCache().load("fig01", True) is None
+    assert cas.Store("serve", tmp_path).get("k") == {"kept": True}
 
 
 def test_failed_publish_leaves_the_entry_and_no_temp_file(tmp_path):
