@@ -285,8 +285,20 @@ def _envelope(query: Query, engine: str) -> Dict[str, Any]:
         "kind": query.kind,
         "key": query_key(query, engine),
         "query": query.to_dict(),
-        "engines": {"netsim": netsim_engine_tag(_query_engine(query, engine))},
+        "engines": {"netsim": _engine_tag(query, engine)},
     }
+
+
+def _engine_tag(query: Query, engine: str) -> str:
+    """The netsim engine ``query``'s runs take: for a simulate query,
+    the rule :func:`~repro.netsim.fast_core.engine_for` applies to its
+    networks; otherwise whether the kernel loads."""
+    engine = _query_engine(query, engine)
+    if isinstance(query, SimQuery):
+        from repro.netsim.fast_core import engine_tag
+
+        return engine_tag(engine, query.vcs)
+    return netsim_engine_tag(engine)
 
 
 def _execute_design(query: DesignQuery) -> Dict[str, Any]:

@@ -49,10 +49,13 @@ Design constraints:
   Output-port and candidate sets are bitmask words (``ceil(P/64)``
   and ``ceil(P*V/64)`` per port group), so any port count runs.
 
-Kernel modes (:func:`fast_run`): 0 offers and steps a fixed number of
-cycles (Bernoulli warmup/measure), 1 drains, 2 replays a trace
-schedule to completion or a cycle cap, 3 advances a partition epoch to
-a target cycle, skipping idle stretches.
+One run contract (``fast_run(s, drain, limit)``): offer every packet
+row due by the clock, step, and stop when the clock reaches ``limit``
+or, with ``drain``, once every row is offered and nothing is in flight.
+Idle stretches are jumped to the next row's cycle unless a telemetry
+sink samples them. A Bernoulli phase, a drain, a whole trace replay and
+a partition epoch are each one call with an absolute ``limit``; the
+scalar twin is :func:`repro.netsim.network.advance`.
 
 The compiled object is cached under ``_cc_cache/`` next to this file,
 keyed by a hash of the C source, so the toolchain runs once per source
@@ -604,12 +607,12 @@ static int idle(FastState *s) {
 }
 
 /* ---- CPython-compatible Mersenne Twister -------------------------
-   Bernoulli pre-generation consumes the bulk of the Python driver's
-   time at scale. random.Random is MT19937 with a documented state
-   (`getstate`), so the draw loop can run here bit-for-bit: random()
-   is genrand_res53 and randrange(m) is CPython's
-   _randbelow_with_getrandbits rejection loop. The advanced state is
-   written back and restored into the Python RNG afterwards. */
+   Drawing a Bernoulli offer stream (BernoulliInjector.stream) in a
+   Python loop dominates its time at scale. random.Random is MT19937
+   with a documented state (`getstate`), so the draw loop can run here
+   bit-for-bit: random() is genrand_res53 and randrange(m) is
+   CPython's _randbelow_with_getrandbits rejection loop. The advanced
+   state is written back and restored into the Python RNG afterwards. */
 
 #define MT_N 624
 #define MT_M 397
@@ -723,45 +726,18 @@ void flow_advance(int64_t n_act, const int64_t *act, const int64_t *off,
     }
 }
 
-int64_t fast_run(FastState *s, int64_t mode, int64_t limit) {
-    /* mode 0: offer + step for `limit` cycles.
-       mode 1: drain — step until in-flight empties (returns 1) or
-               `limit` cycles elapse (returns 0).
-       mode 2: trace replay — offer + step until every event is
-               offered and nothing is in flight, or the clock reaches
-               `limit` (the scalar replay loop, truncation included).
-       mode 3: partition epoch — offer + step until the clock reaches
-               `limit`, jumping over idle stretches to the next event. */
-    if (mode == 0) {
-        for (int64_t k = 0; k < limit; k++) {
-            offers(s, s->cycle);
-            int64_t rc = do_step(s);
-            if (rc) return rc;
-        }
-        return 0;
-    }
-    if (mode == 1) {
-        for (int64_t k = 0; k < limit; k++) {
-            if (s->inflight == 0) return 1;
-            int64_t rc = do_step(s);
-            if (rc) return rc;
-        }
-        return 0;
-    }
-    if (mode == 2) {
-        while (s->ev_index < s->n_ev || s->inflight > 0) {
-            offers(s, s->cycle);
-            int64_t rc = do_step(s);
-            if (rc) return rc;
-            if (s->cycle >= limit) break;
-        }
-        return 0;
-    }
+int64_t fast_run(FastState *s, int64_t drain, int64_t limit) {
+    /* The run contract (scalar twin: repro.netsim.network.advance):
+       offer every due row, then step, until the clock reaches `limit`
+       or, with `drain`, until every row is offered and nothing is in
+       flight (returns 1). Without telemetry, idle stretches are jumped
+       to the next row's cycle; a sink sees every cycle sampled. */
     while (s->cycle < limit) {
         offers(s, s->cycle);
-        if (idle(s)) {
-            int64_t next = s->ev_index < s->n_ev ? s->ev_when[s->ev_index]
-                                                 : limit;
+        int64_t used = s->ev_index == s->n_ev;
+        if (drain && used && s->inflight == 0) return 1;
+        if (!s->tel && idle(s)) {
+            int64_t next = used ? limit : s->ev_when[s->ev_index];
             s->cycle = next < limit ? next : limit;
             continue;
         }

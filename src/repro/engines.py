@@ -71,10 +71,12 @@ def resolve_mapping_engine(engine: str = "auto") -> str:
 
 
 def netsim_engine_tag(engine: str = "auto") -> str:
-    """The netsim engine a run with this request actually takes.
+    """The netsim engine a run with this request takes on a shape the
+    kernel models.
 
     ``"c"`` only when ``"c"`` is resolved *and* the kernel loads;
     ``"scalar"`` otherwise, the oracle a kernel-less host degrades to.
+    :func:`repro.netsim.fast_core.engine_tag` adds the VC limit.
     """
     from repro import ckernel
 

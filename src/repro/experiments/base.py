@@ -187,7 +187,3 @@ def get_spec(experiment_id: str) -> ExperimentSpec:
 def get_experiment(experiment_id: str) -> Callable[..., ExperimentResult]:
     """The ``run`` callable of an experiment module, by id."""
     return get_spec(experiment_id).module.run
-
-
-def available_experiments() -> Tuple[str, ...]:
-    return EXPERIMENT_IDS

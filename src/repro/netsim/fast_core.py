@@ -20,16 +20,20 @@ with no Python per cycle:
   offer event that creates it: the kernel offers packet ``i`` at cycle
   ``pk_create[i]`` from terminal ``pk_src[i]``.
 
-The kernel serves every vectorized run: Bernoulli load points
-(:meth:`FastEngine.run_bernoulli`) and trace replay
-(:meth:`FastEngine.run_replay`), each with or without a telemetry
-sink, and partition epochs (:meth:`FastEngine.run_epoch`, driven by
-:class:`repro.netsim.partition.WaferPartition`), at any port count.
-The scalar object simulator is the oracle: it runs when asked for by
-name, and when :func:`engine_for` declines (no C toolchain, an
-unsupported shape). A run hands its end state back on
-:attr:`RunStats.final <repro.netsim.stats.RunStats.final>`; of the
-network it compiled from, the engine advances only ``network.cycle``.
+Every vectorized run is the same two moves: :meth:`FastEngine.append`
+puts the offer rows in the store, and :meth:`FastEngine._c_run` runs
+the one contract both engines share (offer due rows, step, stop at an
+absolute cycle or, draining, once the rows are used up and nothing is
+in flight; the scalar twin is :func:`repro.netsim.network.advance`).
+A Bernoulli load point (``Simulator.run``, which draws the stream once
+for either engine) makes one call per phase, a trace replay one call,
+a :class:`repro.netsim.partition.WaferPartition` epoch one call, each
+with or without a telemetry sink, at any port count. The scalar object
+simulator is the oracle: it runs when asked for by name, and when
+:func:`engine_for` declines (no C toolchain, an unsupported shape). A
+run hands its end state back on :attr:`RunStats.final
+<repro.netsim.stats.RunStats.final>`; of the network it compiled from,
+the engine advances only ``network.cycle``.
 
 The engine is held to *bit parity* with the object simulator: the
 golden corpus (``tests/netsim/goldens``) and the differential fuzz
@@ -62,9 +66,6 @@ _IDX_MASK = (1 << _SHIFT) - 1
 # Output-VC ownership is one int64 bitmask per port.
 _MAX_VCS = 63
 
-#: Kernel modes (see ``fast_run`` in :mod:`repro.ckernel`).
-_OFFER_STEP, _DRAIN, _REPLAY, _EPOCH = 0, 1, 2, 3
-
 _C_KIND = {"rf": 0, "tf": 1, "inj": 2, "rc": 3, "tc": 4}
 
 #: Kernel telemetry counters (int64 arrays): ``name -> size key``.
@@ -88,23 +89,39 @@ class _Incompatible(Exception):
     """Network shape the vectorized engine does not support."""
 
 
+def engine_tag(engine: str = "auto", num_vcs: int = 1) -> str:
+    """The engine a run of a library-built network with ``num_vcs``
+    VCs takes under ``engine``: ``"c"`` or ``"scalar"``.
+
+    This is the part of :func:`engine_for`'s rule that a query knows
+    before it builds anything: the resolved name, whether the kernel
+    loads, and the VC count the kernel's bitmask allocator holds.
+    """
+    if num_vcs > _MAX_VCS:
+        return "scalar"
+    return engines.netsim_engine_tag(engine)
+
+
 def engine_for(network, telemetry=None, engine: str = "auto") -> Optional["FastEngine"]:
     """Compile a vectorized engine for ``network``, or ``None``.
 
     ``engine`` is a :data:`repro.engines.NETSIM_ENGINES` name, resolved
     once here (callers that resolved already may pass the concrete
     value through — resolution is idempotent). ``None`` falls back to
-    the scalar object simulator: a ``"scalar"`` resolution, no C
-    toolchain on this host, an un-tagged route function (no
+    the scalar object simulator: whatever :func:`engine_tag` sends
+    there (a ``"scalar"`` resolution, no C toolchain on this host,
+    more than 63 VCs), an un-tagged route function (no
     ``route_spec``), a network that is not pristine (its clock off 0 or
     flits in flight) or that carries a sink other than ``telemetry``,
-    or a shape outside the engine's support
-    (non-uniform radix/VC/buffer config, more than 63 VCs) all decline
-    rather than risk divergence.
+    or a non-uniform radix/VC/buffer config all decline rather than
+    risk divergence.
     """
-    if engines.resolve_netsim_engine(engine) == "scalar":
-        return None
-    if getattr(network, "route_spec", None) is None:
+    routers = network.routers
+    if (
+        getattr(network, "route_spec", None) is None
+        or not routers
+        or engine_tag(engine, routers[0].num_vcs) == "scalar"
+    ):
         return None
     try:
         return FastEngine(network, telemetry)
@@ -117,8 +134,6 @@ class FastEngine:
 
     def __init__(self, network, telemetry=None):
         self._lib = ckernel.load_kernel()
-        if self._lib is None:
-            raise _Incompatible("no C kernel on this host")
         if network.telemetry is not None and network.telemetry is not telemetry:
             raise _Incompatible("another telemetry sink is already attached")
         if network.cycle != 0 or network.in_flight_flits() != 0:
@@ -135,8 +150,6 @@ class FastEngine:
                 raise _Incompatible("non-uniform router shapes")
             if r.rc_pending or r.active_out_ports:
                 raise _Incompatible("router has in-flight state")
-        if V > _MAX_VCS:
-            raise _Incompatible("too many VCs for the bitmask allocator")
         self.telemetry = telemetry
 
         self.network = network
@@ -195,7 +208,9 @@ class FastEngine:
 
         self._compile(network)
         self._c_build()
-        self._set_packets(0, [], [], [], [])
+        for name, _ in self._STORE:
+            setattr(self, name, np.zeros(0, dtype=np.int64))
+        self._point_store()
 
     # ------------------------------------------------------------------
     # Run counters live in the kernel's state block
@@ -430,26 +445,23 @@ class FastEngine:
         ("log_term", 0), ("log_pidx", 0),
     )
 
-    def _set_packets(self, base, src, dst, size, create) -> None:
-        """Install a fresh packet store (packet ``i`` = offer event ``i``)."""
-        n = len(src)
-        for name, fill in self._STORE:
-            setattr(self, name, np.full(n, fill, dtype=np.int64))
-        st = self.st
-        st.base = base
-        st.n_ev = st.ev_index = st.log_count = 0
-        self._point_store()
-        self._write_packets(src, dst, size, create)
+    def append(self, src, dst, size, create, base: int = 0) -> None:
+        """Append packet rows; row ``i`` is packet id ``base + i``.
 
-    def _write_packets(self, src, dst, size, create) -> None:
-        """Fill the next ``len(src)`` store rows and make them offerable."""
+        Each row is also the offer event that creates the packet: it is
+        offered at cycle ``create`` from terminal ``src``. Rows come
+        sorted by cycle and none before the clock.
+        """
         st = self.st
         n, k = st.n_ev, len(src)
+        if n + k > self.pk_dst.size:
+            self._grow(n + k)
         self.pk_src[n:n + k] = src
         self.pk_dst[n:n + k] = dst
         self.pk_size[n:n + k] = size
         self.pk_create[n:n + k] = create
         st.n_ev = n + k
+        st.base = base
 
     def _point_store(self) -> None:
         self._point(
@@ -460,8 +472,12 @@ class FastEngine:
             log_pidx=self.log_pidx,
         )
 
-    def _c_run(self, mode: int, limit: int) -> int:
-        rc = self._lib.fast_run(self.st, mode, limit)
+    def _c_run(self, limit: int, drain: bool = False) -> int:
+        """The run contract (``fast_run`` in :mod:`repro.ckernel`):
+        offer due rows and step to the absolute cycle ``limit``, or,
+        with ``drain``, until every row is offered and nothing is in
+        flight (returns 1)."""
+        rc = self._lib.fast_run(self.st, drain, limit)
         if rc >= 0:
             return rc
         err = self.st.err_a
@@ -479,125 +495,47 @@ class FastEngine:
         raise RuntimeError(f"netsim C kernel internal error {rc}")
 
     # ------------------------------------------------------------------
-    # Run drivers
+    # Run drivers: the packet rows are appended, then one _c_run per
+    # phase (Bernoulli), per replay or per epoch
     # ------------------------------------------------------------------
 
-    def run_bernoulli(
-        self, injector, packet_ids, warmup_cycles: int, measure_cycles: int,
-        drain_cycles: int,
-    ) -> RunStats:
-        """Mirror of ``Simulator.run``, telemetry windows included."""
-        # Pre-generate the whole Bernoulli stream. The RNG consumption
-        # order is identical to the scalar driver's per-cycle loop, which
-        # takes one id per packet in stream order: one block of ``n``
-        # consecutive ids from the run's source is the same numbering.
-        total = warmup_cycles + measure_cycles
-        ev_when, ev_term, ev_dst = (
-            self._c_pregen(injector, total)
-            or self._py_pregen(injector, total)
-        )
-        n = len(ev_when)
-        self._set_packets(
-            packet_ids.take(n), ev_term, ev_dst,
-            np.full(n, injector.packet_size_flits, dtype=np.int64), ev_when,
-        )
-        return self._c_run_bernoulli(
-            injector.packet_size_flits, warmup_cycles, measure_cycles,
-            drain_cycles,
-        )
+    def _c_run_bernoulli(self, stats: RunStats, drain_cycles: int) -> RunStats:
+        """``Simulator.run``'s three phases, telemetry windows included.
 
-    def _py_pregen(self, injector, total: int):
-        """Bernoulli stream drawn with the Python RNG (any pattern)."""
-        rng = injector.rng
-        draw = rng.random
-        probability = injector.packet_probability
-        destination = injector.pattern.destination
-        ev_when = []
-        ev_term = []
-        ev_dst = []
-        terminals = range(self.T)
-        for c in range(total):
-            for src in terminals:
-                if draw() >= probability:
-                    continue
-                dst = destination(src, rng)
-                if dst == src:  # Packet() would reject this
-                    raise AssertionError("pattern produced self-traffic")
-                ev_when.append(c)
-                ev_term.append(src)
-                ev_dst.append(dst)
-        return ev_when, ev_term, ev_dst
-
-    def _c_pregen(self, injector, total: int):
-        """The ``uniform`` stream drawn in C (:func:`ckernel.draw_uniform`);
-        ``None`` for any other pattern, which :meth:`_py_pregen` draws."""
-        pattern = injector.pattern
-        fn = getattr(pattern, "destination_fn", None)
-        if (
-            getattr(fn, "__module__", "") != "repro.netsim.traffic"
-            or getattr(fn, "__qualname__", "") != "uniform.<locals>.dest"
-            or pattern.n_terminals != self.T
-        ):
-            return None
-        return ckernel.draw_uniform(
-            injector.rng, total, self.T, injector.packet_probability
-        )
-
-    def _c_run_bernoulli(
-        self, size, warmup_cycles, measure_cycles, drain_cycles,
-    ) -> RunStats:
-        st = self.st
+        ``stats`` comes with its window and offer counts set.
+        """
         tel = self.telemetry
         if tel is not None:
             tel.attach(self.network)
             self._tel_window(tel, "warmup")
-        self._c_run(_OFFER_STEP, warmup_cycles)
-        measure_start = st.cycle
-        stats = RunStats(
-            measure_start=measure_start,
-            measure_end=measure_start + measure_cycles,
-            n_terminals=self.T,
-        )
+        self._c_run(stats.measure_start)
         if tel is not None:
             self._tel_window(tel, "measurement")
-        delivered_before = st.delivered_total
-        self._c_run(_OFFER_STEP, measure_cycles)
-        stats.flits_delivered = st.delivered_total - delivered_before
-        in_window = int(np.count_nonzero(self.pk_create >= warmup_cycles))
-        stats.flits_offered = in_window * size
-        stats.packets_created = in_window
+        delivered_before = self.delivered_total
+        self._c_run(stats.measure_end)
+        stats.flits_delivered = self.delivered_total - delivered_before
         if tel is not None:
             self._tel_window(tel, "drain")
-        self._c_run(_DRAIN, drain_cycles)
+        self._c_run(stats.measure_end + drain_cycles, drain=True)
         self._finish(stats)
         if tel is not None:
             self._tel_finish(tel)
         return stats
 
-    def run_replay(self, schedule, max_cycles: int, packet_ids):
-        """Mirror of ``replay_trace``'s driving loop, telemetry included.
+    def run_replay(self, limit: int, packet_ids) -> RunStats:
+        """``replay_trace``'s run, telemetry included: drain the rows,
+        capped at cycle ``limit``.
 
-        ``schedule`` is the sorted list of ``(inject_cycle, event)``
-        pairs; packet index = schedule index. The scalar loop takes an
-        id from ``packet_ids`` when it offers a packet, so the ids are
-        ``base, base+1, ...`` in schedule order and the source is left
-        after the last *offered* event — under ``max_cycles``
-        truncation that is short of the schedule's end, exactly where
-        the scalar loop stops. A telemetry sink sees one ``replay``
-        window spanning the whole run.
+        Rows were appended with ``base = packet_ids.next``; the source
+        is left after the last *offered* row — under truncation that is
+        short of the schedule's end, exactly where the scalar run
+        leaves it. A telemetry sink sees one ``replay`` window.
         """
-        self._set_packets(
-            packet_ids.next,
-            [event.src for _, event in schedule],
-            [event.dst for _, event in schedule],
-            [event.size_flits for _, event in schedule],
-            [cycle for cycle, _ in schedule],
-        )
         tel = self.telemetry
         if tel is not None:
             tel.attach(self.network)
             self._tel_window(tel, "replay")
-        self._c_run(_REPLAY, max_cycles)
+        self._c_run(limit, drain=True)
         offered = self.st.ev_index
         packet_ids.take(offered)
         stats = RunStats(
@@ -610,21 +548,10 @@ class FastEngine:
             self._tel_finish(tel)
         return stats
 
-    def run_epoch(self, src, dst, size, create, to_cycle: int):
-        """Append offer events, then advance to ``to_cycle``.
-
-        One :class:`WaferPartition` epoch: the events (packet ids continue
-        from the store's end, base 0) must be sorted and at or after
-        the current cycle. Idle stretches are skipped in the kernel.
-        Returns the epoch's deliveries as ``(terminal, packet id)``
-        arrays in arrival order; the kernel's log is then reset, so each
-        epoch reads only its own deliveries.
-        """
-        need = self.st.n_ev + len(src)
-        if need > self.pk_dst.size:
-            self._grow(need)
-        self._write_packets(src, dst, size, create)
-        self._c_run(_EPOCH, to_cycle)
+    def run_epoch(self, to_cycle: int):
+        """Advance to ``to_cycle``; return the deliveries since the last
+        call as ``(terminal, packet id)`` arrays in arrival order."""
+        self._c_run(to_cycle)
         count = self.st.log_count
         terms = self.log_term[:count].copy()
         pids = self.log_pidx[:count].copy()

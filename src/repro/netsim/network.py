@@ -17,11 +17,11 @@ Host-to-switch I/O delay is 8 cycles for both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Deque, Dict, List, Optional
 
 from repro.netsim.config import RouterConfig
 from repro.netsim.link import CreditChannel, Link
-from repro.netsim.packet import Flit
+from repro.netsim.packet import Flit, Packet
 from repro.netsim.router import Router
 from repro.netsim.terminal import Terminal
 
@@ -166,6 +166,51 @@ class NetworkModel:
         on_wire = sum(len(link._in_flight) for link, _, _, _ in self.links)
         backlog = sum(len(t.source_queue) for t in self.terminals)
         return buffered + on_wire + backlog
+
+    def idle(self) -> bool:
+        """Nothing queued, buffered, awaiting allocation or on a wire:
+        a step would only move the clock."""
+        return not (
+            self._link_events
+            or self._credit_events
+            or any(t.source_queue for t in self.terminals)
+            or any(
+                r._buffered_total or r.rc_pending or r.active_out_ports
+                for r in self.routers
+            )
+        )
+
+
+def advance(
+    network: NetworkModel, offers: Deque[Packet], limit: int,
+    drain: bool = False,
+) -> None:
+    """Run ``network`` under the kernel's run contract (``fast_run`` in
+    :mod:`repro.ckernel`), the scalar oracle's one driving loop.
+
+    ``offers`` holds packets sorted by ``create_cycle``, none before
+    the clock. Each cycle offers the packets due by then, then steps,
+    until the clock reaches ``limit`` or, with ``drain``, once
+    ``offers`` is used up and nothing is in flight. Without a
+    telemetry sink, idle stretches are jumped to the next offer's
+    cycle; a sink samples every cycle, so it sees them stepped.
+    """
+    terminals = network.terminals
+    step = network.step
+    jump = network.telemetry is None
+    while network.cycle < limit:
+        now = network.cycle
+        while offers and offers[0].create_cycle <= now:
+            packet = offers.popleft()
+            terminals[packet.src].offer_packet(packet)
+        if drain and not offers and network.in_flight_flits() == 0:
+            return
+        if jump and network.idle():
+            network.cycle = (
+                min(offers[0].create_cycle, limit) if offers else limit
+            )
+            continue
+        step()
 
 
 # ----------------------------------------------------------------------

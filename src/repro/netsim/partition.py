@@ -1,22 +1,19 @@
 """Incremental partition driver: step one wafer's network epoch by epoch.
 
-The batch run methods in :mod:`repro.netsim.fast_core` run a whole
-simulation in one call (pregenerated Bernoulli stream or replay
-schedule, then ``_finish``).  Partitioned multi-wafer simulation
-(:mod:`repro.dcn`) needs something they don't offer: a *live* engine
-that accepts externally scheduled injections as they become known and
-advances to a target cycle, keeping all state resident between calls —
-because the next epoch's injections depend on what every other wafer
-delivered during this one.
-
-:class:`WaferPartition` wraps one pristine network in exactly that
-driver, on either engine:
+A Bernoulli load point or a trace replay hands its engine the whole
+offer stream up front. Partitioned multi-wafer simulation
+(:mod:`repro.dcn`) cannot: the next epoch's injections depend on what
+every other wafer delivered during this one. :class:`WaferPartition`
+keeps one pristine network live between calls. Each ``advance`` takes
+the events due before the epoch end once, as one batch, and hands it to
+whichever engine runs, which then advances under the run contract both
+engines share (offer due rows, step, jump idle stretches; ``fast_run``
+in :mod:`repro.ckernel`, :func:`repro.netsim.network.advance` for the
+oracle) to the epoch end:
 
 * the compiled kernel behind :class:`~repro.netsim.fast_core.FastEngine`
-  when the network compiles: each ``advance`` appends the epoch's
-  events to the engine's packet store and makes one kernel call
-  (:meth:`~repro.netsim.fast_core.FastEngine.run_epoch`) that steps to
-  the target cycle and skips idle stretches, or
+  when the network compiles: the batch is appended to the engine's
+  packet store and the epoch is one kernel call, or
 * the scalar object simulator otherwise (no C toolchain, or
   ``engine="scalar"``, the oracle).
 
@@ -36,16 +33,17 @@ engines return byte-identical bundles.
 
 from __future__ import annotations
 
-import random
 from collections import deque
+from itertools import count
 from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.engines import resolve_netsim_engine
 from repro.netsim import fast_core
-from repro.netsim.network import NetworkModel
+from repro.netsim.network import NetworkModel, advance
 from repro.netsim.packet import Packet
+from repro.netsim.traffic import BernoulliInjector, uniform
 
 #: One externally scheduled injection:
 #: ``(cycle, src_terminal, dst_terminal, size_flits, tag)``.  ``tag``
@@ -83,7 +81,9 @@ class WaferPartition:
         self._tags: List[int] = []
         self.offered_flits = 0
         self.offered_packets = 0
+        self._delivered_packets = 0
         if self.engine is None:
+            self._offers: deque = deque()
             self._recv_cursor = [0] * network.n_terminals
 
     # -- caller surface -------------------------------------------------
@@ -117,11 +117,32 @@ class WaferPartition:
         ``offered_flits``, ``offered_packets``).  Every event scheduled
         strictly before ``to_cycle`` is consumed.
         """
-        if self.engine is None:
-            self._advance_scalar(to_cycle)
-            terms, tags, arrives = self._harvest_scalar()
+        # Every event before ``to_cycle`` is offered this epoch, so the
+        # batch goes to the engine now; packet ids (store rows) follow
+        # offer order on both engines.
+        sched = self._sched
+        batch = []
+        while sched and sched[0][0] < to_cycle:
+            batch.append(sched.popleft())
+        cycle, src, dst, size, tag = zip(*batch) if batch else ((),) * 5
+        first = len(self._tags)
+        self._tags.extend(tag)
+        self.offered_flits += sum(size)
+        self.offered_packets += len(batch)
+        engine = self.engine
+        if engine is None:
+            self._offers.extend(
+                map(Packet, src, dst, size, cycle, count(first))
+            )
+            advance(self.network, self._offers, to_cycle)
+            terms, pids, arrives = self._harvest_scalar()
         else:
-            terms, tags, arrives = self._epoch_fast(to_cycle)
+            engine.append(src, dst, size, cycle)
+            terms, pids = engine.run_epoch(to_cycle)
+            arrives = engine.pk_arrive[pids]
+            self.network.cycle = engine.cycle
+        self._delivered_packets += int(terms.size)
+        tags = np.array([self._tags[p] for p in pids.tolist()], dtype=np.int64)
         if terms.size > 1:
             order = np.lexsort((tags, terms, arrives))
             terms, tags, arrives = terms[order], tags[order], arrives[order]
@@ -132,109 +153,30 @@ class WaferPartition:
             delivered_flits = sum(
                 t.flits_received for t in self.network.terminals
             )
-            delivered_packets = sum(
-                self._recv_cursor[t.terminal_id]
-                for t in self.network.terminals
-            )
         else:
             delivered_flits = int(self.engine.delivered_total)
-            delivered_packets = self._delivered_packets_fast
         return {
             "inflight": self.inflight_flits,
             "offered_flits": self.offered_flits,
             "offered_packets": self.offered_packets,
             "delivered_flits": delivered_flits,
-            "delivered_packets": delivered_packets,
+            "delivered_packets": self._delivered_packets,
         }
 
-    # -- fast (compiled kernel) path ----------------------------------
-
-    _delivered_packets_fast = 0
-
-    def _epoch_fast(self, to_cycle: int):
-        # Every event before ``to_cycle`` is offered this epoch, so it
-        # moves into the kernel's store now; packet ids (store indexes)
-        # follow offer order, as on the scalar path.
-        sched = self._sched
-        batch = []
-        while sched and sched[0][0] < to_cycle:
-            batch.append(sched.popleft())
-        engine = self.engine
-        if batch:
-            cycle, src, dst, size, tag = zip(*batch)
-            self._tags.extend(tag)
-            self.offered_flits += sum(size)
-            self.offered_packets += len(batch)
-        else:
-            cycle = src = dst = size = ()
-        terms, gids = engine.run_epoch(src, dst, size, cycle, to_cycle)
-        self.network.cycle = engine.cycle
-        tags = self._tags
-        self._delivered_packets_fast += int(gids.size)
-        return (
-            terms,
-            np.array([tags[g] for g in gids.tolist()], dtype=np.int64),
-            engine.pk_arrive[gids],
-        )
-
-    # -- scalar (object oracle) path -----------------------------------
-
-    def _offer_scalar(self, event: Event) -> None:
-        cycle, src, dst, size, tag = event
-        packet = Packet(src, dst, size, cycle, len(self._tags))
-        self._tags.append(tag)
-        self.offered_flits += size
-        self.offered_packets += 1
-        self.network.terminals[src].offer_packet(packet)
-
-    def _scalar_idle(self) -> bool:
-        network = self.network
-        return (
-            not network._link_events
-            and not network._credit_events
-            and network.in_flight_flits() == 0
-            and not any(
-                r.rc_pending or r.active_out_ports for r in network.routers
-            )
-        )
-
-    def _advance_scalar(self, to_cycle: int) -> None:
-        network = self.network
-        sched = self._sched
-        step = network.step
-        while network.cycle < to_cycle:
-            now = network.cycle
-            while sched and sched[0][0] <= now:
-                self._offer_scalar(sched.popleft())
-            if self._scalar_idle():
-                network.cycle = (
-                    min(sched[0][0], to_cycle) if sched else to_cycle
-                )
-                if network.cycle >= to_cycle:
-                    return
-                continue
-            step()
-
     def _harvest_scalar(self):
-        terms: List[int] = []
-        tags: List[int] = []
-        arrives: List[int] = []
+        """The scalar run's deliveries since the last epoch, as
+        ``(terminal, packet id, arrival)`` arrays."""
+        rows = []
         cursor = self._recv_cursor
         for terminal in self.network.terminals:
+            t = terminal.terminal_id
             received = terminal.packets_received
-            start = cursor[terminal.terminal_id]
-            if start >= len(received):
-                continue
-            for packet in received[start:]:
-                terms.append(terminal.terminal_id)
-                tags.append(self._tags[packet.packet_id])
-                arrives.append(packet.arrive_cycle)
-            cursor[terminal.terminal_id] = len(received)
-        return (
-            np.asarray(terms, dtype=np.int64),
-            np.asarray(tags, dtype=np.int64),
-            np.asarray(arrives, dtype=np.int64),
-        )
+            rows.extend(
+                (t, packet.packet_id, packet.arrive_cycle)
+                for packet in received[cursor[t]:]
+            )
+            cursor[t] = len(received)
+        return tuple(np.array(rows, dtype=np.int64).reshape(-1, 3).T)
 
 
 # ----------------------------------------------------------------------
@@ -274,22 +216,17 @@ def calibration_probe(
         raise ValueError(f"probe load must be in (0, 1] (got {load})")
     partition = WaferPartition(network, engine=engine)
     n = network.n_terminals
-    rng = random.Random(seed)
-    packet_prob = load / size_flits
-    events: List[Event] = []
-    for cycle in range(inject_cycles):
-        for src in range(n):
-            if rng.random() < packet_prob:
-                dst = rng.randrange(n - 1)
-                if dst >= src:
-                    dst += 1
-                events.append((cycle, src, dst, size_flits, len(events)))
-    events.sort()
-    partition.enqueue(events)
+    injector = BernoulliInjector(uniform(n), load, size_flits, seed=seed)
+    creates, srcs, dsts = (
+        column.tolist() for column in injector.stream(inject_cycles, n)
+    )
+    partition.enqueue([
+        (cycle, src, dst, size_flits, tag)
+        for tag, (cycle, src, dst) in enumerate(zip(creates, srcs, dsts))
+    ])
 
     half = max(1, inject_cycles // 2)
     arrives: List[np.ndarray] = []
-    creates = {tag: event[0] for tag, event in enumerate(events)}
     terms, tags, arr, counters = partition.advance(half)
     arrives.append(arr)
     tag_log = [tags]

@@ -10,13 +10,17 @@ throughput is the accepted load at an offered load beyond saturation.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import count, repeat
 from typing import Callable, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.engines import resolve_netsim_engine
 from repro.netsim import fast_core
 from repro.netsim.config import SimConfig
-from repro.netsim.network import NetworkModel
+from repro.netsim.network import NetworkModel, advance
 from repro.netsim.packet import Packet, PacketIds
 from repro.netsim.stats import RunEnd, RunStats
 from repro.netsim.telemetry import Telemetry
@@ -60,33 +64,6 @@ class Simulator:
         self.packet_size_flits = packet_size_flits
         self.packet_ids = packet_ids or PacketIds()
 
-    def _generate(self, now: int, count_stats: Optional[RunStats]) -> None:
-        # One Bernoulli draw per terminal per cycle, in terminal order,
-        # then one destination draw per packet: the consumption order
-        # FastEngine's pre-generation reproduces. The draw dominates
-        # generation cost, so every attribute lookup is hoisted.
-        injector = self.injector
-        rng = injector.rng
-        draw = rng.random
-        probability = injector.packet_probability
-        destination = injector.pattern.destination
-        size = injector.packet_size_flits
-        take_id = self.packet_ids.take
-        offered = 0
-        created = 0
-        for terminal in self.network.terminals:
-            if draw() >= probability:
-                continue
-            src = terminal.terminal_id
-            terminal.offer_packet(
-                Packet(src, destination(src, rng), size, now, take_id())
-            )
-            offered += size
-            created += 1
-        if count_stats is not None:
-            count_stats.flits_offered += offered
-            count_stats.packets_created += created
-
     def run(
         self,
         warmup_cycles: int = 1000,
@@ -107,48 +84,47 @@ class Simulator:
         """
         network = self.network
         network.require_fresh()
-        # Engine selection happens once per run (repro.engines): the
-        # vectorized struct-of-arrays core when requested and
-        # supported, the object simulator otherwise. All engines
-        # produce bit-identical results
-        # (tests/netsim/test_differential.py).
-        engine_name = resolve_netsim_engine(engine)
-        engine = fast_core.engine_for(network, telemetry, engine=engine_name)
-        if engine is not None:
-            return engine.run_bernoulli(
-                self.injector, self.packet_ids, warmup_cycles,
-                measure_cycles, drain_cycles,
-            )
-        if telemetry is not None:
-            telemetry.attach(network)
-            telemetry.begin_window("warmup", network.cycle)
-        for _ in range(warmup_cycles):
-            self._generate(network.cycle, None)
-            network.step()
-
-        measure_start = network.cycle
-        measure_end = measure_start + measure_cycles
+        # The whole offer stream is drawn up front (RNG consumption as
+        # in BernoulliInjector.stream), numbered from one block of ids
+        # in stream order, and handed to whichever engine runs.
+        measure_end = warmup_cycles + measure_cycles
+        when, src, dst = self.injector.stream(measure_end, network.n_terminals)
+        base = self.packet_ids.take(len(when))
+        size = self.packet_size_flits
         stats = RunStats(
-            measure_start=measure_start,
+            measure_start=warmup_cycles,
             measure_end=measure_end,
             n_terminals=network.n_terminals,
         )
+        stats.packets_created = int(np.count_nonzero(when >= warmup_cycles))
+        stats.flits_offered = stats.packets_created * size
+        # Engine selection happens once per run (repro.engines); both
+        # engines produce bit-identical results
+        # (tests/netsim/test_differential.py).
+        fast = fast_core.engine_for(
+            network, telemetry, engine=resolve_netsim_engine(engine)
+        )
+        if fast is not None:
+            fast.append(src, dst, size, when, base=base)
+            return fast._c_run_bernoulli(stats, drain_cycles)
+        offers = deque(map(
+            Packet, src.tolist(), dst.tolist(), repeat(size), when.tolist(),
+            count(base),
+        ))
+        if telemetry is not None:
+            telemetry.attach(network)
+            telemetry.begin_window("warmup", network.cycle)
+        advance(network, offers, warmup_cycles)
         if telemetry is not None:
             telemetry.begin_window("measurement", network.cycle)
         delivered_before = self._delivered_flits()
-        for _ in range(measure_cycles):
-            self._generate(network.cycle, stats)
-            network.step()
+        advance(network, offers, measure_end)
         stats.flits_delivered = self._delivered_flits() - delivered_before
-
-        # Drain: stop offering, keep stepping so measurement-window
-        # packets can finish (bounded by drain_cycles).
+        # Drain: nothing is left to offer; step until the network is
+        # empty, bounded by drain_cycles.
         if telemetry is not None:
             telemetry.begin_window("drain", network.cycle)
-        for _ in range(drain_cycles):
-            if network.in_flight_flits() == 0:
-                break
-            network.step()
+        advance(network, offers, measure_end + drain_cycles, drain=True)
         if telemetry is not None:
             telemetry.finish(network.cycle)
 

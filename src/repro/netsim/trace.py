@@ -28,10 +28,11 @@ way the paper does.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.netsim.network import NetworkModel
+from repro.netsim.network import NetworkModel, advance
 from repro.netsim.packet import Packet, PacketIds
 from repro.netsim.stats import RunEnd, RunStats
 
@@ -267,34 +268,41 @@ def replay_trace(
     from repro.engines import resolve_netsim_engine
     from repro.netsim import fast_core
 
-    engine = resolve_netsim_engine(engine)
     schedule = sorted(
         ((max(0, int(e.cycle / compression)), e) for e in events),
         key=lambda pair: pair[0],
     )
-    fast = fast_core.engine_for(network, telemetry, engine=engine)
+    # A capped replay steps at least once whenever there is anything
+    # to run (the cap is checked after a step).
+    limit = max(max_cycles, network.cycle + 1)
+    fast = fast_core.engine_for(
+        network, telemetry, engine=resolve_netsim_engine(engine)
+    )
     if fast is not None:
-        return fast.run_replay(schedule, max_cycles, packet_ids)
-    stats = RunStats(measure_start=0, measure_end=0, n_terminals=network.n_terminals)
+        fast.append(
+            [event.src for _, event in schedule],
+            [event.dst for _, event in schedule],
+            [event.size_flits for _, event in schedule],
+            [cycle for cycle, _ in schedule],
+            base=packet_ids.next,
+        )
+        return fast.run_replay(limit, packet_ids)
+    offers = deque(
+        Packet(event.src, event.dst, event.size_flits, cycle, packet_id)
+        for packet_id, (cycle, event) in enumerate(schedule, packet_ids.next)
+    )
     if telemetry is not None:
         telemetry.attach(network)
         telemetry.begin_window("replay", network.cycle)
-    index = 0
-    while index < len(schedule) or network.in_flight_flits() > 0:
-        now = network.cycle
-        while index < len(schedule) and schedule[index][0] <= now:
-            _, event = schedule[index]
-            packet = Packet(
-                event.src, event.dst, event.size_flits, now, packet_ids.take()
-            )
-            network.terminals[event.src].offer_packet(packet)
-            stats.flits_offered += event.size_flits
-            stats.packets_created += 1
-            index += 1
-        network.step()
-        if network.cycle >= max_cycles:
-            break
-    stats.measure_end = network.cycle
+    advance(network, offers, limit, drain=True)
+    offered = len(schedule) - len(offers)
+    packet_ids.take(offered)
+    stats = RunStats(
+        measure_start=0, measure_end=network.cycle,
+        n_terminals=network.n_terminals,
+    )
+    stats.packets_created = offered
+    stats.flits_offered = sum(e.size_flits for _, e in schedule[:offered])
     if telemetry is not None:
         telemetry.finish(network.cycle)
     for terminal in network.terminals:

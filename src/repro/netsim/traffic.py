@@ -27,6 +27,10 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Dict
 
+import numpy as np
+
+from repro import ckernel
+
 
 def _require_power_of_two(n: int, pattern: str) -> None:
     if n & (n - 1):
@@ -214,3 +218,37 @@ class BernoulliInjector:
         self.packet_probability = load_flits_per_cycle / packet_size_flits
         self.packet_size_flits = packet_size_flits
         self.rng = random.Random(seed)
+
+    def stream(self, cycles: int, n_terminals: int):
+        """The offer stream of ``cycles`` cycles on ``n_terminals``.
+
+        Per cycle, per terminal in order: one ``rng.random()`` draw
+        against the packet probability, then, for a packet, its
+        destination draw. Returns int64 arrays ``(cycle, source,
+        destination)``, one entry per packet in offer order; ``rng`` is
+        left where that loop leaves it. The library ``uniform``
+        pattern is drawn in C (:func:`repro.ckernel.draw_uniform`)
+        when the kernel loads.
+        """
+        pattern = self.pattern
+        fn = pattern.destination_fn
+        if (
+            fn.__module__ == __name__
+            and fn.__qualname__ == "uniform.<locals>.dest"
+            and pattern.n_terminals == n_terminals
+        ):
+            drawn = ckernel.draw_uniform(
+                self.rng, cycles, n_terminals, self.packet_probability
+            )
+            if drawn is not None:
+                return drawn
+        rng = self.rng
+        draw = rng.random
+        probability = self.packet_probability
+        destination = pattern.destination
+        flat = []  # (cycle, source, destination) triples, one list
+        for cycle in range(cycles):
+            for src in range(n_terminals):
+                if draw() < probability:
+                    flat += (cycle, src, destination(src, rng))
+        return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)

@@ -28,8 +28,8 @@ long-lived :class:`WorkerPool`:
 
 Failure policy (enforced per task):
 
-1. a task that raises in a worker, or whose result cannot be encoded,
-   is **retried once** on the pool;
+1. a task that raises in a worker, or whose result cannot be encoded
+   there or decoded in the parent, is **retried once** on the pool;
 2. a task that fails twice is reported on stderr and falls back to
    serial execution in the parent; its future carries the original
    exception type;
@@ -193,6 +193,15 @@ def _apply_env(env: Dict[str, str]) -> None:
     os.environ.update(env)
 
 
+def _error(seq: int, exc: BaseException) -> Tuple[Any, ...]:
+    """The ``("err", ...)`` message that fails task ``seq`` with ``exc``."""
+    try:
+        blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception:  # noqa: BLE001 — unpicklable exception
+        blob = None
+    return ("err", seq, {"error": repr(exc)}, blob)
+
+
 def _worker_main(
     conn,
     preload_modules: Sequence[str],
@@ -229,11 +238,7 @@ def _worker_main(
             # pickled fails the task, not the worker.
             payload = wire.encode(("ok", seq, stats, value))
         except Exception as exc:  # noqa: BLE001 — worker errors are policy
-            try:
-                blob = pickle.dumps(exc, protocol=pickle.HIGHEST_PROTOCOL)
-            except Exception:  # noqa: BLE001 — unpicklable exception
-                blob = None
-            payload = wire.encode(("err", seq, {"error": repr(exc)}, blob))
+            payload = wire.encode(_error(seq, exc))
         try:
             conn.send_bytes(payload)
         except (BrokenPipeError, OSError):
@@ -527,7 +532,14 @@ class WorkerPool:
         except (EOFError, OSError):
             self._on_death(worker)
             return
-        status, seq, stats, value = wire.decode(payload)
+        try:
+            status, seq, stats, value = wire.decode(payload)
+        except Exception as exc:  # noqa: BLE001 — as an encode failure
+            # A result that pickled in the worker but will not unpickle
+            # here fails the task in flight, not the dispatcher.
+            if worker.item is None:
+                return
+            status, seq, stats, value = _error(worker.item.seq, exc)
         t_recv = time.monotonic()
         with self._lock:
             item = self._items.get(seq)

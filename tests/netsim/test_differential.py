@@ -6,10 +6,10 @@ the identical workload through both engines — the scalar object
 simulator (``engine="scalar"``) and the compiled C kernel — and
 requires bit-identical results: every latency sample, every
 per-terminal and per-router flit count, the final cycle and the
-leftover in-flight flits. Every kernel mode is covered: Bernoulli load
-points, trace replay (truncation included) and partition epochs, plus
-a fixed corpus of shapes whose kernel bitmasks span several 64-bit
-words.
+leftover in-flight flits. Every way to run is covered: Bernoulli load
+points, trace replay (truncation included) and partition epochs, idle
+stretches with and without a telemetry sink, plus a fixed corpus of
+shapes whose kernel bitmasks span several 64-bit words.
 
 The fast tier runs a small derandomized corpus (the same examples every
 run, so CI failures reproduce locally); ``-m slow`` widens the sweep to
@@ -519,25 +519,96 @@ def test_partition_differential(spec, load, seed, epoch, gap):
     assert results["c"] == results["scalar"], (spec, load, seed, epoch)
 
 
-def test_replay_and_partitions_reach_the_kernel(monkeypatch):
-    """Replay and partition runs use the kernel, not a silent fallback."""
+def test_bernoulli_replay_and_partitions_reach_the_kernel(monkeypatch):
+    """Bernoulli, replay and partition runs each use the kernel, not a
+    silent fallback."""
     spec = WIDE_SPECS["single_128port"]
     if fast_core.engine_for(_build(spec)) is None:
         pytest.skip("no C kernel on this host")
-    modes = []
+    calls = []
     run = fast_core.FastEngine._c_run
 
-    def spy(self, mode, limit):
-        modes.append(mode)
-        return run(self, mode, limit)
+    def spy(self, limit, drain=False):
+        calls[-1][1] += 1
+        return run(self, limit, drain)
 
     monkeypatch.setattr(fast_core.FastEngine, "_c_run", spy)
+    calls.append(["bernoulli", 0])
+    run_sim(_build(spec), "uniform", 0.1, config=_BACKLOG_CONFIG)
+    calls.append(["replay", 0])
     replay_trace(_build(spec), [TraceEvent(0, 0, 1, 4)])
+    calls.append(["partition", 0])
     partition = WaferPartition(_build(spec))
     partition.enqueue([(0, 0, 1, 4, 7)])
     partition.advance(64)
     assert partition.engine_name == "c"
-    assert fast_core._REPLAY in modes and fast_core._EPOCH in modes
+    assert calls == [["bernoulli", 3], ["replay", 1], ["partition", 1]]
+
+
+def _idle_gap_summaries(run, spec):
+    """``run(network, engine, telemetry)`` on both engines, telemetry
+    off and on: each result and report, keyed by engine and sink."""
+    results = {}
+    for engine in ENGINES.values():
+        for sink in (False, True):
+            telemetry = Telemetry(sample_interval=3) if sink else None
+            stats = run(_build(spec), engine, telemetry)
+            results[engine, sink] = (
+                _stats_summary(stats),
+                telemetry.to_dict() if sink else None,
+            )
+    return results
+
+
+def _stats_summary(stats):
+    final = stats.final
+    return (
+        stats.measure_start, stats.measure_end,
+        list(stats.latencies_cycles), stats.flits_offered,
+        stats.flits_delivered, stats.packets_created,
+        final.in_flight_flits, final.flits_sent, final.packets_sent,
+        final.flits_received, final.packets_received, final.flits_forwarded,
+    )
+
+
+def _gapped_replay(network, engine, telemetry):
+    """Bursts with 50 or more idle cycles between them: stretches both
+    engines jump without a sink and step with one."""
+    events = [
+        TraceEvent(burst * 120 + offset, src, (src + 7) % 32, 2 + offset)
+        for burst in range(4)
+        for offset in range(3)
+        for src in range(burst, 32, 5)
+    ]
+    return replay_trace(network, events, telemetry=telemetry, engine=engine)
+
+
+def _sparse_bernoulli(network, engine, telemetry):
+    """Load 0.02 on a small router: idle stretches between packets."""
+    return run_sim(
+        network, "uniform", 0.02,
+        config=SimConfig(warmup_cycles=100, measure_cycles=400,
+                         drain_cycles=200, seed=11),
+        telemetry=telemetry, engine=engine,
+    )
+
+
+@pytest.mark.parametrize(
+    "run, spec",
+    [
+        (_gapped_replay, BACKLOG_SPEC),
+        (_sparse_bernoulli, WIDE_SPECS["single_32vc"]),
+    ],
+)
+def test_idle_gaps_differential(run, spec):
+    """Idle jumps (taken only without a telemetry sink) change neither
+    engine's results, and a sink's report is the same on both."""
+    results = _idle_gap_summaries(run, spec)
+    reference = results["scalar", False]
+    assert reference[0][2], "the run delivers nothing"
+    for key, (summary, report) in results.items():
+        assert summary == reference[0], key
+    assert results["c", True][1] == results["scalar", True][1]
 
 
 @given(
@@ -547,39 +618,25 @@ def test_replay_and_partitions_reach_the_kernel(monkeypatch):
 )
 @settings(max_examples=25, deadline=None, derandomize=True)
 def test_pregen_uniform_matches_python_rng(seed, load, cycles):
-    """The C Bernoulli pre-generator replays CPython's MT bit-for-bit.
+    """The uniform offer stream replays CPython's MT bit-for-bit.
 
-    The kernel transliterates ``random()`` and the ``randrange``
-    rejection loop; this pins its event stream *and* the handed-back
-    RNG state against a pure-Python replay of the same draws.
+    With the kernel, :meth:`BernoulliInjector.stream` draws ``uniform``
+    in C, transliterating ``random()`` and the ``randrange`` rejection
+    loop; this pins its event stream *and* the handed-back RNG state
+    against a pure-Python replay of the same draws.
     """
-    network = mesh_network(
-        2,
-        2,
-        terminals_per_router=2,
-        neighbor_channels=1,
-        config=RouterConfig(num_vcs=2, buffer_flits_per_port=8),
-    )
-    engine = fast_core.engine_for(network)
-    if engine is None:
-        # The scalar oracle has no pre-generator to pin; on a host
-        # with no kernel, assume() would filter every input and trip
-        # hypothesis' health check instead of skipping.
-        pytest.skip("no C kernel on this host")
-    pattern = make_pattern("uniform", network.n_terminals)
+    n_terminals = 8
+    pattern = make_pattern("uniform", n_terminals)
     injector = BernoulliInjector(pattern, load, 4, seed=seed)
     reference_rng = random.Random()
     reference_rng.setstate(injector.rng.getstate())
 
-    pre = engine._c_pregen(injector, cycles)
-    if pre is None:
-        pytest.skip("no C toolchain in this environment")
-    ev_when, ev_term, ev_dst = pre
+    ev_when, ev_term, ev_dst = injector.stream(cycles, n_terminals)
 
     expected = []
     probability = injector.packet_probability
     for now in range(cycles):
-        for term in range(network.n_terminals):
+        for term in range(n_terminals):
             if reference_rng.random() < probability:
                 expected.append(
                     (now, term, pattern.destination(term, reference_rng))

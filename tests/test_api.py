@@ -94,6 +94,25 @@ def test_envelope_names_the_engine_that_ran(monkeypatch):
     assert response["engines"] == {"netsim": "scalar"}
 
 
+@pytest.mark.parametrize("vcs", [8, 64])
+def test_envelope_tag_follows_the_kernel_vc_limit(vcs):
+    """The kernel's VC allocator holds 63 VCs: a 64-VC query runs on
+    the oracle even with the kernel loaded, and its envelope says so."""
+    from repro import ckernel
+    from repro.netsim.fast_core import engine_for
+    from repro.netsim.network import single_router_network
+
+    query = api.SimQuery(**{**TINY_SIM, "vcs": vcs, "buffer_flits": 64})
+    response = api.execute(query, engine="c", cache=None)
+    kernel = ckernel.load_kernel() is not None
+    assert response["engines"] == {
+        "netsim": "c" if kernel and vcs == 8 else "scalar"
+    }
+    network = single_router_network(8, num_vcs=vcs, buffer_flits_per_port=64)
+    ran = "scalar" if engine_for(network, engine="c") is None else "c"
+    assert response["engines"] == {"netsim": ran}
+
+
 def test_sweep_envelope_names_the_default_engine():
     """A sweep's experiments take no engine argument: asking for the
     oracle leaves them, and so the envelope, on the default."""

@@ -256,6 +256,36 @@ def test_unencodable_result_fails_the_task_not_the_worker(force_pool):
         pool.shutdown()
 
 
+class _Undecodable(Exception):
+    pass
+
+
+def _refuse_to_unpickle():
+    raise _Undecodable("this result does not unpickle")
+
+
+class _PicklesButWontLoad:
+    def __reduce__(self):
+        return (_refuse_to_unpickle, ())
+
+
+def _make_undecodable():
+    return _PicklesButWontLoad()
+
+
+def test_undecodable_result_fails_the_task_not_the_dispatcher(force_pool):
+    pool = parallel.WorkerPool()
+    try:
+        pool.ensure_workers(1)
+        future = pool.submit_task(_make_undecodable)
+        with pytest.raises(_Undecodable):
+            future.result(timeout=60)
+        assert type(future.exception()) is _Undecodable
+        assert pool.submit_task(_square, (5,)).result(timeout=60)[0] == 25
+    finally:
+        pool.shutdown()
+
+
 # ----------------------------------------------------------------------
 # hard worker death
 # ----------------------------------------------------------------------
