@@ -12,6 +12,12 @@ trace replay multiplies — on fixed workloads:
   iterations instead of 3) replayed on the golden 4x4 mesh: the
   kernel's replay mode, which runs the Figs 21-24 traces.
 
+The ``setup`` section prices what a run pays before its first cycle on
+the fig23 Clos shape: a fresh network to a runnable kernel engine with
+its compiled tables already memoized, against building the scalar
+oracle's object graph. Its gate is the ratio of the two, timed in one
+process (at most :data:`SETUP_GATE_RATIO`).
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_netsim_speed.py
@@ -31,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import time
 
 from repro.netsim.config import RouterConfig
@@ -226,6 +233,54 @@ def engine_speedup(vectorized: dict, repeats: int = 1) -> dict:
     return section
 
 
+#: A memo hit (network to runnable engine) may take at most this share
+#: of building the oracle's object graph, both timed in one process.
+SETUP_GATE_RATIO = 0.25
+
+
+def setup_cost(samples: int = 101) -> dict:
+    """Median spec-to-engine time on a memo hit vs the graph build.
+
+    Both start from the fig23 waferscale Clos builder call: one times
+    ``engine_for`` on the fresh network (its spec already compiled),
+    the other touches ``routers``, which builds the ``Router``/``Link``/
+    ``Terminal`` graph the scalar oracle runs. The gate is their
+    ratio, so host speed cancels; it is skipped without the kernel.
+    """
+    from repro.experiments import fig23
+    from repro.experiments.common import sim_scale
+    from repro.netsim import fast_core
+
+    factory = fig23._factory(sim_scale(True), "waferscale")
+
+    def median_ms(run):
+        times = []
+        for _ in range(samples):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return statistics.median(times) * 1e3
+
+    spec = factory().spec
+    section = {
+        "shape": f"clos n={spec.n_terminals} k={spec.ssc_radix} "
+                 f"vcs={spec.config.num_vcs}",
+        "max_ratio": SETUP_GATE_RATIO,
+    }
+    if fast_core.engine_for(factory(), engine="c") is None:
+        section.update(skipped="no C kernel on this host", passed=True)
+        return section
+    hit = median_ms(lambda: fast_core.engine_for(factory(), engine="c"))
+    graph = median_ms(lambda: factory().routers)
+    section.update(
+        memo_hit_ms=round(hit, 4),
+        graph_build_ms=round(graph, 4),
+        ratio=round(hit / graph, 3),
+        passed=hit <= SETUP_GATE_RATIO * graph,
+    )
+    return section
+
+
 #: Allowed drop below the committed per-workload baseline (fraction).
 SPEED_GATE_SLACK = 0.20
 
@@ -285,6 +340,7 @@ def run_all(repeats: int = 2) -> dict:
         else {}
     )
     report["speed_gate"] = speed_regression_gate(report, committed)
+    report["setup"] = setup_cost()
     if BASELINE_PATH.exists():
         baseline = json.loads(BASELINE_PATH.read_text())["workloads"]
         speedups = {}
@@ -343,13 +399,25 @@ def main() -> int:
                 f"({'pass' if entry['passed'] else 'FAIL'})"
             )
 
+    setup = report["setup"]
+    if setup.get("skipped"):
+        print(f"setup gate: skipped ({setup['skipped']})")
+    else:
+        print(
+            f"setup gate ({setup['shape']}): memo hit "
+            f"{setup['memo_hit_ms']:.3f} ms vs graph build "
+            f"{setup['graph_build_ms']:.3f} ms, ratio {setup['ratio']} "
+            f"(max {setup['max_ratio']}: "
+            f"{'pass' if setup['passed'] else 'FAIL'})"
+        )
+
     ARTIFACT_PATH.write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {ARTIFACT_PATH}")
     if args.update_baseline:
         BASELINE_PATH.parent.mkdir(parents=True, exist_ok=True)
         BASELINE_PATH.write_text(json.dumps(report, indent=1) + "\n")
         print(f"wrote {BASELINE_PATH}")
-    return 0 if gate["passed"] else 1
+    return 0 if gate["passed"] and setup["passed"] else 1
 
 
 def test_netsim_speed_smoke():
@@ -357,6 +425,15 @@ def test_netsim_speed_smoke():
     result = run_workload("mesh_8x8_lowload", repeats=1)
     assert result["cycles"] > 0
     assert result["cycles_per_sec"] > 0
+
+
+def test_setup_section():
+    """The setup section reports both timings and its gate."""
+    section = setup_cost(samples=3)
+    assert section["max_ratio"] == SETUP_GATE_RATIO
+    if not section.get("skipped"):
+        assert section["memo_hit_ms"] > 0 and section["graph_build_ms"] > 0
+        assert section["ratio"] > 0 and isinstance(section["passed"], bool)
 
 
 def test_speed_regression_gate():

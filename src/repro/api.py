@@ -292,9 +292,10 @@ def _envelope(query: Query, engine: str) -> Dict[str, Any]:
 def _engine_tag(query: Query, engine: str) -> str:
     """The netsim engine ``query``'s runs take: for a simulate query,
     the rule :func:`~repro.netsim.fast_core.engine_for` applies to its
-    networks; otherwise whether the kernel loads."""
+    networks, and for a dcn query the same rule for its cycle-accurate
+    wafers; otherwise whether the kernel loads."""
     engine = _query_engine(query, engine)
-    if isinstance(query, SimQuery):
+    if isinstance(query, (SimQuery, DCNQuery)):
         from repro.netsim.fast_core import engine_tag
 
         return engine_tag(engine, query.vcs)
@@ -535,7 +536,8 @@ def execute(
     ``engine`` picks the netsim kernel of simulate and dcn queries
     explicitly (a :data:`repro.engines.NETSIM_ENGINES` name, resolved
     once here); the envelope's ``engines.netsim`` names the one that
-    ran, ``"scalar"`` where the host has no C kernel. ``cache``
+    ran (for a dcn query, the engine of its cycle-accurate wafers),
+    ``"scalar"`` where the host has no C kernel. ``cache``
     applies to sweep queries: ``"default"`` uses the result cache at
     :func:`repro.cas.cache_root`, ``None`` disables it, any
     :class:`~repro.experiments.cache.ResultCache` instance is used

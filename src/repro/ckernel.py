@@ -19,8 +19,9 @@ Algorithm 1 per call, driven by :mod:`repro.mapping.fast_exchange` and
 held to the scalar oracle in :mod:`repro.mapping.exchange`. It also
 steps every DCN flow wafer of an epoch in one ``flow_advance`` call
 (:class:`repro.dcn.flow.FlowWafers`, oracle ``FlowWaferNode``) and
-draws uniform traffic and ``elephant_mouse`` mice with CPython's
-MT19937 (:func:`draw_uniform`).
+draws uniform traffic, ``elephant_mouse`` mice and the Bernoulli hits
+of deterministic patterns with CPython's MT19937
+(:func:`draw_uniform`).
 
 Design constraints:
 
@@ -642,14 +643,15 @@ static uint32_t mt_next(uint32_t *mt, int64_t *mti) {
     return y;
 }
 
-int64_t pregen_uniform(uint32_t *mt, int64_t *mti_io, int64_t total,
-                       const int64_t *srcs, int64_t n_src, int64_t n,
-                       int64_t redraw, double probability, int64_t *ev_when,
-                       int64_t *ev_term, int64_t *ev_dst) {
+int64_t pregen_offers(uint32_t *mt, int64_t *mti_io, int64_t total,
+                      const int64_t *srcs, int64_t n_src, int64_t n,
+                      int64_t redraw, const int64_t *table,
+                      double probability, int64_t *ev_when,
+                      int64_t *ev_term, int64_t *ev_dst) {
     /* Per cycle, per source srcs[k]: random() < probability, then a
        destination in [0, n) other than the source — randrange(n - 1)
        shifted past it, or (redraw) randrange(n) drawn again while it
-       hits it. */
+       hits it; with a table, table[source] and no draw. */
     int64_t mti = *mti_io;
     int64_t m = redraw ? n : n - 1;
     int bits = 0;                        /* m.bit_length() */
@@ -663,12 +665,16 @@ int64_t pregen_uniform(uint32_t *mt, int64_t *mti_io, int64_t total,
             double r = (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
             if (r >= probability) continue;
             int64_t d;
-            do {
+            if (table) {
+                d = table[src];
+            } else {
                 do {
-                    d = mt_next(mt, &mti) >> (32 - bits);
-                } while (d >= m);
-            } while (redraw && d == src);
-            if (!redraw && d >= src) d += 1;   /* skip self-traffic */
+                    do {
+                        d = mt_next(mt, &mti) >> (32 - bits);
+                    } while (d >= m);
+                } while (redraw && d == src);
+                if (!redraw && d >= src) d += 1;   /* skip self-traffic */
+            }
             ev_when[count] = c;
             ev_term[count] = src;
             ev_dst[count] = d;
@@ -928,10 +934,11 @@ def _build() -> ctypes.CDLL:
     lib.fast_run.argtypes = [ctypes.POINTER(FastState), _I64, _I64]
     lib.fast_run.restype = _I64
     ptr = ctypes.c_void_p
-    lib.pregen_uniform.argtypes = [
-        ptr, ptr, _I64, ptr, _I64, _I64, _I64, ctypes.c_double, ptr, ptr, ptr,
+    lib.pregen_offers.argtypes = [
+        ptr, ptr, _I64, ptr, _I64, _I64, _I64, ptr, ctypes.c_double,
+        ptr, ptr, ptr,
     ]
-    lib.pregen_uniform.restype = _I64
+    lib.pregen_offers.restype = _I64
     lib.flow_advance.argtypes = [_I64, *[ptr] * 8, _I64, ptr, _I64, _I64,
                                  *[ptr] * 4]
     lib.flow_advance.restype = None
@@ -942,12 +949,15 @@ def _build() -> ctypes.CDLL:
     return lib
 
 
-#: Each ``pregen_uniform`` call covers at most this many (cycle, source)
+#: Each ``pregen_offers`` call covers at most this many (cycle, source)
 #: slots, so its event buffers stay small whatever the run's size.
 _DRAW_SLOTS = 1 << 16
 
 
-def draw_uniform(rng, cycles: int, sources, probability: float, mice_among: int = 0):
+def draw_uniform(
+    rng, cycles: int, sources, probability: float, mice_among: int = 0,
+    table=None,
+):
     """Uniform Bernoulli traffic drawn in C from ``rng``, or ``None``.
 
     Replays, per cycle and per source ``s``, ``rng.random() <
@@ -960,7 +970,9 @@ def draw_uniform(rng, cycles: int, sources, probability: float, mice_among: int 
     ``range(n)`` instead of a count, and each destination is
     ``rng.randrange(n)`` drawn again while it hits the source (the
     ``elephant_mouse`` mice rule); ``None`` without the kernel or when
-    ``n < 2``.
+    ``n < 2``. With ``table`` (one destination per source), a hit's
+    destination is ``table[s]`` and draws nothing: a deterministic
+    pattern's offer stream.
     """
     import numpy as np
 
@@ -970,16 +982,18 @@ def draw_uniform(rng, cycles: int, sources, probability: float, mice_among: int 
     if lib is None or n < 2 or version != 3 or len(internal) != 625:
         return None
     srcs = np.asarray(sources if mice_among else range(n), dtype=np.int64)
+    dst_table = None if table is None else np.asarray(table, dtype=np.int64)
     mt = np.array(internal[:624], dtype=np.uint32)
     mti = np.array(internal[624:], dtype=np.int64)
     chunk = max(1, _DRAW_SLOTS // max(1, len(srcs)))
     buf = np.empty((3, chunk * len(srcs)), dtype=np.int64)
     parts = [buf[:, :0]]
     for first in range(0, cycles, chunk):
-        count = lib.pregen_uniform(
+        count = lib.pregen_offers(
             mt.ctypes.data, mti.ctypes.data, min(chunk, cycles - first),
-            srcs.ctypes.data, len(srcs), n, int(bool(mice_among)), probability,
-            *(row.ctypes.data for row in buf),
+            srcs.ctypes.data, len(srcs), n, int(bool(mice_among)),
+            None if dst_table is None else dst_table.ctypes.data,
+            probability, *(row.ctypes.data for row in buf),
         )
         parts.append(buf[:, :count] + [[first], [0], [0]])
     rng.setstate((3, tuple(mt.tolist()) + (int(mti[0]),), gauss))

@@ -3,10 +3,14 @@
 The object simulator in :mod:`repro.netsim.router` /
 :mod:`repro.netsim.network` is cycle-accurate but interpreter-bound:
 every router pipeline stage is a Python loop over per-object state.
-:class:`FastEngine` compiles a pristine network into flat numpy
-struct-of-arrays and hands them to the C kernel in
-:mod:`repro.ckernel`, which runs the *same* cycle semantics
-with no Python per cycle:
+:class:`FastEngine` lays a network out as flat numpy struct-of-arrays
+and hands them to the C kernel in :mod:`repro.ckernel`, which runs the
+*same* cycle semantics with no Python per cycle. It never walks the
+``Router``/``Link``/``Terminal`` graph: :func:`compile_spec` builds the
+constant tables straight from the network's frozen spec, once per spec
+per process (so once per pool worker), read-only and shared by every
+run of that shape; each run gets its own state block and
+:class:`~repro.ckernel.FastState`.
 
 * **State layout** — input-VC ring buffers (``qbuf``/``qhead``/
   ``qlen``), VC allocation state (``state``/``rc_out``/``rc_ovc``),
@@ -30,10 +34,11 @@ for either engine) makes one call per phase, a trace replay one call,
 a :class:`repro.netsim.partition.WaferPartition` epoch one call, each
 with or without a telemetry sink, at any port count. The scalar object
 simulator is the oracle: it runs when asked for by name, and when
-:func:`engine_for` declines (no C toolchain, an unsupported shape). A
-run hands its end state back on :attr:`RunStats.final
-<repro.netsim.stats.RunStats.final>`; of the network it compiled from,
-the engine advances only ``network.cycle``.
+:func:`engine_for` declines (no C toolchain, more than 63 VCs, or a
+network whose object graph was touched before its run and so may have
+been edited). A run hands its end state back on
+:attr:`RunStats.final <repro.netsim.stats.RunStats.final>`; of the
+network it ran, the engine advances only ``network.cycle``.
 
 The engine is held to *bit parity* with the object simulator: the
 golden corpus (``tests/netsim/goldens``) and the differential fuzz
@@ -50,7 +55,10 @@ oracle instead (see :mod:`repro.engines`).
 
 from __future__ import annotations
 
-from typing import Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -85,10 +93,6 @@ _TEL_ARRAYS = (
 )
 
 
-class _Incompatible(Exception):
-    """Network shape the vectorized engine does not support."""
-
-
 def engine_tag(engine: str = "auto", num_vcs: int = 1) -> str:
     """The engine a run of a library-built network with ``num_vcs``
     VCs takes under ``engine``: ``"c"`` or ``"scalar"``.
@@ -103,111 +107,260 @@ def engine_tag(engine: str = "auto", num_vcs: int = 1) -> str:
 
 
 def engine_for(network, telemetry=None, engine: str = "auto") -> Optional["FastEngine"]:
-    """Compile a vectorized engine for ``network``, or ``None``.
+    """A vectorized engine for one run of ``network``, or ``None``.
 
     ``engine`` is a :data:`repro.engines.NETSIM_ENGINES` name, resolved
     once here (callers that resolved already may pass the concrete
     value through — resolution is idempotent). ``None`` falls back to
     the scalar object simulator: whatever :func:`engine_tag` sends
     there (a ``"scalar"`` resolution, no C toolchain on this host,
-    more than 63 VCs), an un-tagged route function (no
-    ``route_spec``), a network that is not pristine (its clock off 0 or
-    flits in flight) or that carries a sink other than ``telemetry``,
-    or a non-uniform radix/VC/buffer config all decline rather than
+    more than 63 VCs), a network whose object graph was touched before
+    this run (it may have been edited), one whose clock is off 0, or one
+    that carries a sink other than ``telemetry`` all decline rather than
     risk divergence.
     """
-    routers = network.routers
     if (
-        getattr(network, "route_spec", None) is None
-        or not routers
-        or engine_tag(engine, routers[0].num_vcs) == "scalar"
+        network.graph_built
+        or network.cycle != 0
+        or network.telemetry is not None and network.telemetry is not telemetry
+        or engine_tag(engine, network.spec.config.num_vcs) == "scalar"
     ):
         return None
-    try:
-        return FastEngine(network, telemetry)
-    except _Incompatible:
-        return None
+    return FastEngine(network, telemetry)
+
+
+#: A run's fresh state, in one int64 block per run: ``(name, size
+#: key, dtype, initial value)``; a string initial value names the
+#: table the array starts as. The first group is engine attributes,
+#: ``_AUX`` (kernel-run-local structures and telemetry counters) lives
+#: in :attr:`FastEngine.aux`.
+_STATE = (
+    ("qbuf", "RPVC", np.int64, 0), ("qhead", "RPV", np.int64, 0),
+    ("qlen", "RPV", np.int64, 0), ("state", "RPV", np.int8, IDLE),
+    ("rc_out", "RPV", np.int64, -1), ("rc_ovc", "RPV", np.int64, -1),
+    ("gout", "RPV", np.int64, -1), ("occ", "RP", np.int64, 0),
+    ("ocred", "RP", np.int64, "ocred"), ("ovc_mask", "RP", np.int64, 0),
+    ("vc_ptr", "RP", np.int64, 0), ("sa_ptr", "RP", np.int64, 0),
+    ("fwd_g", "RP", np.int64, 0), ("tcred", "T", np.int64, "tcred"),
+    ("tvc", "T", np.int64, "tvc"), ("tsent", "T", np.int64, 0),
+    ("tpsent", "T", np.int64, 0), ("trecv", "T", np.int64, 0),
+    ("tbacklog", "T", np.int64, 0), ("cur_pid", "T", np.int64, -1),
+    ("cur_idx", "T", np.int64, 0),
+)
+_AUX = (
+    ("cls_head", "C", np.int64, 0), ("cls_tail", "C", np.int64, 0),
+    ("cls_hidx", "C", np.int64, 0), ("cls_tidx", "C", np.int64, 0),
+    ("ring_cycle", "ring", np.int64, 0), ("ring_dest", "ring", np.int64, 0),
+    ("ring_code", "ring", np.int64, 0), ("ring_vc", "ring", np.int64, 0),
+    ("bk_rows", "WRPV", np.int64, 0), ("bk_cnt", "W", np.int64, 0),
+    ("stall_rows", "RPV", np.int64, 0), ("va_mask", "RPVW", np.uint64, 0),
+    ("cand", "RPPVW", np.uint64, 0), ("aop", "RPW", np.uint64, 0),
+    ("cg_stamp", "RP", np.int64, -1), ("pend_head", "T", np.int64, -1),
+    ("pend_tail", "T", np.int64, -1),
+) + tuple((name, size, np.int64, 0) for name, size in _TEL_ARRAYS)
+
+@dataclass(frozen=True)
+class Compiled:
+    """A network spec compiled for the kernel; every run of it shares it.
+
+    ``tables`` holds the constant arrays, read-only. The rest lays out a
+    run: the state block's shape constants (``scalars``), where each
+    fresh state array sits in one int64 block of ``words`` words
+    (``layout``: name, offset, words, length, dtype, initial value, and
+    whether it belongs in ``aux``), and the kernel pointers of the
+    shared tables (``addresses``).
+    """
+
+    tables: Mapping[str, np.ndarray]
+    scalars: Tuple[Tuple[str, int], ...]
+    layout: Tuple[tuple, ...]
+    words: int
+    addresses: Tuple[Tuple[str, int], ...]
+
+
+@lru_cache(maxsize=64)
+def compile_spec(spec) -> Compiled:
+    """Compile a network spec for the kernel, once per spec per process
+    (so once per pool worker).
+
+    The tables come straight from ``spec.ports()``: the initial output
+    credits, the terminal and RC-delay tables, the delay class and
+    destination of every port's flit send and credit return and of
+    every terminal's injection, the delay classes with their ring
+    capacities, and the division-free index lookups.
+    ``tests/netsim/compile_reference.py`` compiles a built object graph
+    into the same arrays.
+    """
+    peer, terminal, latency = spec.ports()
+    config = spec.config
+    R, P, T, V = spec.n_routers, spec.n_ports, spec.n_terminals, config.num_vcs
+    CAP = config.buffer_flits_per_port
+    RP, PV = R * P, P * V
+    to_router = peer >= 0
+    to_terminal = terminal >= 0
+    ingress = spec.ingress_routing_delay
+    rc_delay = np.where(
+        to_terminal,
+        config.routing_delay if ingress is None else ingress,
+        config.routing_delay,
+    )
+    # Delay classes are numbered in first use: each port group's send,
+    # then its credit return, in group order; then each terminal's
+    # injection. A class is one (kind, delay) ring in the kernel.
+    host = np.empty(T, dtype=np.int64)
+    host[terminal[to_terminal]] = np.flatnonzero(to_terminal)
+    kinds = np.concatenate((
+        np.stack((
+            np.where(to_router, _C_KIND["rf"], _C_KIND["tf"]),
+            np.where(to_router, _C_KIND["rc"], _C_KIND["tc"]),
+        ), axis=1).ravel(),
+        np.full(T, _C_KIND["inj"]),
+    ))
+    delays = np.concatenate((
+        np.stack((latency + config.pipeline_delay, latency), axis=1).ravel(),
+        latency[host],
+    ))
+    wired = np.concatenate((
+        np.repeat(to_router | to_terminal, 2), np.ones(T, dtype=bool)
+    ))
+    classes = {}
+    ids = [
+        classes.setdefault(key, len(classes))
+        for key in zip(kinds[wired].tolist(), delays[wired].tolist())
+    ]
+    cls = np.full(len(kinds), -1, dtype=np.int64)
+    cls[wired] = ids
+    cls_kind, cls_delay = (
+        np.array(list(classes), dtype=np.int64).reshape(-1, 2).T
+    )
+    # Each source sends at most one entry per cycle and an entry lives
+    # `delay` cycles, so a class ring holds (delay + 2) per source.
+    caps = (cls_delay + 2) * np.bincount(ids, minlength=len(classes))
+    dest = np.where(to_router, peer, terminal)
+    index = np.arange(RP * V, dtype=np.int64)
+    arrays = {
+        "ocred": np.where(to_router, CAP, 0),
+        "oterm": to_terminal,
+        "rc_delay": rc_delay,
+        "rc_delay_respawn": np.maximum(rc_delay, 1),
+        "send_cls": cls[0:2 * RP:2],
+        "send_dest": dest,
+        "cred_cls": cls[1:2 * RP:2],
+        "cred_dest": dest,
+        "inj_cls": cls[2 * RP:],
+        "inj_dest": host,
+        "tcred": np.full(T, CAP),
+        "tvc": np.arange(T) % V,
+        "cls_kind": cls_kind,
+        "cls_delay": cls_delay,
+        "cls_off": np.concatenate(([0], np.cumsum(caps)[:-1])),
+        "cls_cap": caps,
+        "pv_port": index[:PV] // V,
+        "g_r": index[:RP] // P,
+        "g_p": index[:RP] % P,
+        "row_r": index // PV,
+    }
+    for name, array in arrays.items():
+        array = arrays[name] = np.array(
+            array, dtype=bool if name == "oterm" else np.int64
+        )
+        array.flags.writeable = False
+
+    W = int(arrays["rc_delay_respawn"].max()) + 1
+    PVW, PW, RPVW = (PV + 63) // 64, (P + 63) // 64, (R * PV + 63) // 64
+    sizes = {
+        "T": T, "R": R, "RP": RP, "RV": R * V, "RPV": R * PV,
+        "RPVC": R * PV * CAP, "C": len(caps), "W": W, "WRPV": W * R * PV,
+        "ring": max(int(caps.sum()), 1), "RPVW": RPVW, "RPPVW": RP * PVW,
+        "RPW": R * PW,
+    }
+    layout, words = [], 0
+    for group, in_aux in ((_STATE, False), (_AUX, True)):
+        for name, size, dtype, initial in group:
+            length = sizes[size]
+            span = -(-length * np.dtype(dtype).itemsize // 8)
+            layout.append((name, words, span, length, dtype, initial, in_aux))
+            words += span
+    scalars = dict(
+        R=R, P=P, V=V, CAP=CAP, PV=PV, PVW=PVW, PW=PW, T=T, RP=RP,
+        RPV=R * PV, W=W, RPVW=RPVW, full_mask=(1 << V) - 1, shift=_SHIFT,
+        idx_mask=_IDX_MASK, st_idle=IDLE, st_route=ROUTE, st_active=ACTIVE,
+        n_cls=len(caps),
+    )
+    scalars.update(zip(
+        ("route_kind", "rp0", "rp1", "rp2", "rp3", "rp4", "rp5"),
+        _route_params(spec),
+    ))
+    return Compiled(
+        tables=MappingProxyType(arrays),
+        scalars=tuple(scalars.items()),
+        layout=tuple(layout),
+        words=max(words, 1),
+        addresses=tuple(
+            (name, array.ctypes.data) for name, array in arrays.items()
+            if name not in ("ocred", "tcred", "tvc")  # seed run state
+        ),
+    )
+
+
+def _route_params(spec):
+    """``(route_kind, rp0..rp5)`` for the kernel's ``route_port``."""
+    if spec.kind == "mesh":
+        return (0, spec.terminals_per_router, spec.neighbor_channels,
+                spec.cols, 0, 0, 0)
+    if spec.kind == "clos":
+        n = spec.n_terminals
+        k = spec.ssc_radix
+        down = k // 2
+        spines = n // k
+        cpp = down // spines
+        adaptive = spec.spine_selection == "adaptive"
+        return (1, down, 2 * n // k, spines, cpp, spines * cpp,
+                int(adaptive))
+    return (2, 0, 0, 0, 0, 0, 0)
 
 
 class FastEngine:
-    """One compiled run-engine for a pristine :class:`NetworkModel`."""
+    """One compiled run-engine for a pristine :class:`NetworkModel`.
+
+    The constant tables come from :func:`compile_spec`, shared and
+    read-only; every run gets its own state block, state arrays and
+    :class:`~repro.ckernel.FastState`.
+    """
 
     def __init__(self, network, telemetry=None):
         self._lib = ckernel.load_kernel()
-        if network.telemetry is not None and network.telemetry is not telemetry:
-            raise _Incompatible("another telemetry sink is already attached")
-        if network.cycle != 0 or network.in_flight_flits() != 0:
-            raise _Incompatible("network is not pristine")
-        routers = network.routers
-        terminals = network.terminals
-        if not routers or not terminals:
-            raise _Incompatible("empty network")
-        P = routers[0].n_ports
-        V = routers[0].num_vcs
-        CAP = routers[0].buffer_cap
-        for r in routers:
-            if r.n_ports != P or r.num_vcs != V or r.buffer_cap != CAP:
-                raise _Incompatible("non-uniform router shapes")
-            if r.rc_pending or r.active_out_ports:
-                raise _Incompatible("router has in-flight state")
         self.telemetry = telemetry
-
         self.network = network
-        self.R = R = len(routers)
-        self.P = P
-        self.V = V
-        self.CAP = CAP
-        self.T = T = len(terminals)
-        self.PV = PV = P * V
-        RP = R * P
-        RPV = R * PV
-
-        # --- per-input-VC (row) state ------------------------------
-        self.qbuf = np.zeros(RPV * CAP, dtype=np.int64)
-        self.qhead = np.zeros(RPV, dtype=np.int64)
-        self.qlen = np.zeros(RPV, dtype=np.int64)
-        self.state = np.zeros(RPV, dtype=np.int8)
-        self.rc_out = np.full(RPV, -1, dtype=np.int64)
-        self.rc_ovc = np.full(RPV, -1, dtype=np.int64)
-        self.gout = np.full(RPV, -1, dtype=np.int64)
-
-        # --- per-port (g = router*P + port) state ------------------
-        self.occ = np.zeros(RP, dtype=np.int64)
-        self.ocred = np.zeros(RP, dtype=np.int64)
-        self.oterm = np.zeros(RP, dtype=bool)
-        self.ovc_mask = np.zeros(RP, dtype=np.int64)
-        self.vc_ptr = np.zeros(RP, dtype=np.int64)
-        self.sa_ptr = np.zeros(RP, dtype=np.int64)
-        self.fwd_g = np.zeros(RP, dtype=np.int64)
-        self.rc_delay = np.zeros(RP, dtype=np.int64)
-        # SA-respawned heads are seen by VA one cycle later at minimum.
-        self.rc_delay_respawn = np.zeros(RP, dtype=np.int64)
-        self.send_cls = np.full(RP, -1, dtype=np.int64)
-        self.send_dest = np.full(RP, -1, dtype=np.int64)
-        self.cred_cls = np.full(RP, -1, dtype=np.int64)
-        self.cred_dest = np.full(RP, -1, dtype=np.int64)
-
-        # --- terminals ---------------------------------------------
-        self.tcred = np.zeros(T, dtype=np.int64)
-        self.tvc = np.zeros(T, dtype=np.int64)
-        self.tsent = np.zeros(T, dtype=np.int64)
-        self.tpsent = np.zeros(T, dtype=np.int64)
-        self.trecv = np.zeros(T, dtype=np.int64)
-        self.tbacklog = np.zeros(T, dtype=np.int64)
-        self.cur_pid = np.full(T, -1, dtype=np.int64)
-        self.cur_idx = np.zeros(T, dtype=np.int64)
-        self.inj_cls = np.full(T, -1, dtype=np.int64)
-        self.inj_dest = np.full(T, -1, dtype=np.int64)
-
-        # --- transport delay classes -------------------------------
-        # kind: 'rf' flit->router, 'tf' flit->terminal, 'inj' inject
-        # flit->router, 'rc' credit->router, 'tc' credit->terminal.
-        self._cls_kind = []
-        self._cls_delay = []
-        self._cls_index = {}
-
-        self._compile(network)
-        self._c_build()
+        compiled = compile_spec(network.spec)
+        #: The spec's constant tables (read-only, shared by every run).
+        self.tables = tables = compiled.tables
+        self.st = st = ckernel.FastState()
+        for name, value in compiled.scalars:
+            setattr(st, name, value)
+        self.R, self.P, self.V = st.R, st.P, st.V
+        self.CAP, self.T, self.PV = st.CAP, st.T, st.PV
+        for name, address in compiled.addresses:
+            setattr(st, name, address)
+        # The kernel advances exactly the buffers _finish and the
+        # telemetry bridge read back; only the bridge reads `aux`.
+        block = np.zeros(compiled.words, dtype=np.int64)
+        base = block.ctypes.data
+        attrs = self.__dict__
+        aux = self.aux = {}
+        for name, offset, span, length, dtype, initial, in_aux in (
+            compiled.layout
+        ):
+            array = block[offset:offset + span].view(dtype)[:length]
+            if isinstance(initial, str):
+                array[:] = tables[initial]
+            elif initial:
+                array.fill(initial)
+            (aux if in_aux else attrs)[name] = array
+            setattr(st, name, base + 8 * offset)
+        self._block = block  # the state block's pointers index it
+        st.tel = 0 if telemetry is None else 1
+        st.tel_interval = 1 if telemetry is None else telemetry.sample_interval
         for name, _ in self._STORE:
             setattr(self, name, np.zeros(0, dtype=np.int64))
         self._point_store()
@@ -227,216 +380,6 @@ class FastEngine:
     @property
     def delivered_total(self) -> int:
         return self.st.delivered_total
-
-    # ------------------------------------------------------------------
-    # Compilation
-    # ------------------------------------------------------------------
-
-    def _class(self, kind: str, delay: int) -> int:
-        key = (kind, delay)
-        ci = self._cls_index.get(key)
-        if ci is None:
-            ci = len(self._cls_kind)
-            self._cls_index[key] = ci
-            self._cls_kind.append(kind)
-            self._cls_delay.append(delay)
-        return ci
-
-    def _compile(self, network) -> None:
-        routers = network.routers
-        terminals = network.terminals
-        P = self.P
-        router_index = {id(r): i for i, r in enumerate(routers)}
-        term_index = {id(t): i for i, t in enumerate(terminals)}
-        link_map = {
-            id(link): (kind, sink, port)
-            for link, kind, sink, port in network.links
-        }
-        credit_router = {
-            id(channel): router_index[id(router)] * P + port
-            for channel, router, port in network._credit_sinks
-        }
-        term_credit = {
-            id(t.credit_channel): i
-            for i, t in enumerate(terminals)
-            if t.credit_channel is not None
-        }
-
-        for ri, router in enumerate(routers):
-            for p in range(P):
-                g = ri * P + p
-                self.ocred[g] = router.out_credits[p]
-                self.oterm[g] = router.out_is_terminal[p]
-                self.vc_ptr[g] = router._vc_arbiters[p]._pointer
-                self.sa_ptr[g] = router._sa_arbiters[p]._pointer
-                d = (
-                    router.ingress_routing_delay
-                    if p in router.terminal_in_ports
-                    else router.routing_delay
-                )
-                self.rc_delay[g] = d
-                self.rc_delay_respawn[g] = max(d, 1)
-                link = router.out_link[p]
-                if link is not None:
-                    entry = link_map.get(id(link))
-                    if entry is None:
-                        raise _Incompatible("unregistered link")
-                    kind, sink, port = entry
-                    delay = link.latency + router.pipeline_delay
-                    if kind == "router":
-                        self.send_cls[g] = self._class("rf", delay)
-                        self.send_dest[g] = router_index[id(sink)] * P + port
-                    else:
-                        self.send_cls[g] = self._class("tf", delay)
-                        self.send_dest[g] = term_index[id(sink)]
-                channel = router.in_credit_channel[p]
-                if channel is not None:
-                    dest = credit_router.get(id(channel))
-                    if dest is not None:
-                        self.cred_cls[g] = self._class("rc", channel.latency)
-                        self.cred_dest[g] = dest
-                    else:
-                        t = term_credit.get(id(channel))
-                        if t is None:
-                            raise _Incompatible("unregistered credit channel")
-                        self.cred_cls[g] = self._class("tc", channel.latency)
-                        self.cred_dest[g] = t
-
-        for ti, terminal in enumerate(terminals):
-            link = terminal.inject_link
-            if link is None:
-                raise _Incompatible("unattached terminal")
-            kind, sink, port = link_map[id(link)]
-            if kind != "router":
-                raise _Incompatible("inject link must feed a router")
-            self.inj_cls[ti] = self._class("inj", link.latency)
-            self.inj_dest[ti] = router_index[id(sink)] * P + port
-            self.tcred[ti] = terminal.credits
-            self.tvc[ti] = terminal._next_vc
-
-    def _route_params(self):
-        """``(route_kind, rp0..rp5)`` for the kernel's ``route_port``."""
-        kind, params = self.network.route_spec
-        if kind == "mesh":
-            return (0, params["terminals_per_router"],
-                    params["neighbor_channels"], params["cols"], 0, 0, 0)
-        if kind == "clos":
-            n = params["n_terminals"]
-            k = params["ssc_radix"]
-            down = k // 2
-            spines = n // k
-            cpp = down // spines
-            adaptive = params["spine_selection"] == "adaptive"
-            return (1, down, 2 * n // k, spines, cpp, spines * cpp,
-                    int(adaptive))
-        if kind == "single":
-            return (2, 0, 0, 0, 0, 0, 0)
-        raise _Incompatible(f"unknown route spec {kind!r}")
-
-    # ------------------------------------------------------------------
-    # Kernel state block
-    # ------------------------------------------------------------------
-
-    def _point(self, **arrays) -> None:
-        """Point state-block fields at ``arrays`` (which must outlive it)."""
-        st = self.st
-        for name, arr in arrays.items():
-            setattr(st, name, arr.ctypes.data)
-
-    def _c_build(self) -> None:
-        """Build the kernel's state block over this engine's arrays.
-
-        The core SoA arrays are shared by pointer, so the kernel
-        advances exactly the buffers :meth:`_finish` reads its counters
-        from afterwards. Kernel-run-local structures (delay-class rings,
-        RC buckets, VA stalls, pending FIFOs, SA bitmasks, telemetry
-        counters) live in :attr:`aux`; only the telemetry bridge reads
-        them back.
-        """
-        R, P, V, CAP, PV, T = self.R, self.P, self.V, self.CAP, self.PV, self.T
-        RP, RPV = R * P, R * PV
-        PVW = (PV + 63) // 64
-        PW = (P + 63) // 64
-        self.st = st = ckernel.FastState()
-        st.R, st.P, st.V, st.CAP, st.PV, st.PVW, st.PW = R, P, V, CAP, PV, PVW, PW
-        st.T, st.RP, st.RPV = T, RP, RPV
-        st.full_mask = (1 << V) - 1
-        st.shift = _SHIFT
-        st.idx_mask = _IDX_MASK
-        st.st_idle, st.st_route, st.st_active = IDLE, ROUTE, ACTIVE
-        (st.route_kind, st.rp0, st.rp1, st.rp2, st.rp3, st.rp4,
-         st.rp5) = self._route_params()
-        self._point(
-            qbuf=self.qbuf, qhead=self.qhead, qlen=self.qlen,
-            state=self.state, rc_out=self.rc_out, rc_ovc=self.rc_ovc,
-            gout=self.gout, occ=self.occ, ocred=self.ocred,
-            oterm=self.oterm, ovc_mask=self.ovc_mask, vc_ptr=self.vc_ptr,
-            sa_ptr=self.sa_ptr, fwd_g=self.fwd_g, rc_delay=self.rc_delay,
-            rc_delay_respawn=self.rc_delay_respawn,
-            send_cls=self.send_cls, send_dest=self.send_dest,
-            cred_cls=self.cred_cls, cred_dest=self.cred_dest,
-            tcred=self.tcred, tvc=self.tvc, tsent=self.tsent,
-            tpsent=self.tpsent, trecv=self.trecv, tbacklog=self.tbacklog,
-            cur_pid=self.cur_pid, cur_idx=self.cur_idx,
-            inj_cls=self.inj_cls, inj_dest=self.inj_dest,
-        )
-
-        # Delay-class rings, sized so a class can hold every in-flight
-        # entry: each source port/terminal sends at most one entry per
-        # cycle and entries live `delay` cycles.
-        n_cls = len(self._cls_kind)
-        caps = np.zeros(n_cls, dtype=np.int64)
-        for ci, (cls_kind, delay) in enumerate(
-            zip(self._cls_kind, self._cls_delay)
-        ):
-            if cls_kind in ("rf", "tf"):
-                cnt = int(np.count_nonzero(self.send_cls == ci))
-            elif cls_kind == "inj":
-                cnt = int(np.count_nonzero(self.inj_cls == ci))
-            else:
-                cnt = int(np.count_nonzero(self.cred_cls == ci))
-            caps[ci] = (delay + 2) * max(cnt, 1)
-        offs = np.concatenate(([0], np.cumsum(caps)[:-1])).astype(np.int64)
-        ring = max(int(caps.sum()), 1)
-        W = int(max(self.rc_delay.max(), self.rc_delay_respawn.max())) + 1
-        st.n_cls, st.W = n_cls, W
-        st.RPVW = (RPV + 63) // 64
-        sizes = {"R": R, "RP": RP, "RV": R * V, "T": T}
-        aux = self.aux = {
-            "cls_kind": np.array(
-                [_C_KIND[k] for k in self._cls_kind], dtype=np.int64
-            ),
-            "cls_delay": np.array(self._cls_delay, dtype=np.int64),
-            "cls_off": offs,
-            "cls_cap": caps,
-            "cls_head": np.zeros(n_cls, dtype=np.int64),
-            "cls_tail": np.zeros(n_cls, dtype=np.int64),
-            "cls_hidx": np.zeros(n_cls, dtype=np.int64),
-            "cls_tidx": np.zeros(n_cls, dtype=np.int64),
-            "ring_cycle": np.zeros(ring, dtype=np.int64),
-            "ring_dest": np.zeros(ring, dtype=np.int64),
-            "ring_code": np.zeros(ring, dtype=np.int64),
-            "ring_vc": np.zeros(ring, dtype=np.int64),
-            "pv_port": np.arange(PV, dtype=np.int64) // V,
-            "g_r": np.arange(RP, dtype=np.int64) // P,
-            "g_p": np.arange(RP, dtype=np.int64) % P,
-            "row_r": np.arange(RPV, dtype=np.int64) // PV,
-            "bk_rows": np.zeros(W * RPV, dtype=np.int64),
-            "bk_cnt": np.zeros(W, dtype=np.int64),
-            "stall_rows": np.zeros(RPV, dtype=np.int64),
-            "va_mask": np.zeros(st.RPVW, dtype=np.uint64),
-            "cand": np.zeros(RP * PVW, dtype=np.uint64),
-            "aop": np.zeros(R * PW, dtype=np.uint64),
-            "cg_stamp": np.full(RP, -1, dtype=np.int64),
-            "pend_head": np.full(T, -1, dtype=np.int64),
-            "pend_tail": np.full(T, -1, dtype=np.int64),
-        }
-        for name, size in _TEL_ARRAYS:
-            aux[name] = np.zeros(sizes[size], dtype=np.int64)
-        self._point(**aux)
-        tel = self.telemetry
-        st.tel = 0 if tel is None else 1
-        st.tel_interval = 1 if tel is None else tel.sample_interval
 
     #: Packet-store arrays (one row per packet) and a fresh row's value.
     _STORE = (
@@ -464,13 +407,16 @@ class FastEngine:
         st.base = base
 
     def _point_store(self) -> None:
-        self._point(
-            pk_dst=self.pk_dst, pk_size=self.pk_size,
-            pk_inject=self.pk_inject, pk_arrive=self.pk_arrive,
-            ev_when=self.pk_create, ev_term=self.pk_src,
-            pend_next=self.pend_next, log_term=self.log_term,
-            log_pidx=self.log_pidx,
-        )
+        """Point the state block at the packet store (it must outlive
+        the block)."""
+        for field, name in (
+            ("pk_dst", "pk_dst"), ("pk_size", "pk_size"),
+            ("pk_inject", "pk_inject"), ("pk_arrive", "pk_arrive"),
+            ("ev_when", "pk_create"), ("ev_term", "pk_src"),
+            ("pend_next", "pend_next"), ("log_term", "log_term"),
+            ("log_pidx", "log_pidx"),
+        ):
+            setattr(self.st, field, getattr(self, name).ctypes.data)
 
     def _c_run(self, limit: int, drain: bool = False) -> int:
         """The run contract (``fast_run`` in :mod:`repro.ckernel`):

@@ -12,12 +12,19 @@ physics (Section VI):
   computation (4 cycles) at every hop.
 
 Host-to-switch I/O delay is 8 cycles for both.
+
+Every builder returns a :class:`NetworkModel` over a frozen spec
+(:class:`ClosSpec`, :class:`SingleRouterSpec`,
+:class:`~repro.netsim.mesh_network.MeshSpec`); see there for the lazy
+object graph.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Deque, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.netsim.config import RouterConfig
 from repro.netsim.link import CreditChannel, Link
@@ -26,7 +33,6 @@ from repro.netsim.router import Router
 from repro.netsim.terminal import Terminal
 
 
-@dataclass
 class NetworkModel:
     """A wired network of routers and terminals plus its cycle driver.
 
@@ -37,43 +43,76 @@ class NetworkModel:
     allocation stages only run when it has pending work. The
     cycle-by-cycle behaviour is identical to stepping every component
     (``tests/netsim/test_golden_parity.py`` holds it to that).
+
+    A network is its builder's frozen, hashable ``spec`` (a
+    :class:`_Spec`). The ``Router``/``Link``/``Terminal`` object graph
+    is built from it on first touch of ``routers``, ``terminals`` or
+    ``links``: when the scalar oracle runs, or when a caller inspects
+    or edits it. Reading ``name``, ``n_terminals``, ``cycle`` or
+    ``spec`` never builds it. The compiled kernel reads the spec alone
+    (:func:`repro.netsim.fast_core.compile_spec`, memoized per spec per
+    process) and declines a network whose graph was touched before its
+    run: the graph may have been edited, so that run goes to the
+    oracle.
     """
 
-    name: str
-    routers: List[Router]
-    terminals: List[Terminal]
-    links: List[tuple] = field(default_factory=list)  # (link, sink_kind, sink, port)
-    #: The clock. Every run starts at 0, so a network runs once. A
-    #: compiled-kernel run advances only this; the run's counters come
-    #: back on its :class:`~repro.netsim.stats.RunStats`.
-    cycle: int = 0
-    #: arrival cycle -> [index into ``links``] — flits in flight.
-    _link_events: Dict[int, list] = field(default_factory=dict, repr=False)
-    #: arrival cycle -> [index into ``_credit_sinks``].
-    _credit_events: Dict[int, list] = field(default_factory=dict, repr=False)
-    #: (channel, consuming router, out port) per registered channel.
-    _credit_sinks: List[tuple] = field(default_factory=list, repr=False)
-    #: Bound ``receive_flit`` per link (None for terminal sinks).
-    _link_handlers: List[Optional[Callable]] = field(
-        default_factory=list, repr=False
-    )
-    #: Optional :class:`~repro.netsim.telemetry.Telemetry` sink; set by
-    #: ``Telemetry.attach``. ``None`` costs one check per ``step``.
-    telemetry: Optional[object] = field(default=None, repr=False)
-    #: Optional ``(kind, params)`` tag describing the route function.
-    #: Builders set it so :mod:`repro.netsim.fast_core` can compile the
-    #: routing decision into array ops; ``None`` (custom route
-    #: functions) keeps runs on the scalar object engine.
-    route_spec: Optional[tuple] = field(default=None, repr=False)
+    def __init__(self, name: str, spec: "_Spec"):
+        self.name = name
+        self.spec = spec
+        #: The clock. Every run starts at 0, so a network runs once. A
+        #: compiled-kernel run advances only this; the run's counters
+        #: come back on its :class:`~repro.netsim.stats.RunStats`.
+        self.cycle = 0
+        #: Optional :class:`~repro.netsim.telemetry.Telemetry` sink; set
+        #: by ``Telemetry.attach``. ``None`` costs one check per ``step``.
+        self.telemetry = None
+        #: The object graph, built from ``spec`` on first touch.
+        self._routers: Optional[List[Router]] = None
+        self._terminals: Optional[List[Terminal]] = None
+        #: (link, sink_kind, sink, port) per registered link.
+        self._links: List[tuple] = []
+        #: arrival cycle -> [index into ``links``] — flits in flight.
+        self._link_events: Dict[int, list] = {}
+        #: arrival cycle -> [index into ``_credit_sinks``].
+        self._credit_events: Dict[int, list] = {}
+        #: (channel, consuming router, out port) per registered channel.
+        self._credit_sinks: List[tuple] = []
+        #: Bound ``receive_flit`` per link (None for terminal sinks).
+        self._link_handlers: List[Optional[Callable]] = []
+
+    @property
+    def graph_built(self) -> bool:
+        return self._routers is not None
+
+    def _graph(self) -> None:
+        if self._routers is None:
+            self._routers, self._terminals = self.spec.build(self)
+            if self.telemetry is not None:
+                self.telemetry.wire(self)
+
+    @property
+    def routers(self) -> List[Router]:
+        self._graph()
+        return self._routers
+
+    @property
+    def terminals(self) -> List[Terminal]:
+        self._graph()
+        return self._terminals
+
+    @property
+    def links(self) -> List[tuple]:
+        self._graph()
+        return self._links
 
     @property
     def n_terminals(self) -> int:
-        return len(self.terminals)
+        return self.spec.n_terminals
 
     def add_link(self, link: Link, sink_kind: str, sink, port: int) -> None:
         """Register a flit link and its sink with the event scheduler."""
-        link.watch(self._link_events, len(self.links))
-        self.links.append((link, sink_kind, sink, port))
+        link.watch(self._link_events, len(self._links))
+        self._links.append((link, sink_kind, sink, port))
         # Router delivery is bound once here; terminal delivery stays a
         # live attribute lookup (tests spy on ``Terminal.receive``).
         self._link_handlers.append(
@@ -271,8 +310,6 @@ def _clos_route(
       * ``"adaptive"`` — credit-based: take the uplink port with the
         most downstream credits (UGAL-like local adaptivity).
     """
-    if spine_selection not in ("hash", "adaptive"):
-        raise ValueError(f"unknown spine selection {spine_selection!r}")
     down = shape.down_per_leaf
     cpp = shape.channels_per_pair
     spines = shape.n_spines
@@ -345,6 +382,122 @@ def _wire_terminal(
     network.add_link(eject, "terminal", terminal, port)
 
 
+class _Spec:
+    """What the spec of a library builder shares (frozen dataclasses).
+
+    A spec holds everything its builder wires. :meth:`ports` gives the
+    wiring as arrays; :func:`repro.netsim.fast_core.compile_spec`
+    compiles them into the kernel's tables and :meth:`build` wires the
+    object graph from them. Equal specs wire equal networks, so a spec
+    is a cache key.
+    """
+
+    #: RC delay at terminal-facing input ports; ``None``: the config's.
+    ingress_routing_delay: Optional[int] = None
+
+    def ports(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The wiring over port groups ``g = router * n_ports + port``:
+        int64 arrays of the router port group each port links to (-1 if
+        none), the terminal it faces (-1 if none) and that link's
+        latency. Every link runs both ways at one latency, each
+        direction with a credit channel against it."""
+        peer = np.full(self.n_routers * self.n_ports, -1, dtype=np.int64)
+        terminal = peer.copy()
+        latency = np.zeros_like(peer)
+        self._ports(peer, terminal, latency)
+        return peer, terminal, latency
+
+    def build(self, network: NetworkModel):
+        """Wire the object graph into ``network``; return its routers
+        and terminals."""
+        P = self.n_ports
+        route_fn = self._route()
+        routers = [
+            Router(
+                r, P, self.config, route_fn,
+                ingress_routing_delay=self.ingress_routing_delay,
+            )
+            for r in range(self.n_routers)
+        ]
+        terminals = [
+            Terminal(t, self.config.num_vcs) for t in range(self.n_terminals)
+        ]
+        peer, terminal, latency = (a.tolist() for a in self.ports())
+        for g, (to, t, cycles) in enumerate(zip(peer, terminal, latency)):
+            router, port = routers[g // P], g % P
+            if t >= 0:
+                _wire_terminal(network, terminals[t], router, port, cycles)
+            elif to >= 0:
+                _wire(network, router, port, routers[to // P], to % P, cycles)
+        return routers, terminals
+
+
+def _check_latency(latency: int, what: str) -> None:
+    if latency < 1:
+        raise ValueError(f"{what} latency must be >= 1 cycle")
+
+
+@dataclass(frozen=True)
+class ClosSpec(_Spec):
+    """A folded Clos as :func:`clos_network` wires it."""
+
+    n_terminals: int
+    ssc_radix: int
+    config: RouterConfig
+    io_latency: int
+    #: Leaf-to-spine link latency, ``pair_latencies[leaf][spine]``.
+    pair_latencies: Tuple[Tuple[int, ...], ...]
+    ingress_routing_delay: Optional[int] = None
+    spine_selection: str = "hash"
+
+    kind = "clos"
+
+    def __post_init__(self) -> None:
+        ClosShape(self.n_terminals, self.ssc_radix)
+        if self.spine_selection not in ("hash", "adaptive"):
+            raise ValueError(
+                f"unknown spine selection {self.spine_selection!r}"
+            )
+        _check_latency(self.io_latency, "I/O")
+        for row in self.pair_latencies:
+            for latency in row:
+                _check_latency(latency, "link")
+
+    @property
+    def shape(self) -> ClosShape:
+        return ClosShape(self.n_terminals, self.ssc_radix)
+
+    @property
+    def n_routers(self) -> int:
+        return self.shape.n_leaves + self.shape.n_spines
+
+    @property
+    def n_ports(self) -> int:
+        return self.ssc_radix
+
+    def _route(self):
+        return _clos_route(self.shape, self.spine_selection)
+
+    def _ports(self, peer, terminal, latency) -> None:
+        shape = self.shape
+        k = self.ssc_radix
+        down = shape.down_per_leaf
+        cpp = shape.channels_per_pair
+        leaves = shape.n_leaves
+        hosts = (np.arange(leaves)[:, None] * k + np.arange(down)).ravel()
+        terminal[hosts] = np.arange(self.n_terminals)
+        latency[hosts] = self.io_latency
+        leaf, spine, channel = np.indices(
+            (leaves, shape.n_spines, cpp)
+        ).reshape(3, -1)
+        up = leaf * k + down + spine * cpp + channel
+        back = (leaves + spine) * k + leaf * cpp + channel
+        peer[up], peer[back] = back, up
+        latency[up] = latency[back] = np.array(
+            self.pair_latencies, dtype=np.int64
+        )[leaf, spine]
+
+
 def clos_network(
     name: str,
     n_terminals: int,
@@ -356,86 +509,29 @@ def clos_network(
     spine_selection: str = "hash",
     pair_latency_fn: Optional[Callable[[int, int], int]] = None,
 ) -> NetworkModel:
-    """Build a 2-level folded Clos network of sub-switch routers.
+    """A 2-level folded Clos network of sub-switch routers.
 
     ``pair_latency_fn(leaf, spine)`` overrides the uniform
     ``inter_switch_latency`` per leaf-spine pair — used to model the
     non-uniform link latencies a mesh-mapped Clos actually has
     (Section IV's "input buffers handle non-uniform latency" claim).
+    It is called once per pair here, into the network's spec.
     """
     shape = ClosShape(n_terminals, ssc_radix)
-    route_fn = _clos_route(shape, spine_selection)
-    route_spec = (
-        "clos",
-        {
-            "n_terminals": n_terminals,
-            "ssc_radix": ssc_radix,
-            "spine_selection": spine_selection,
-        },
-    )
-    routers = []
-    for leaf in range(shape.n_leaves):
-        routers.append(
-            Router(
-                leaf,
-                ssc_radix,
-                config,
-                route_fn,
-                ingress_routing_delay=ingress_routing_delay,
-            )
+    spines = range(shape.n_spines)
+    pair_latencies = tuple(
+        tuple(
+            inter_switch_latency if pair_latency_fn is None
+            else pair_latency_fn(leaf, spine)
+            for spine in spines
         )
-    for spine in range(shape.n_spines):
-        routers.append(
-            Router(
-                shape.n_leaves + spine,
-                ssc_radix,
-                config,
-                route_fn,
-                ingress_routing_delay=ingress_routing_delay,
-            )
-        )
-    terminals = [Terminal(t, config.num_vcs) for t in range(n_terminals)]
-    network = NetworkModel(
-        name=name,
-        routers=routers,
-        terminals=terminals,
-        route_spec=route_spec,
+        for leaf in range(shape.n_leaves)
     )
-
-    down = shape.down_per_leaf
-    cpp = shape.channels_per_pair
-    for leaf in range(shape.n_leaves):
-        leaf_router = routers[leaf]
-        for local in range(down):
-            terminal = terminals[leaf * down + local]
-            _wire_terminal(network, terminal, leaf_router, local, io_latency)
-        for spine in range(shape.n_spines):
-            spine_router = routers[shape.n_leaves + spine]
-            latency = (
-                pair_latency_fn(leaf, spine)
-                if pair_latency_fn is not None
-                else inter_switch_latency
-            )
-            for channel in range(cpp):
-                leaf_port = down + spine * cpp + channel
-                spine_port = leaf * cpp + channel
-                _wire(
-                    network,
-                    leaf_router,
-                    leaf_port,
-                    spine_router,
-                    spine_port,
-                    latency,
-                )
-                _wire(
-                    network,
-                    spine_router,
-                    spine_port,
-                    leaf_router,
-                    leaf_port,
-                    latency,
-                )
-    return network
+    spec = ClosSpec(
+        n_terminals, ssc_radix, config, io_latency, pair_latencies,
+        ingress_routing_delay, spine_selection,
+    )
+    return NetworkModel(name, spec=spec)
 
 
 def mapped_pair_latency_fn(mapping, cycles_per_hop: float = 1.0):
@@ -522,6 +618,35 @@ def baseline_switch_network(
     )
 
 
+@dataclass(frozen=True)
+class SingleRouterSpec(_Spec):
+    """A lone router with every port on a terminal."""
+
+    n_terminals: int
+    config: RouterConfig
+    io_latency: int
+
+    kind = "single"
+    n_routers = 1
+
+    def __post_init__(self) -> None:
+        _check_latency(self.io_latency, "I/O")
+
+    @property
+    def n_ports(self) -> int:
+        return self.n_terminals
+
+    def _route(self):
+        def route(router: Router, in_port: int, flit: Flit) -> int:
+            return flit.dst
+
+        return route
+
+    def _ports(self, peer, terminal, latency) -> None:
+        terminal[:] = np.arange(self.n_terminals)
+        latency[:] = self.io_latency
+
+
 def single_router_network(
     n_terminals: int,
     num_vcs: int = 4,
@@ -537,18 +662,7 @@ def single_router_network(
         routing_delay=routing_delay,
         pipeline_delay=pipeline_delay,
     )
-
-    def route(router: Router, in_port: int, flit: Flit) -> int:
-        return flit.dst
-
-    router = Router(0, n_terminals, config, route)
-    terminals = [Terminal(t, num_vcs) for t in range(n_terminals)]
-    network = NetworkModel(
-        name="single-router",
-        routers=[router],
-        terminals=terminals,
-        route_spec=("single", {}),
-    )
-    for t, terminal in enumerate(terminals):
-        _wire_terminal(network, terminal, router, t, io_latency)
-    return network
+    if n_terminals < 1:
+        raise ValueError("router needs at least one port")
+    spec = SingleRouterSpec(n_terminals, config, io_latency)
+    return NetworkModel("single-router", spec=spec)

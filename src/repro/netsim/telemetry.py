@@ -294,7 +294,13 @@ class Telemetry:
     # ------------------------------------------------------------------
 
     def attach(self, network) -> "Telemetry":
-        """Wire this sink into a network's routers and terminals."""
+        """Attach this sink to a network.
+
+        The per-router views are sized from the network's shape, so a
+        compiled run never builds the object graph; the views are wired
+        into the routers and terminals when the graph exists (see
+        :meth:`wire`).
+        """
         if self._network is network:
             return self
         if self._network is not None:
@@ -303,16 +309,23 @@ class Telemetry:
             raise ValueError("network already has a telemetry sink attached")
         self._network = network
         network.telemetry = self
+        spec = network.spec
         self._routers = [
-            RouterTelemetry(router.n_ports, router.num_vcs)
-            for router in network.routers
+            RouterTelemetry(spec.n_ports, spec.config.num_vcs)
+            for _ in range(spec.n_routers)
         ]
+        self.terminal_credit_stalls = [0] * network.n_terminals
+        if network.graph_built:
+            self.wire(network)
+        return self
+
+    def wire(self, network) -> None:
+        """Hook the views into ``network``'s built routers and terminals
+        (the scalar engine counts into them as it runs)."""
         for router, view in zip(network.routers, self._routers):
             router.telemetry = view
-        self.terminal_credit_stalls = [0] * network.n_terminals
         for terminal in network.terminals:
             terminal.telemetry = self
-        return self
 
     @property
     def attached(self) -> bool:
@@ -537,16 +550,17 @@ class Telemetry:
         if self._network is None:
             raise ValueError("attach() and run a simulation first")
         network = self._network
+        views = self._routers
         return {
             "schema": TELEMETRY_SCHEMA,
             "version": TELEMETRY_SCHEMA_VERSION,
             "sample_interval": self.sample_interval,
             "network": {
                 "name": network.name,
-                "n_routers": len(network.routers),
+                "n_routers": len(views),
                 "n_terminals": network.n_terminals,
-                "num_vcs": network.routers[0].num_vcs if network.routers else 0,
-                "ports_per_router": [r.n_ports for r in network.routers],
+                "num_vcs": len(views[0].vc_grants) if views else 0,
+                "ports_per_router": [len(view.sa_requests) for view in views],
             },
             "final_cycle": network.cycle,
             "windows": [self._window_record(w) for w in self._windows],

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -44,6 +44,12 @@ class TrafficPattern:
     name: str
     n_terminals: int
     destination_fn: Callable[[int, random.Random], int]
+    #: How :meth:`BernoulliInjector.stream` may draw this pattern in C
+    #: (set by the library factories): ``"uniform"`` for uniform
+    #: random, ``"table"`` for a pattern whose ``destination_fn`` never
+    #: touches the RNG (one destination per source), ``None`` for the
+    #: Python loop.
+    c_draw: Optional[str] = None
 
     def destination(self, src: int, rng: random.Random) -> int:
         dst = self.destination_fn(src, rng)
@@ -61,7 +67,7 @@ def uniform(n: int) -> TrafficPattern:
         dst = rng.randrange(n - 1)
         return dst if dst < src else dst + 1
 
-    return TrafficPattern("uniform", n, dest)
+    return TrafficPattern("uniform", n, dest, c_draw="uniform")
 
 
 def transpose(n: int) -> TrafficPattern:
@@ -75,7 +81,7 @@ def transpose(n: int) -> TrafficPattern:
         high = src >> half
         return (low << (bits - half)) | high
 
-    return TrafficPattern("transpose", n, dest)
+    return TrafficPattern("transpose", n, dest, c_draw="table")
 
 
 def bit_complement(n: int) -> TrafficPattern:
@@ -85,7 +91,7 @@ def bit_complement(n: int) -> TrafficPattern:
     def dest(src: int, rng: random.Random) -> int:
         return src ^ (n - 1)
 
-    return TrafficPattern("bit-complement", n, dest)
+    return TrafficPattern("bit-complement", n, dest, c_draw="table")
 
 
 def shuffle(n: int) -> TrafficPattern:
@@ -96,7 +102,7 @@ def shuffle(n: int) -> TrafficPattern:
     def dest(src: int, rng: random.Random) -> int:
         return ((src << 1) | (src >> (bits - 1))) & (n - 1)
 
-    return TrafficPattern("shuffle", n, dest)
+    return TrafficPattern("shuffle", n, dest, c_draw="table")
 
 
 def neighbor(n: int) -> TrafficPattern:
@@ -105,7 +111,7 @@ def neighbor(n: int) -> TrafficPattern:
     def dest(src: int, rng: random.Random) -> int:
         return (src + 1) % n
 
-    return TrafficPattern("neighbor", n, dest)
+    return TrafficPattern("neighbor", n, dest, c_draw="table")
 
 
 def bit_reverse(n: int) -> TrafficPattern:
@@ -120,7 +126,7 @@ def bit_reverse(n: int) -> TrafficPattern:
                 result |= 1 << (bits - 1 - bit)
         return result
 
-    return TrafficPattern("bit-reverse", n, dest)
+    return TrafficPattern("bit-reverse", n, dest, c_draw="table")
 
 
 def tornado(n: int) -> TrafficPattern:
@@ -129,7 +135,7 @@ def tornado(n: int) -> TrafficPattern:
     def dest(src: int, rng: random.Random) -> int:
         return (src + n // 2) % n
 
-    return TrafficPattern("tornado", n, dest)
+    return TrafficPattern("tornado", n, dest, c_draw="table")
 
 
 def hotspot(n: int, hotspot_fraction: float = 0.2, n_hotspots: int = 4) -> TrafficPattern:
@@ -226,26 +232,27 @@ class BernoulliInjector:
         against the packet probability, then, for a packet, its
         destination draw. Returns int64 arrays ``(cycle, source,
         destination)``, one entry per packet in offer order; ``rng`` is
-        left where that loop leaves it. The library ``uniform``
-        pattern is drawn in C (:func:`repro.ckernel.draw_uniform`)
-        when the kernel loads.
+        left where that loop leaves it. A library pattern with a
+        :attr:`TrafficPattern.c_draw` is drawn in C
+        (:func:`repro.ckernel.draw_uniform`) when the kernel loads: a
+        ``"table"`` pattern maps each hit through its destination per
+        source, self-traffic redirect included.
         """
         pattern = self.pattern
-        fn = pattern.destination_fn
-        if (
-            fn.__module__ == __name__
-            and fn.__qualname__ == "uniform.<locals>.dest"
-            and pattern.n_terminals == n_terminals
-        ):
+        rng = self.rng
+        destination = pattern.destination
+        if pattern.c_draw is not None and pattern.n_terminals == n_terminals:
+            table = None
+            if pattern.c_draw == "table":
+                table = [destination(src, rng) for src in range(n_terminals)]
             drawn = ckernel.draw_uniform(
-                self.rng, cycles, n_terminals, self.packet_probability
+                rng, cycles, n_terminals, self.packet_probability,
+                table=table,
             )
             if drawn is not None:
                 return drawn
-        rng = self.rng
         draw = rng.random
         probability = self.packet_probability
-        destination = pattern.destination
         flat = []  # (cycle, source, destination) triples, one list
         for cycle in range(cycles):
             for src in range(n_terminals):

@@ -15,6 +15,11 @@ with::
 
 from __future__ import annotations
 
+import contextlib
+from unittest import mock
+
+from repro.engines import resolve_netsim_engine
+from repro.netsim import fast_core
 from repro.netsim.config import RouterConfig
 from repro.netsim.mesh_network import mesh_network
 from repro.netsim.network import clos_network, waferscale_clos_network
@@ -170,33 +175,49 @@ def run_trace_scenario(
     }
 
 
-def _overcredited_link():
-    """Mesh whose router 0 advertises more credits than the downstream
-    port's share of the buffer pool — a credit protocol violation the
+def _overcredit_link(network):
+    """Router 0 advertises more credits than the downstream port's
+    share of the buffer pool — a credit protocol violation the
     simulator must detect as a buffer overflow, never absorb."""
-    network = _small_mesh()
     router = network.routers[0]
     for port in range(router.n_ports):
         if router.out_link[port] is not None and not router.out_is_terminal[port]:
             router.out_credits[port] += 64
-            break
-    return network
+            return
 
 
-def _overcredited_terminal():
-    """Mesh whose terminal 0 holds more injection credits than its
-    ingress port can buffer."""
-    network = _small_mesh()
+def _overcredit_link_arrays(engine):
+    """The same sabotage on a compiled engine's credit arrays: router
+    0's first wired router-facing output port (port groups of router 0
+    are ``0 .. P-1``)."""
+    tables = engine.tables
+    for port in range(engine.P):
+        if tables["send_cls"][port] >= 0 and not tables["oterm"][port]:
+            engine.ocred[port] += 64
+            return
+
+
+def _overcredit_terminal(network):
+    """Terminal 0 holds more injection credits than its ingress port
+    can buffer."""
     network.terminals[0].credits += 64
-    return network
 
 
-#: name -> (sabotaged network factory, pattern name, load, seed).
-#: Saturating load: the phantom credits only matter once the sabotaged
-#: port actually backs up past its share of the buffer pool.
+def _overcredit_terminal_arrays(engine):
+    engine.tcred[0] += 64
+
+
+#: name -> (object-graph sabotage, compiled-engine sabotage, pattern
+#: name, load, seed), each on a fresh ``_small_mesh``. Saturating load:
+#: the phantom credits only matter once the sabotaged port actually
+#: backs up past its share of the buffer pool.
 FAILURE_SCENARIOS = {
-    "overcredited_link": (_overcredited_link, "uniform", 0.90, 19),
-    "overcredited_terminal": (_overcredited_terminal, "uniform", 0.90, 20),
+    "overcredited_link": (
+        _overcredit_link, _overcredit_link_arrays, "uniform", 0.90, 19
+    ),
+    "overcredited_terminal": (
+        _overcredit_terminal, _overcredit_terminal_arrays, "uniform", 0.90, 20
+    ),
 }
 
 
@@ -204,19 +225,37 @@ def run_failure_scenario(name: str, engine: str = "auto") -> dict:
     """Run one sabotaged network until its protocol violation trips.
 
     Both engines must fail loudly — and identically — rather than
-    corrupt results silently; the golden freezes the exact error.
+    corrupt results silently; the golden freezes the exact error. A
+    network whose graph is touched runs on the oracle, so the kernel
+    leg applies the sabotage to the compiled engine's credit arrays
+    instead, as the run builds it.
     """
-    factory, pattern_name, load, seed = FAILURE_SCENARIOS[name]
-    network = factory()
+    (sabotage, sabotage_arrays, pattern_name, load,
+     seed) = FAILURE_SCENARIOS[name]
+    network = _small_mesh()
     pattern = make_pattern(pattern_name, network.n_terminals)
     sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)
+    num_vcs = network.spec.config.num_vcs
+    if fast_core.engine_tag(resolve_netsim_engine(engine), num_vcs) == "c":
+        engine_for = fast_core.engine_for
+
+        def sabotaged(*args, **kwargs):
+            compiled = engine_for(*args, **kwargs)
+            sabotage_arrays(compiled)
+            return compiled
+
+        patch = mock.patch.object(fast_core, "engine_for", sabotaged)
+    else:
+        sabotage(network)
+        patch = contextlib.nullcontext()
     try:
-        sim.run(
-            warmup_cycles=WARMUP_CYCLES,
-            measure_cycles=MEASURE_CYCLES,
-            drain_cycles=DRAIN_CYCLES,
-            engine=engine,
-        )
+        with patch:
+            sim.run(
+                warmup_cycles=WARMUP_CYCLES,
+                measure_cycles=MEASURE_CYCLES,
+                drain_cycles=DRAIN_CYCLES,
+                engine=engine,
+            )
     except AssertionError as exc:
         return {
             "scenario": name,

@@ -1,10 +1,12 @@
 """Synthetic traffic patterns."""
 
+import dataclasses
 import random
 from collections import Counter
 
 import pytest
 
+from repro import ckernel
 from repro.netsim.network import single_router_network
 from repro.netsim.sim import Simulator
 from repro.netsim.traffic import (
@@ -107,3 +109,52 @@ def test_bernoulli_rejects_overload():
     pattern = make_pattern("uniform", 8)
     with pytest.raises(ValueError):
         BernoulliInjector(pattern, 1.5, 4)
+
+
+#: Library patterns whose Bernoulli stream has a C draw.
+C_DRAWN = (
+    "uniform", "transpose", "bit-complement", "shuffle", "neighbor",
+    "bit-reverse", "tornado",
+)
+
+
+def test_c_draw_is_set_by_the_library_factories():
+    kinds = {name: make_pattern(name, 16).c_draw for name in TRAFFIC_PATTERNS}
+    assert kinds == {
+        **{name: "table" for name in C_DRAWN},
+        "uniform": "uniform",
+        "hotspot": None,
+        "asymmetric": None,
+    }
+
+
+@pytest.mark.parametrize("with_kernel", [True, False])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("name", C_DRAWN)
+def test_stream_matches_the_python_loop(name, n, with_kernel, monkeypatch):
+    """Each C-drawn pattern's stream, and the RNG state it leaves, equal
+    the per-cycle Python loop's (the loop of a pattern with no C draw);
+    without the kernel the stream is that loop."""
+    if not with_kernel:
+        monkeypatch.setattr(ckernel, "load_kernel", lambda: None)
+    drawn_in_c = []
+    draw = ckernel.draw_uniform
+
+    def spy(*args, **kwargs):
+        drawn = draw(*args, **kwargs)
+        drawn_in_c.append(drawn is not None)
+        return drawn
+
+    monkeypatch.setattr(ckernel, "draw_uniform", spy)
+    pattern = make_pattern(name, n)
+    injector = BernoulliInjector(pattern, 0.6, 2, seed=n)
+    reference = BernoulliInjector(
+        dataclasses.replace(pattern, c_draw=None), 0.6, 2, seed=n
+    )
+    drawn = injector.stream(53, n)
+    expected = reference.stream(53, n)
+    assert all(column.dtype == "int64" for column in drawn)
+    assert [c.tolist() for c in drawn] == [c.tolist() for c in expected]
+    assert len(expected[0]) > 0
+    assert injector.rng.getstate() == reference.rng.getstate()
+    assert drawn_in_c == [ckernel.load_kernel() is not None]

@@ -113,6 +113,30 @@ def test_envelope_tag_follows_the_kernel_vc_limit(vcs):
     assert response["engines"] == {"netsim": ran}
 
 
+def test_dcn_envelope_names_the_cycle_wafers_engine():
+    """A 64-VC DCN query's cycle-accurate wafers run on the oracle even
+    with the kernel loaded, and its envelope says so."""
+    from repro.dcn import sim as dcn_sim
+
+    built = []
+    build_node = dcn_sim._Plan.build_node
+
+    def spy(plan, wafer):
+        node = build_node(plan, wafer)
+        built.append(node.engine_name)
+        return node
+
+    query = api.DCNQuery(
+        hosts=16, back_to_back=True, duration_cycles=96, load=0.06,
+        vcs=64, buffer_flits=64,
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dcn_sim._Plan, "build_node", spy)
+        response = api.execute(query, engine="c", cache=None)
+    assert response["engines"] == {"netsim": "scalar"}
+    assert built and set(built) == {"scalar"}
+
+
 def test_sweep_envelope_names_the_default_engine():
     """A sweep's experiments take no engine argument: asking for the
     oracle leaves them, and so the envelope, on the default."""
