@@ -36,6 +36,7 @@ True
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -575,19 +576,13 @@ def _resolve_cache(cache: Any):
 
 
 def execute_payload(
-    payload: Dict[str, Any],
-    engine: str = "auto",
-    cache: Any = "default",
-    on_telemetry: Optional[TelemetryCallback] = None,
-) -> Dict[str, Any]:
+    payload: Dict[str, Any], engine: str = "auto", cache: Any = "default"
+) -> bytes:
     """:func:`execute` for an already-serialized query dict.
 
     The process-pool entry point of the serve layer: module-level and
-    picklable, query in / response out as plain dicts.
+    picklable, query dict in, the response's JSON bytes out, so a
+    pooled response is encoded once, in the worker.
     """
-    return execute(
-        query_from_dict(payload),
-        engine=engine,
-        cache=cache,
-        on_telemetry=on_telemetry,
-    )
+    response = execute(query_from_dict(payload), engine=engine, cache=cache)
+    return json.dumps(response).encode()

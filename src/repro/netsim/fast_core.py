@@ -629,7 +629,11 @@ class FastEngine:
         dterm = self.log_term[:self.st.log_count]
         # Terminal-major, arrival order within a terminal: the order the
         # scalar engine's per-terminal ``packets_received`` lists give.
-        order = np.argsort(dterm, kind="stable")
+        # The narrowest dtype that holds a terminal id lets numpy's
+        # stable sort take its linear-time radix path (8/16-bit ids).
+        order = np.argsort(
+            dterm.astype(np.min_scalar_type(self.T - 1)), kind="stable"
+        )
         idx = self.log_pidx[:dterm.size][order]
         create = self.pk_create[idx]
         lat = self.pk_arrive[idx] - create

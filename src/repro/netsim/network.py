@@ -350,7 +350,6 @@ def _wire(
     src_router.attach_output(
         src_port,
         link,
-        credits,
         downstream_capacity=dst_router.config.buffer_flits_per_port,
         is_terminal=False,
     )
@@ -377,7 +376,7 @@ def _wire_terminal(
 
     eject = Link(latency)
     router.attach_output(
-        port, eject, None, downstream_capacity=0, is_terminal=True
+        port, eject, downstream_capacity=0, is_terminal=True
     )
     network.add_link(eject, "terminal", terminal, port)
 

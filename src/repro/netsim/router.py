@@ -75,7 +75,6 @@ class Router:
         "out_is_terminal",
         "ovc_owner",
         "out_credits",
-        "out_credit_channel",
         "sa_candidates",
         "active_out_ports",
         "_sa_arbiters",
@@ -135,7 +134,6 @@ class Router:
             [None] * vcs for _ in range(n_ports)
         ]
         self.out_credits = [0] * n_ports
-        self.out_credit_channel: List[Optional[CreditChannel]] = [None] * n_ports
         self.sa_candidates: List[Set[Tuple[int, int]]] = [
             set() for _ in range(n_ports)
         ]
@@ -168,12 +166,10 @@ class Router:
         self,
         port: int,
         link: Link,
-        credit_channel: Optional[CreditChannel],
         downstream_capacity: int,
         is_terminal: bool,
     ) -> None:
         self.out_link[port] = link
-        self.out_credit_channel[port] = credit_channel
         self.out_credits[port] = downstream_capacity
         self.out_is_terminal[port] = is_terminal
 
@@ -221,21 +217,6 @@ class Router:
         self.ivc_state[port][vc] = ROUTE
         self.rc_ready[port][vc] = now + delay
         self.rc_pending.add((port, vc))
-
-    def collect_credits(self, now: int) -> None:
-        """Absorb credits returned by downstream ports.
-
-        Only used when the router is driven standalone (unit tests);
-        inside a :class:`~repro.netsim.network.NetworkModel` the
-        network's credit event heap delivers credits directly.
-        """
-        out_credits = self.out_credits
-        for port in range(self.n_ports):
-            channel = self.out_credit_channel[port]
-            if channel is not None:
-                pending = channel._in_flight
-                if pending and pending[0][0] <= now:
-                    out_credits[port] += channel.deliver(now)
 
     def vc_allocate(self, now: int) -> None:
         """RC completion + VC allocation for waiting head flits."""
@@ -416,7 +397,3 @@ class Router:
                 candidates.discard((port, vc))
                 if not candidates:
                     active.discard(out_port)
-
-    def buffered_flits(self) -> int:
-        """Total flits currently buffered (drain detection)."""
-        return self._buffered_total

@@ -8,7 +8,7 @@ three-level ladder:
 1. **Response cache** — completed responses persist as JSON under
    ``.repro_cache/serve/`` keyed by :func:`repro.api.query_key`
    (query fields + resolved netsim engine + source fingerprint), so a
-   warm query is a single small file read;
+   warm query is one small file read whose bytes go out verbatim;
 2. **In-flight coalescing** — identical cold queries that arrive while
    the first one is still computing attach to its future instead of
    resubmitting; one pool submission serves all of them, and a crash
@@ -21,6 +21,10 @@ three-level ladder:
    use: its workers are persistent and preloaded, so a cold query
    pays sub-millisecond dispatch, not a process spawn plus imports
    (see docs/parallel.md).
+
+A response is JSON-encoded once, in the worker: the bytes it returns
+are the cache entry (plus a newline), the cold body, every coalesced
+waiter's body and every later hit's body.
 
 ``simulate`` queries with ``telemetry: true`` can instead be streamed:
 :meth:`Dispatcher.stream` runs them on a thread (telemetry callbacks
@@ -36,6 +40,7 @@ surfaced by the server's ``/v1/stats`` endpoint and consumed by
 from __future__ import annotations
 
 import asyncio
+import json
 from concurrent.futures import Executor
 from functools import partial
 from pathlib import Path
@@ -43,8 +48,8 @@ from typing import Any, AsyncIterator, Dict, Optional, Tuple
 
 from repro import api, cas
 
-#: A dispatch outcome: (HTTP-ish status code, JSON-serializable body).
-Outcome = Tuple[int, Dict[str, Any]]
+#: A dispatch outcome: (HTTP-ish status code, the JSON body's bytes).
+Outcome = Tuple[int, bytes]
 
 
 def error_body(status: int, kind: str, message: str) -> Dict[str, Any]:
@@ -56,23 +61,38 @@ def error_body(status: int, kind: str, message: str) -> Dict[str, Any]:
     }
 
 
+def failure(status: int, kind: str, message: str) -> Outcome:
+    """An error outcome: its envelope, encoded once."""
+    return status, json.dumps(error_body(status, kind, message)).encode()
+
+
 class ResponseCache:
     """Persists completed serve responses in the ``serve`` namespace.
 
     ``root`` pins the cache root (default: :func:`repro.cas.cache_root`).
-    A hit is one file read plus one ``json.loads``; ``load`` returns
-    ``None`` on any miss or unreadable file. Only successful responses
-    are ever stored — see :class:`Dispatcher`.
+    An entry is a response's JSON bytes plus ``"\\n"``. A hit is one
+    file read: ``load`` returns the bytes to send verbatim, without the
+    newline, and parses nothing. An entry counts only if it starts with
+    ``{`` and ends with ``}\\n``; ``json.dumps`` never emits a raw
+    newline, so a truncated or torn entry fails that test and, like a
+    missing or unreadable file, is a miss (``None``). Only successful
+    responses are ever stored — see :class:`Dispatcher`.
     """
 
     def __init__(self, root: Optional[cas.PathLike] = None):
         self.entries = cas.Store("serve", root)
 
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        return self.entries.get(key)
+    def load(self, key: str) -> Optional[bytes]:
+        try:
+            data = self.entries.path(key).read_bytes()
+        except OSError:
+            return None
+        return data[:-1] if data.startswith(b"{") and data.endswith(b"}\n") else None
 
-    def store(self, key: str, response: Dict[str, Any]) -> Path:
-        return self.entries.put(key, response)
+    def store(self, key: str, body: bytes) -> Path:
+        path = self.entries.path(key)
+        cas.publish(path, body.decode() + "\n")
+        return path
 
 
 class Dispatcher:
@@ -130,7 +150,8 @@ class Dispatcher:
         return api.query_from_dict(payload)
 
     def _execute_call(self, query: api.Query):
-        """Module-level-picklable call for the process pool."""
+        """Module-level-picklable call for the process pool; it returns
+        the response's JSON bytes, encoded in the worker."""
         return partial(
             api.execute_payload,
             query.to_dict(),
@@ -145,10 +166,11 @@ class Dispatcher:
     async def submit(self, payload: Any) -> Outcome:
         """Answer one query payload; never raises for request faults.
 
-        Returns ``(status, body)`` where status is 200 on success, 400
-        for malformed queries and 500 for execution failures. Faulted
-        outcomes are shared verbatim with every coalesced waiter but
-        are never written to the response cache, so one crash cannot
+        Returns ``(status, body)`` where body is the JSON response's
+        bytes and status is 200 on success, 400 for malformed queries
+        and 500 for execution failures. Every coalesced waiter shares
+        the one outcome, bytes object included. Faulted outcomes are
+        never written to the response cache, so one crash cannot
         poison later identical requests.
         """
         self.counters["requests"] += 1
@@ -156,7 +178,7 @@ class Dispatcher:
             query = self._parse(payload)
         except api.QueryError as exc:
             self.counters["errors"] += 1
-            return 400, error_body(400, "QueryError", str(exc))
+            return failure(400, "QueryError", str(exc))
 
         key = api.query_key(query, self.engine)
         if self.cache is not None:
@@ -178,7 +200,7 @@ class Dispatcher:
         except BaseException:
             # Cancellation or a bug in our own plumbing: wake waiters
             # with a structured error rather than hanging them.
-            outcome = (500, error_body(500, "DispatchError", "dispatch failed"))
+            outcome = failure(500, "DispatchError", "dispatch failed")
             raise
         finally:
             self._inflight.pop(key, None)
@@ -189,19 +211,19 @@ class Dispatcher:
         self.counters["pool_submissions"] += 1
         loop = asyncio.get_running_loop()
         try:
-            response = await asyncio.wrap_future(
+            body = await asyncio.wrap_future(
                 self.executor().submit(self._execute_call(query)),
                 loop=loop,
             )
         except api.QueryError as exc:
             self.counters["errors"] += 1
-            return 400, error_body(400, "QueryError", str(exc))
+            return failure(400, "QueryError", str(exc))
         except Exception as exc:
             self.counters["errors"] += 1
-            return 500, error_body(500, type(exc).__name__, str(exc))
+            return failure(500, type(exc).__name__, str(exc))
         if self.cache is not None:
-            self.cache.store(key, response)
-        return 200, response
+            self.cache.store(key, body)
+        return 200, body
 
     # ------------------------------------------------------------------
     # Streaming path (simulate + telemetry)
@@ -215,7 +237,8 @@ class Dispatcher:
         ``{"event": "result", "status": ..., "body": ...}``. Runs on a
         worker thread (not the process pool) so telemetry callbacks can
         cross back into the event loop as each point completes; the
-        final successful response still lands in the response cache.
+        final successful response still lands in the response cache,
+        and a warm stream parses the cached bytes to replay telemetry.
         """
         self.counters["requests"] += 1
         self.counters["streamed"] += 1
@@ -234,9 +257,10 @@ class Dispatcher:
 
         key = api.query_key(query, self.engine)
         if self.cache is not None:
-            cached = self.cache.load(key)
-            if cached is not None:
+            data = self.cache.load(key)
+            if data is not None:
                 self.counters["cache_hits"] += 1
+                cached = json.loads(data)
                 for point in cached["result"].get("telemetry", []):
                     yield {"event": "telemetry", **point}
                 yield {"event": "result", "status": 200, "body": cached}
@@ -281,7 +305,7 @@ class Dispatcher:
                 if event["event"] == "result":
                     if event["status"] == 200:
                         if self.cache is not None:
-                            self.cache.store(key, event["body"])
+                            self.cache.store(key, json.dumps(event["body"]).encode())
                     else:
                         self.counters["errors"] += 1
                     yield event

@@ -27,7 +27,7 @@ import asyncio
 import json
 from typing import Any, Dict, Optional, Tuple
 
-from repro.serve.dispatch import Dispatcher, ResponseCache, error_body
+from repro.serve.dispatch import Dispatcher, Outcome, ResponseCache, failure
 
 #: Largest accepted request body; queries are tiny, so anything bigger
 #: is a mistake (or abuse) and is rejected before buffering it.
@@ -150,20 +150,21 @@ class ServeServer:
     ) -> None:
         path, _, query_string = path.partition("?")
         if method == "GET" and path == "/healthz":
-            self._write_json(writer, 200, {"ok": True})
+            self._write_json(writer, 200, b'{"ok": true}')
             return
         if method == "GET" and path == "/v1/stats":
-            self._write_json(writer, 200, self.dispatcher.stats())
+            stats = json.dumps(self.dispatcher.stats()).encode()
+            self._write_json(writer, 200, stats)
             return
         if method != "POST":
             self._write_json(
-                writer, 404, error_body(404, "NotFound", f"no route {method} {path}")
+                writer, *failure(404, "NotFound", f"no route {method} {path}")
             )
             return
 
         payload, parse_error = self._parse_body(path, body)
         if parse_error is not None:
-            self._write_json(writer, parse_error["error"]["status"], parse_error)
+            self._write_json(writer, *parse_error)
             return
 
         if (
@@ -175,12 +176,9 @@ class ServeServer:
             await self._write_stream(writer, payload)
             return
 
-        status, response = await self.dispatcher.submit(payload)
-        self._write_json(writer, status, response)
+        self._write_json(writer, *await self.dispatcher.submit(payload))
 
-    def _parse_body(
-        self, path: str, body: bytes
-    ) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    def _parse_body(self, path: str, body: bytes) -> Tuple[Any, Optional[Outcome]]:
         """JSON-decode the body and imply ``kind`` from the route."""
         kinds = {
             "/v1/design": "design",
@@ -189,15 +187,15 @@ class ServeServer:
             "/v1/dcn": "dcn",
         }
         if path not in kinds and path != "/v1/query":
-            return None, error_body(404, "NotFound", f"no route POST {path}")
+            return None, failure(404, "NotFound", f"no route POST {path}")
         try:
             payload = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            return None, error_body(400, "BadJSON", str(exc))
+            return None, failure(400, "BadJSON", str(exc))
         if isinstance(payload, dict) and path in kinds:
             implied = kinds[path]
             if payload.setdefault("kind", implied) != implied:
-                return None, error_body(
+                return None, failure(
                     400,
                     "QueryError",
                     f"kind {payload['kind']!r} does not match route {path}",
@@ -205,10 +203,10 @@ class ServeServer:
         return payload, None
 
     def _write_json(
-        self, writer: asyncio.StreamWriter, status: int, body: Dict[str, Any]
+        self, writer: asyncio.StreamWriter, status: int, body: bytes
     ) -> None:
-        data = json.dumps(body).encode()
-        writer.write(_head(status, "application/json", length=len(data)) + data)
+        """Send one JSON response; ``body`` is already encoded."""
+        writer.write(_head(status, "application/json", length=len(body)) + body)
 
     async def _write_stream(
         self, writer: asyncio.StreamWriter, payload: Dict[str, Any]

@@ -18,7 +18,7 @@ def test_invalid_route_function_detected():
     link = Link(1)
     credits = CreditChannel(1)
     router.attach_input(0, credits, from_terminal=True)
-    router.attach_output(1, Link(1), None, 0, is_terminal=True)
+    router.attach_output(1, Link(1), 0, is_terminal=True)
     flit = flits_of(Packet(0, 1, 1, 0, 0))[0]
     flit.vc = 0
     router.receive_flit(0, flit, now=0)

@@ -1,7 +1,8 @@
 """Dispatcher unit tests: coalescing, crash isolation, caching.
 
 The executor is injected, so these tests control exactly when (and
-whether) cold work completes — no process pool, no timing races.
+whether) cold work completes — no process pool, no timing races. Like
+the real pool call, the fake executors resolve with encoded JSON bytes.
 """
 
 import asyncio
@@ -23,6 +24,11 @@ QUERY = {
     "warmup_cycles": 50,
     "measure_cycles": 100,
 }
+
+
+def encoded(body):
+    """A response as the pool call returns it: its JSON bytes."""
+    return json.dumps(body).encode()
 
 
 class FakeExecutor:
@@ -60,12 +66,15 @@ def test_concurrent_identical_cold_queries_submit_once():
         return await _settled(
             dispatcher,
             25,
-            lambda: executor.futures[0].set_result({"ok": True}),
+            lambda: executor.futures[0].set_result(encoded({"ok": True})),
         )
 
     outcomes = asyncio.run(scenario())
     assert len(executor.futures) == 1
-    assert all(outcome == (200, {"ok": True}) for outcome in outcomes)
+    assert all(outcome == (200, b'{"ok": true}') for outcome in outcomes)
+    assert all(json.loads(body) == {"ok": True} for _, body in outcomes)
+    # The waiters share the one encoded body, not copies of it.
+    assert all(body is outcomes[0][1] for _, body in outcomes)
     counters = dispatcher.counters
     assert counters["requests"] == 25
     assert counters["pool_submissions"] == 1
@@ -91,8 +100,9 @@ def test_crash_returns_structured_error_to_all_waiters(tmp_path):
 
     outcomes = asyncio.run(scenario())
     assert len(executor.futures) == 1
-    for status, body in outcomes:
+    for status, data in outcomes:
         assert status == 500
+        body = json.loads(data)
         assert body["error"]["type"] == "RuntimeError"
         assert "worker exploded" in body["error"]["message"]
     # The cache was not poisoned: no entry exists, and a retry of the
@@ -103,10 +113,11 @@ def test_crash_returns_structured_error_to_all_waiters(tmp_path):
         task = asyncio.ensure_future(dispatcher.submit(dict(QUERY)))
         for _ in range(10):
             await asyncio.sleep(0)
-        executor.futures[1].set_result({"ok": True})
+        executor.futures[1].set_result(encoded({"ok": True}))
         return await task
 
-    assert asyncio.run(retry()) == (200, {"ok": True})
+    status, body = asyncio.run(retry())
+    assert (status, json.loads(body)) == (200, {"ok": True})
     # One failed computation -> one error, however many waiters shared it.
     assert dispatcher.counters["errors"] == 1
     assert dispatcher.counters["pool_submissions"] == 2
@@ -120,18 +131,23 @@ def test_completed_response_is_cached_and_served_warm(tmp_path):
         first = asyncio.ensure_future(dispatcher.submit(dict(QUERY)))
         for _ in range(10):
             await asyncio.sleep(0)
-        executor.futures[0].set_result({"answer": 42})
-        assert await first == (200, {"answer": 42})
+        executor.futures[0].set_result(encoded({"answer": 42}))
+        status, body = await first
+        assert (status, json.loads(body)) == (200, {"answer": 42})
         # Same query again: served from disk, no new submission.
-        return await dispatcher.submit(dict(QUERY))
+        return body, await dispatcher.submit(dict(QUERY))
 
-    assert asyncio.run(scenario()) == (200, {"answer": 42})
+    cold, (status, warm) = asyncio.run(scenario())
+    assert (status, json.loads(warm)) == (200, {"answer": 42})
+    assert warm == cold
     assert len(executor.futures) == 1
     assert dispatcher.counters["cache_hits"] == 1
-    # The entry is plain JSON on disk under the content key.
+    # The entry is plain JSON on disk under the content key: the body
+    # plus a newline.
     key = api.query_key(api.query_from_dict(dict(QUERY)))
     entry = tmp_path / "serve" / f"{key}.json"
     assert json.loads(entry.read_text()) == {"answer": 42}
+    assert entry.read_bytes() == cold + b"\n"
 
 
 def test_malformed_queries_answered_without_submission():
@@ -151,7 +167,9 @@ def test_malformed_queries_answered_without_submission():
 
     outcomes = asyncio.run(scenario())
     assert [status for status, _ in outcomes] == [400, 400, 400, 400]
-    assert all(body["error"]["type"] == "QueryError" for _, body in outcomes)
+    assert all(
+        json.loads(body)["error"]["type"] == "QueryError" for _, body in outcomes
+    )
     assert executor.futures == []
     assert dispatcher.counters["errors"] == 4
 
@@ -171,8 +189,9 @@ class InlineExecutor:
 def test_invalid_network_shape_answers_400():
     dispatcher = Dispatcher(executor=InlineExecutor(), cache=None)
     payload = {**QUERY, "network": "waferscale", "terminals": 30, "radix": 8}
-    status, body = asyncio.run(dispatcher.submit(payload))
+    status, data = asyncio.run(dispatcher.submit(payload))
     assert status == 400
+    body = json.loads(data)
     assert body["error"]["type"] == "QueryError"
     assert "multiple of the SSC radix" in body["error"]["message"]
 
@@ -186,12 +205,12 @@ def test_distinct_queries_do_not_coalesce():
         b = asyncio.ensure_future(dispatcher.submit({**QUERY, "seed": 7}))
         for _ in range(10):
             await asyncio.sleep(0)
-        executor.futures[0].set_result({"which": "a"})
-        executor.futures[1].set_result({"which": "b"})
+        executor.futures[0].set_result(encoded({"which": "a"}))
+        executor.futures[1].set_result(encoded({"which": "b"}))
         return await asyncio.gather(a, b)
 
     outcomes = asyncio.run(scenario())
     assert len(executor.futures) == 2
     assert dispatcher.counters["coalesced"] == 0
-    assert {body["which"] for _, body in outcomes} == {"a", "b"}
+    assert {json.loads(body)["which"] for _, body in outcomes} == {"a", "b"}
 

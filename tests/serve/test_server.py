@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import api
 from repro.serve.dispatch import Dispatcher, ResponseCache
 from repro.serve.server import ServeServer
 
@@ -118,6 +119,77 @@ def test_cold_then_warm_query_through_real_pool(tmp_path, monkeypatch):
         assert dispatcher.counters["pool_submissions"] == 1  # unchanged
 
     run_with_server(scenario, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "path, query",
+    [
+        ("/v1/simulate", {**SIM_QUERY, "telemetry": True, "loads": [0.1, 0.2]}),
+        ("/v1/design", {"substrate_mm": 100.0, "mapping_restarts": 1}),
+        ("/v1/sweep", {"experiments": ["fig01"]}),
+    ],
+    ids=["simulate-telemetry", "design", "sweep"],
+)
+def test_cold_coalesced_and_warm_bodies_are_the_same_bytes(
+    path, query, tmp_path, monkeypatch
+):
+    """A response is encoded once, in the worker: the cold body, every
+    coalesced waiter's body and a later hit's body are the same bytes,
+    and the cache entry is those bytes plus a newline."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    async def scenario(port, dispatcher):
+        first = await asyncio.gather(
+            *[http(port, "POST", path, query) for _ in range(3)]
+        )
+        warm = await http(port, "POST", path, query)
+        assert dispatcher.counters["pool_submissions"] == 1
+        assert dispatcher.counters["coalesced"] >= 1
+        assert dispatcher.counters["cache_hits"] >= 1
+        return [*first, warm]
+
+    outcomes = run_with_server(scenario, tmp_path)
+    assert {status for status, _ in outcomes} == {200}
+    cold = outcomes[0][1]
+    assert all(body == cold for _, body in outcomes)
+    assert json.loads(cold)["kind"] == path.rsplit("/", 1)[1]
+    (entry,) = (tmp_path / "serve").iterdir()
+    assert entry.read_bytes() == cold + b"\n"
+
+
+def test_every_truncated_entry_is_a_miss(tmp_path):
+    """A hit needs a whole entry: cut anywhere, it is not served."""
+    cache = ResponseCache(tmp_path)
+    body = api.execute_payload({"kind": "simulate", **SIM_QUERY})
+    path = cache.store("k", body)
+    entry = path.read_bytes()
+    assert entry == body + b"\n"
+    assert cache.load("k") == body
+    for length in range(len(entry)):
+        path.write_bytes(entry[:length])
+        assert cache.load("k") is None, length
+
+
+def test_warm_stream_replays_a_pooled_response(tmp_path, monkeypatch):
+    """A stream hit parses the stored bytes: its telemetry events and
+    result equal the cold, pool-computed body it replays."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    query = {**SIM_QUERY, "telemetry": True, "loads": [0.1, 0.2], "seed": 3}
+
+    async def scenario(port, dispatcher):
+        _, cold = await http(port, "POST", "/v1/simulate", query)
+        _, payload = await http(port, "POST", "/v1/simulate?stream=1", query)
+        assert dispatcher.counters["pool_submissions"] == 1
+        assert dispatcher.counters["cache_hits"] == 1
+        return json.loads(cold), payload
+
+    cold, payload = run_with_server(scenario, tmp_path)
+    events = [json.loads(line) for line in payload.decode().splitlines()]
+    assert [e["event"] for e in events] == ["telemetry", "telemetry", "result"]
+    assert [{"load": e["load"], "report": e["report"]} for e in events[:-1]] == (
+        cold["result"]["telemetry"]
+    )
+    assert events[-1] == {"event": "result", "status": 200, "body": cold}
 
 
 def test_streaming_telemetry_over_chunked_ndjson(tmp_path):

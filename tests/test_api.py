@@ -248,4 +248,5 @@ def test_execute_payload_matches_execute():
     query = api.SimQuery(**TINY_SIM)
     direct = api.execute(query, engine="c")
     via_payload = api.execute_payload(query.to_dict(), engine="c")
-    assert via_payload == direct
+    assert via_payload == json.dumps(direct).encode()
+    assert json.loads(via_payload) == direct

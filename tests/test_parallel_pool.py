@@ -11,6 +11,7 @@ speak.
 """
 
 import itertools
+import json
 import os
 import time
 
@@ -327,8 +328,8 @@ def test_pool_returns_the_in_process_simulate_response(
         "warmup_cycles": 50, "measure_cycles": 100, "telemetry": True,
     }
     dispatcher = Dispatcher(executor=parallel.shared_pool(1), cache=None)
-    status, response = asyncio.run(dispatcher.submit(dict(payload)))
+    status, body = asyncio.run(dispatcher.submit(dict(payload)))
     assert status == 200
     assert dispatcher.counters["pool_submissions"] == 1
-    assert response["result"]["telemetry"]
-    assert response == api.execute_payload(payload)
+    assert json.loads(body)["result"]["telemetry"]
+    assert body == api.execute_payload(payload)
