@@ -295,12 +295,8 @@ def _engine_tag(query: Query, engine: str) -> str:
     the rule :func:`~repro.netsim.fast_core.engine_for` applies to its
     networks, and for a dcn query the same rule for its cycle-accurate
     wafers; otherwise whether the kernel loads."""
-    engine = _query_engine(query, engine)
-    if isinstance(query, (SimQuery, DCNQuery)):
-        from repro.netsim.fast_core import engine_tag
-
-        return engine_tag(engine, query.vcs)
-    return netsim_engine_tag(engine)
+    vcs = query.vcs if isinstance(query, (SimQuery, DCNQuery)) else 1
+    return netsim_engine_tag(_query_engine(query, engine), vcs)
 
 
 def _execute_design(query: DesignQuery) -> Dict[str, Any]:

@@ -93,6 +93,10 @@ def _fields(ctype, names: str):
     return [(name, ctype) for name in names.split()]
 
 
+#: The most VCs a port can have: ``ovc_mask`` is one int64 per port.
+MAX_VCS = 63
+
+
 class FastState(ctypes.Structure):
     """The kernel's state block; pointer fields index engine arrays."""
 

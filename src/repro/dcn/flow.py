@@ -10,10 +10,11 @@ dynamics.
 
 The contract that makes the ladder stitch together:
 :class:`FlowWaferNode` implements the *same epoch-driver interface*
-as :class:`repro.netsim.partition.WaferPartition` — ``enqueue()``,
-``advance(to_cycle)`` returning a lexsorted delivery bundle plus a
-counters dict, so *hybrid* fidelity is just a per-wafer choice of node
-class.  On a host with the C kernel, :class:`FlowWafers` steps every
+as :class:`repro.netsim.partition.WaferPartition` — ``enqueue(rows,
+tags)`` of offer rows ``(cycle, entry, exit, size)`` (checked by
+:func:`repro.netsim.network.check_offers`), ``advance(to_cycle)``
+returning a lexsorted delivery bundle plus a counters dict, so *hybrid*
+fidelity is just a per-wafer choice of node class.  On a host with the C kernel, :class:`FlowWafers` steps every
 flow wafer of an epoch in one call instead; the node is its oracle.
 
 **Calibration.**  A :class:`ServiceCurve` is fitted from short
@@ -51,7 +52,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Dict, List, Tuple
@@ -60,8 +60,8 @@ import numpy as np
 
 from repro import cas
 from repro.fingerprint import source_fingerprint, transitive_modules
-from repro.netsim.network import waferscale_clos_network
-from repro.netsim.partition import Event, calibration_probe, extend_schedule
+from repro.netsim.network import check_offers, waferscale_clos_network
+from repro.netsim.partition import Schedule, calibration_probe
 
 #: Offered loads (flits/terminal/cycle) probed for the latency curve.
 PROBE_LOADS: Tuple[float, ...] = (0.02, 0.1, 0.2, 0.35)
@@ -242,7 +242,7 @@ class FlowWaferNode:
 
     Same epoch-driver surface as
     :class:`~repro.netsim.partition.WaferPartition`: ``enqueue()``
-    sorted future events, ``advance(to_cycle)`` a lexsorted delivery
+    sorted future offer rows, ``advance(to_cycle)`` a lexsorted delivery
     bundle + counters.  No router state exists — deliveries are
     computed from the service curve, per-exit egress queues, and the
     wafer-wide capacity clamp, all in deterministic event order.
@@ -254,7 +254,7 @@ class FlowWaferNode:
         self.curve = curve
         self.n_terminals = n_terminals
         self.cycle = 0
-        self._sched: deque = deque()
+        self._sched = Schedule(n_terminals)
         #: min-heap of (arrive, exit_terminal, tag, size_flits)
         self._inflight: List[Tuple[int, int, int, int]] = []
         self._inflight_flits = 0
@@ -267,29 +267,28 @@ class FlowWaferNode:
         self.delivered_flits = 0
         self.delivered_packets = 0
 
-    def enqueue(self, events: List[Event]) -> None:
+    def enqueue(self, rows, tags) -> None:
         """Same contract as ``WaferPartition.enqueue``."""
-        extend_schedule(self._sched, self.cycle, events)
+        self._sched.extend(rows, tags, self.cycle)
 
     def advance(self, to_cycle: int):
-        """Model every event scheduled before ``to_cycle``; harvest.
+        """Model every row scheduled before ``to_cycle``; harvest.
 
-        Mirrors ``WaferPartition.advance``: consumes events with
+        Mirrors ``WaferPartition.advance``: consumes rows with
         ``cycle < to_cycle``, returns deliveries whose arrival is
         strictly before ``to_cycle`` as int64 arrays lexsorted by
         (arrival, terminal, tag), plus the counters dict.
         """
         span = max(1, to_cycle - self.cycle)
-        sched = self._sched
-        batch: List[Event] = []
-        while sched and sched[0][0] < to_cycle:
-            batch.append(sched.popleft())
-        if batch:
-            offered = sum(event[3] for event in batch)
+        rows, tags = self._sched.take(to_cycle)
+        if len(rows):
+            offered = int(rows[:, 3].sum())
             utilization = offered / (self.n_terminals * span)
             base = max(1.0, self.curve.latency_at(utilization))
             capacity = self.curve.capacity_flits_per_cycle
-            for cycle, _entry, exit_term, size, tag in batch:
+            for (cycle, _entry, exit_term, size), tag in zip(
+                rows.tolist(), tags.tolist()
+            ):
                 self.offered_flits += size
                 self.offered_packets += 1
                 # Wafer-wide capacity clamp (fluid service).
@@ -349,25 +348,26 @@ class FlowWafers:
         self.agg_time = np.zeros(len(self.curve_of))
         self.exit_free = np.zeros((len(self.curve_of), n_terminals))
 
-    def advance(self, wafers, offsets, cycle, exit_term, size, to_cycle: int):
-        """Step ``wafers`` to ``to_cycle``; return each event's arrival.
+    def advance(self, wafers, offsets, rows, to_cycle: int):
+        """Step ``wafers`` to ``to_cycle``; return each row's arrival.
 
-        Wafer ``w``'s events are ``offsets[w]:offsets[w + 1]`` of
-        ``cycle``/``exit_term``/``size``, in its injection-heap order;
-        the arrivals of other events are left unset.
+        Wafer ``w``'s offers are rows ``offsets[w]:offsets[w + 1]`` of
+        the offer table ``rows`` (``(cycle, entry, exit, size)``), in
+        its injection-heap order; the arrivals of other rows are left
+        unset.
         """
-        arrive = np.empty(len(cycle), dtype=np.int64)
+        rows = check_offers(rows, self.n_terminals)
+        arrive = np.empty(len(rows), dtype=np.int64)
         ints = [  # held here while the kernel reads them by pointer
             np.ascontiguousarray(a, dtype=np.int64)
-            for a in (wafers, offsets, cycle, exit_term, size, self.curve_of)
+            for a in (wafers, offsets, rows[:, 0], rows[:, 2], rows[:, 3],
+                      self.curve_of)
         ]
-        wafers, offsets, cycle, exit_term, size = ints[:5]
-        n, n_wafers = len(cycle), len(self.last)
+        wafers, offsets = ints[:2]
         if not (  # every index the kernel follows stays inside its table
-            len(offsets) == n_wafers + 1 and len(exit_term) == len(size) == n
-            and np.all((0 <= wafers) & (wafers < n_wafers))
-            and np.all((0 <= offsets) & (offsets <= n))
-            and np.all((0 <= exit_term) & (exit_term < self.n_terminals))
+            len(offsets) == len(self.last) + 1
+            and np.all((0 <= wafers) & (wafers < len(self.last)))
+            and np.all((0 <= offsets) & (offsets <= len(rows)))
         ):
             raise ValueError("flow batch does not fit the wafer tables")
         self._lib.flow_advance(

@@ -303,11 +303,12 @@ def _run_epochs(plan: _Plan) -> DCNResult:
             )
         wafer, entry, exit_ = (a[tag, hop[tag]] for a in routes[:3])
         size = sizes[tag]
-        # Per wafer, the (cycle, entry, exit, size, tag) tuple order.
+        # Per wafer, offer rows (cycle, entry, exit, size) and their
+        # tags in full-row order; column-major, so each column the
+        # checks and the flow kernel read is contiguous.
         order = np.lexsort((tag, size, exit_, entry, cycle, wafer))
-        wafer, cycle, entry, exit_, size, tag = (
-            a[order] for a in (wafer, cycle, entry, exit_, size, tag)
-        )
+        rows = np.array((cycle, entry, exit_, size))[:, order].T
+        wafer, tag, size = wafer[order], tag[order], rows[:, 3]
         offsets = np.searchsorted(wafer, np.arange(n_wafers + 1))
         # Idle wafers (nothing queued, nothing in flight) are skipped
         # entirely: their epoch would change nothing.
@@ -315,16 +316,13 @@ def _run_epochs(plan: _Plan) -> DCNResult:
         bundles = []
         for w in np.flatnonzero(active & ~is_flow).tolist():
             batch = slice(offsets[w], offsets[w + 1])
-            nodes[w].enqueue(list(zip(*(
-                a[batch].tolist() for a in (cycle, entry, exit_, size, tag)
-            ))))
+            nodes[w].enqueue(rows[batch], tag[batch])
             terms, tags, arrives, counters = nodes[w].advance(end)
             counts[w] = [counters[name] for name in COUNTERS]
             bundles.append((terms, tags, arrives))
         if flow is not None:
             arrive = flow.advance(
-                np.flatnonzero(active & is_flow), offsets, cycle, exit_,
-                size, end,
+                np.flatnonzero(active & is_flow), offsets, rows, end
             )
             new = is_flow[wafer]
             flits = per_wafer(wafer[new], size[new])

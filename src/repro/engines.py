@@ -70,16 +70,20 @@ def resolve_mapping_engine(engine: str = "auto") -> str:
     return "fast" if engine == "auto" else engine
 
 
-def netsim_engine_tag(engine: str = "auto") -> str:
-    """The netsim engine a run with this request takes on a shape the
-    kernel models.
-
-    ``"c"`` only when ``"c"`` is resolved *and* the kernel loads;
-    ``"scalar"`` otherwise, the oracle a kernel-less host degrades to.
-    :func:`repro.netsim.fast_core.engine_tag` adds the VC limit.
+def netsim_engine_tag(engine: str = "auto", num_vcs: int = 1) -> str:
+    """The netsim engine a run of a library-built network with
+    ``num_vcs`` VCs takes under ``engine``: ``"c"`` only when ``"c"``
+    is resolved, the kernel loads and ``num_vcs`` fits its output-VC
+    bitmask (:data:`repro.ckernel.MAX_VCS`); ``"scalar"`` otherwise.
+    This is the part of :func:`repro.netsim.fast_core.engine_for`'s
+    rule that a query knows before it builds anything.
     """
     from repro import ckernel
 
-    if resolve_netsim_engine(engine) == "scalar" or ckernel.load_kernel() is None:
+    if (
+        num_vcs > ckernel.MAX_VCS
+        or resolve_netsim_engine(engine) == "scalar"
+        or ckernel.load_kernel() is None
+    ):
         return "scalar"
     return "c"

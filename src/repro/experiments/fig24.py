@@ -30,7 +30,7 @@ NETWORK_LABELS = ("waferscale", "switch-network")
 
 
 def _sustained_throughput(
-    network_factory, events, n_terminals, compressions, point_slug=None
+    network_factory, rows, n_terminals, compressions, point_slug=None
 ):
     """Highest delivered flit rate across compression levels."""
     best = 0.0
@@ -39,7 +39,7 @@ def _sustained_throughput(
         network = network_factory()
         telemetry = telemetry_sink()
         stats = replay_trace(
-            network, events, compression=compression, telemetry=telemetry,
+            network, rows, compression=compression, telemetry=telemetry,
             packet_ids=packet_ids,
         )
         if point_slug is not None:
@@ -66,7 +66,7 @@ def run_unit(unit, fast: bool = True):
     compressions = (4.0,) if fast else (2.0, 8.0, 32.0)
     # Trace generation is seeded, so regenerating per unit is exact.
     spec = SyntheticTraceSpec(n_nodes=trace_nodes, iterations=2 if fast else 4)
-    events = duplicate_trace(
+    rows = duplicate_trace(
         synthetic_nersc_trace(trace_name, spec), copies=2,
         nodes_per_copy=trace_nodes,
     )
@@ -81,7 +81,7 @@ def run_unit(unit, fast: bool = True):
     else:
         factory = lambda: baseline_switch_network(**common)  # noqa: E731
     throughput = _sustained_throughput(
-        factory, events, n, compressions, point_slug=f"{trace_name}_{label}"
+        factory, rows, n, compressions, point_slug=f"{trace_name}_{label}"
     )
     return {"trace": trace_name, "label": label, "throughput": throughput}
 

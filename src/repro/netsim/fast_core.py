@@ -25,8 +25,8 @@ run of that shape; each run gets its own state block and
   ``pk_create[i]`` from terminal ``pk_src[i]``.
 
 Every vectorized run is the same two moves: :meth:`FastEngine.append`
-puts the offer rows in the store, and :meth:`FastEngine._c_run` runs
-the one contract both engines share (offer due rows, step, stop at an
+puts an offer table's rows in the store, and :meth:`FastEngine._c_run`
+runs the one contract both engines share (offer due rows, step, stop at an
 absolute cycle or, draining, once the rows are used up and nothing is
 in flight; the scalar twin is :func:`repro.netsim.network.advance`).
 A Bernoulli load point (``Simulator.run``, which draws the stream once
@@ -71,9 +71,6 @@ from repro.netsim.telemetry import LatencyHistogram
 _SHIFT = 20
 _IDX_MASK = (1 << _SHIFT) - 1
 
-# Output-VC ownership is one int64 bitmask per port.
-_MAX_VCS = 63
-
 _C_KIND = {"rf": 0, "tf": 1, "inj": 2, "rc": 3, "tc": 4}
 
 #: Kernel telemetry counters (int64 arrays): ``name -> size key``.
@@ -93,37 +90,25 @@ _TEL_ARRAYS = (
 )
 
 
-def engine_tag(engine: str = "auto", num_vcs: int = 1) -> str:
-    """The engine a run of a library-built network with ``num_vcs``
-    VCs takes under ``engine``: ``"c"`` or ``"scalar"``.
-
-    This is the part of :func:`engine_for`'s rule that a query knows
-    before it builds anything: the resolved name, whether the kernel
-    loads, and the VC count the kernel's bitmask allocator holds.
-    """
-    if num_vcs > _MAX_VCS:
-        return "scalar"
-    return engines.netsim_engine_tag(engine)
-
-
 def engine_for(network, telemetry=None, engine: str = "auto") -> Optional["FastEngine"]:
     """A vectorized engine for one run of ``network``, or ``None``.
 
     ``engine`` is a :data:`repro.engines.NETSIM_ENGINES` name, resolved
     once here (callers that resolved already may pass the concrete
     value through — resolution is idempotent). ``None`` falls back to
-    the scalar object simulator: whatever :func:`engine_tag` sends
-    there (a ``"scalar"`` resolution, no C toolchain on this host,
-    more than 63 VCs), a network whose object graph was touched before
-    this run (it may have been edited), one whose clock is off 0, or one
-    that carries a sink other than ``telemetry`` all decline rather than
-    risk divergence.
+    the scalar object simulator: whatever
+    :func:`repro.engines.netsim_engine_tag` sends there (a ``"scalar"``
+    resolution, no C toolchain on this host, more than 63 VCs), a
+    network whose object graph was touched before this run (it may have
+    been edited), one whose clock is off 0, or one that carries a sink
+    other than ``telemetry`` all decline rather than risk divergence.
     """
     if (
         network.graph_built
         or network.cycle != 0
         or network.telemetry is not None and network.telemetry is not telemetry
-        or engine_tag(engine, network.spec.config.num_vcs) == "scalar"
+        or engines.netsim_engine_tag(engine, network.spec.config.num_vcs)
+        == "scalar"
     ):
         return None
     return FastEngine(network, telemetry)
@@ -388,21 +373,18 @@ class FastEngine:
         ("log_term", 0), ("log_pidx", 0),
     )
 
-    def append(self, src, dst, size, create, base: int = 0) -> None:
-        """Append packet rows; row ``i`` is packet id ``base + i``.
-
-        Each row is also the offer event that creates the packet: it is
-        offered at cycle ``create`` from terminal ``src``. Rows come
-        sorted by cycle and none before the clock.
+    def append(self, rows, base: int = 0) -> None:
+        """Append a checked offer table, sorted by cycle and none before
+        the clock; row ``i`` is the offer that creates packet ``base + i``.
         """
         st = self.st
-        n, k = st.n_ev, len(src)
+        n, k = st.n_ev, len(rows)
         if n + k > self.pk_dst.size:
             self._grow(n + k)
-        self.pk_src[n:n + k] = src
-        self.pk_dst[n:n + k] = dst
-        self.pk_size[n:n + k] = size
-        self.pk_create[n:n + k] = create
+        for name, column in zip(
+            ("pk_create", "pk_src", "pk_dst", "pk_size"), rows.T
+        ):
+            getattr(self, name)[n:n + k] = column
         st.n_ev = n + k
         st.base = base
 

@@ -21,7 +21,9 @@ object graph.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -220,6 +222,50 @@ class NetworkModel:
         )
 
 
+def check_offers(
+    rows, n_terminals: int, tags=None, since: int = 0, last=None,
+) -> np.ndarray:
+    """``rows`` as an offer table, the one injection format of every
+    netsim run (int64, a row ``(cycle, src, dst, size)`` per packet), or
+    ``ValueError``: each row offers ``size >= 1`` flits at ``cycle >= 0``
+    between two different terminals of ``range(n_terminals)``. With a
+    caller tag per row, the rows with their tags appended must also come
+    sorted in full-row order, none before cycle ``since`` or the tagged
+    row ``last``.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    if not rows.size:
+        return rows.reshape(0, 4)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"offer rows must be (n, 4), not {rows.shape}")
+    cycle, src, dst, size = rows.T
+    bad = (cycle < 0) | (size < 1) | (src == dst) | (
+        np.minimum(src, dst) < 0) | (np.maximum(src, dst) >= n_terminals)
+    if bad.any():
+        raise ValueError(
+            f"offer row {rows[bad.argmax()].tolist()} needs cycle >= 0, "
+            f"size >= 1 and two different terminals of range({n_terminals})"
+        )
+    if tags is None:
+        return rows
+    keys = np.column_stack((rows, tags))
+    if last is not None:
+        keys = np.vstack(([last], keys))
+    step = np.diff(keys, axis=0)
+    if (step[np.arange(len(step)), (step != 0).argmax(axis=1)] < 0).any():
+        raise ValueError("offers must come sorted, after those enqueued")
+    if cycle[0] < since:
+        raise ValueError(f"offer row {rows[0].tolist()} is before cycle {since}")
+    return rows
+
+
+def offer_packets(rows: np.ndarray, first_id: int) -> Deque[Packet]:
+    """The scalar oracle's offers of a checked offer table: one
+    :class:`Packet` per row, numbered from ``first_id`` in row order."""
+    cycle, src, dst, size = rows.T.tolist()
+    return deque(map(Packet, src, dst, size, cycle, count(first_id)))
+
+
 def advance(
     network: NetworkModel, offers: Deque[Packet], limit: int,
     drain: bool = False,
@@ -228,9 +274,10 @@ def advance(
     :mod:`repro.ckernel`), the scalar oracle's one driving loop.
 
     ``offers`` holds packets sorted by ``create_cycle``, none before
-    the clock. Each cycle offers the packets due by then, then steps,
-    until the clock reaches ``limit`` or, with ``drain``, once
-    ``offers`` is used up and nothing is in flight. Without a
+    the clock (:func:`offer_packets` of a checked offer table). Each
+    cycle offers the packets due by then, then steps, until the clock
+    reaches ``limit`` or, with ``drain``, once ``offers`` is used up
+    and nothing is in flight. Without a
     telemetry sink, idle stretches are jumped to the next offer's
     cycle; a sink samples every cycle, so it sees them stepped.
     """

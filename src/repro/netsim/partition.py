@@ -4,8 +4,11 @@ A Bernoulli load point or a trace replay hands its engine the whole
 offer stream up front. Partitioned multi-wafer simulation
 (:mod:`repro.dcn`) cannot: the next epoch's injections depend on what
 every other wafer delivered during this one. :class:`WaferPartition`
-keeps one pristine network live between calls. Each ``advance`` takes
-the events due before the epoch end once, as one batch, and hands it to
+keeps one pristine network live between calls. ``enqueue(rows, tags)``
+takes an offer table (int64 rows ``(cycle, src, dst, size)``, the one
+injection format of every netsim run) with a caller tag per row, checked
+once by :func:`repro.netsim.network.check_offers`. Each ``advance``
+takes the rows due before the epoch end as one batch and hands it to
 whichever engine runs, which then advances under the run contract both
 engines share (offer due rows, step, jump idle stretches; ``fast_run``
 in :mod:`repro.ckernel`, :func:`repro.netsim.network.advance` for the
@@ -17,15 +20,15 @@ oracle) to the epoch end:
 * the scalar object simulator otherwise (no C toolchain, or
   ``engine="scalar"``, the oracle).
 
-Packet ids are **partition-local** and assigned here, in deterministic
-offer order (events are consumed sorted by ``(cycle, source terminal,
-tag)``), with no source shared between partitions.  That is what
-makes a partitioned run bit-identical to a monolithic one: Clos
-routing hashes the packet id across spines/channels, so the id
-sequence each wafer sees must depend only on that wafer's injection
-history, never on how many other partitions share the process.
+Packet ids are **partition-local** and assigned here, in offer order
+(the order rows were enqueued), with no source shared between
+partitions.  That is what makes a partitioned run bit-identical to a
+monolithic one: Clos routing hashes the packet id across
+spines/channels, so the id sequence each wafer sees must depend only
+on that wafer's injection history, never on how many other partitions
+share the process.
 
-Both engines produce identical deliveries for identical event streams
+Both engines produce identical deliveries for identical offer tables
 (the differential harness pins them to each other); ``advance`` sorts
 its delivery report by ``(arrival cycle, terminal, tag)`` so the two
 engines return byte-identical bundles.
@@ -34,38 +37,39 @@ engines return byte-identical bundles.
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
 from repro.engines import resolve_netsim_engine
 from repro.netsim import fast_core
-from repro.netsim.network import NetworkModel, advance
-from repro.netsim.packet import Packet
+from repro.netsim.network import (
+    NetworkModel, advance, check_offers, offer_packets,
+)
 from repro.netsim.traffic import BernoulliInjector, uniform
 
-#: One externally scheduled injection:
-#: ``(cycle, src_terminal, dst_terminal, size_flits, tag)``.  ``tag``
-#: is an opaque caller id (the DCN layer uses its global packet id) and
-#: is echoed back in the delivery report.
-Event = Tuple[int, int, int, int, int]
 
+class Schedule:
+    """An epoch driver's pending offers on ``n_terminals`` terminals:
+    rows ``(cycle, src, dst, size, tag)``, sorted in full-row order."""
 
-def extend_schedule(sched: deque, cycle: int, events: List[Event]) -> None:
-    """Append ``events`` to an epoch driver's schedule ``sched``, after
-    checking they are sorted and neither before ``cycle`` nor before
-    anything already scheduled."""
-    if not events:
-        return
-    if events[0][0] < cycle:
-        raise ValueError(f"event {events[0]} scheduled before cycle {cycle}")
-    for earlier, later in zip(events, events[1:]):
-        if later < earlier:
-            raise ValueError(f"events not sorted at {later}")
-    if sched and events[0] < sched[-1]:
-        raise ValueError("events overlap previously enqueued schedule")
-    sched.extend(events)
+    def __init__(self, n_terminals: int):
+        self.n_terminals = n_terminals
+        self.pending = np.zeros((0, 5), dtype=np.int64)
+
+    def extend(self, rows, tags, clock: int) -> None:
+        """Append checked rows; none before ``clock`` or the schedule."""
+        tags = np.asarray(tags, dtype=np.int64)
+        last = self.pending[-1] if len(self.pending) else None
+        rows = check_offers(rows, self.n_terminals, tags, clock, last)
+        self.pending = np.vstack((self.pending, np.column_stack((rows, tags))))
+
+    def take(self, to_cycle: int):
+        """Remove the rows due before ``to_cycle``; return them and
+        their tags."""
+        due = int(np.searchsorted(self.pending[:, 0], to_cycle))
+        taken, self.pending = self.pending[:due], self.pending[due:]
+        return taken[:, :4], taken[:, 4]
 
 
 class WaferPartition:
@@ -77,8 +81,9 @@ class WaferPartition:
         self.engine = fast_core.engine_for(network, None, engine=resolved)
         self.network = network
         self.engine_name = "scalar" if self.engine is None else resolved
-        self._sched: deque = deque()
-        self._tags: List[int] = []
+        self._sched = Schedule(network.n_terminals)
+        #: Caller tag of each offered packet, by partition-local id.
+        self._tags = np.zeros(0, dtype=np.int64)
         self.offered_flits = 0
         self.offered_packets = 0
         self._delivered_packets = 0
@@ -98,14 +103,15 @@ class WaferPartition:
             return self.network.in_flight_flits()
         return int(self.engine.inflight)
 
-    def enqueue(self, events: List[Event]) -> None:
-        """Schedule injections; sorted, at-or-after the current cycle.
+    def enqueue(self, rows, tags) -> None:
+        """Schedule an offer table's rows, one caller tag each.
 
-        Events must arrive sorted (plain tuple order) and never in the
-        partition's past — the epoch barrier guarantees both, and the
-        determinism of the local packet-id sequence depends on it.
+        The rows with their tags appended must come sorted (full-row
+        order) and never in the partition's past: the epoch barrier
+        guarantees both, and the determinism of the local packet-id
+        sequence depends on it.
         """
-        extend_schedule(self._sched, self.cycle, events)
+        self._sched.extend(rows, tags, self.cycle)
 
     def advance(self, to_cycle: int):
         """Run to ``to_cycle``; return the epoch's delivery bundle.
@@ -114,35 +120,31 @@ class WaferPartition:
         arrays — delivery terminal, caller tag, arrival cycle — sorted
         by ``(arrival, terminal, tag)``, plus a counters dict
         (``inflight``, ``delivered_flits``, ``delivered_packets``,
-        ``offered_flits``, ``offered_packets``).  Every event scheduled
+        ``offered_flits``, ``offered_packets``).  Every row scheduled
         strictly before ``to_cycle`` is consumed.
         """
-        # Every event before ``to_cycle`` is offered this epoch, so the
+        # Every row before ``to_cycle`` is offered this epoch, so the
         # batch goes to the engine now; packet ids (store rows) follow
         # offer order on both engines.
-        sched = self._sched
-        batch = []
-        while sched and sched[0][0] < to_cycle:
-            batch.append(sched.popleft())
-        cycle, src, dst, size, tag = zip(*batch) if batch else ((),) * 5
-        first = len(self._tags)
-        self._tags.extend(tag)
-        self.offered_flits += sum(size)
-        self.offered_packets += len(batch)
+        rows, tags = self._sched.take(to_cycle)
+        first = self.offered_packets
+        self.offered_packets += len(rows)
+        if self.offered_packets > len(self._tags):
+            self._tags = np.resize(self._tags, 2 * self.offered_packets)
+        self._tags[first:self.offered_packets] = tags
+        self.offered_flits += int(rows[:, 3].sum())
         engine = self.engine
         if engine is None:
-            self._offers.extend(
-                map(Packet, src, dst, size, cycle, count(first))
-            )
+            self._offers.extend(offer_packets(rows, first))
             advance(self.network, self._offers, to_cycle)
             terms, pids, arrives = self._harvest_scalar()
         else:
-            engine.append(src, dst, size, cycle)
+            engine.append(rows)
             terms, pids = engine.run_epoch(to_cycle)
             arrives = engine.pk_arrive[pids]
             self.network.cycle = engine.cycle
         self._delivered_packets += int(terms.size)
-        tags = np.array([self._tags[p] for p in pids.tolist()], dtype=np.int64)
+        tags = self._tags[pids]
         if terms.size > 1:
             order = np.lexsort((tags, terms, arrives))
             terms, tags, arrives = terms[order], tags[order], arrives[order]
@@ -217,13 +219,8 @@ def calibration_probe(
     partition = WaferPartition(network, engine=engine)
     n = network.n_terminals
     injector = BernoulliInjector(uniform(n), load, size_flits, seed=seed)
-    creates, srcs, dsts = (
-        column.tolist() for column in injector.stream(inject_cycles, n)
-    )
-    partition.enqueue([
-        (cycle, src, dst, size_flits, tag)
-        for tag, (cycle, src, dst) in enumerate(zip(creates, srcs, dsts))
-    ])
+    rows = injector.stream(inject_cycles, n)
+    partition.enqueue(rows, np.arange(len(rows)))
 
     half = max(1, inject_cycles // 2)
     arrives: List[np.ndarray] = []
@@ -242,15 +239,10 @@ def calibration_probe(
         arrives.append(arr)
         tag_log.append(tags)
 
-    all_arrives = np.concatenate(arrives) if arrives else np.zeros(0)
-    all_tags = np.concatenate(tag_log) if tag_log else np.zeros(0)
-    latencies = [
-        int(arrive) - creates[int(tag)]
-        for arrive, tag in zip(all_arrives, all_tags)
-    ]
+    latencies = np.concatenate(arrives) - rows[np.concatenate(tag_log), 0]
     return {
         "mean_latency": (
-            sum(latencies) / len(latencies) if latencies else 0.0
+            int(latencies.sum()) / len(latencies) if len(latencies) else 0.0
         ),
         "delivered_flits_per_cycle": window_flits / window_cycles,
         "offered_load": counters["offered_flits"] / (n * inject_cycles),

@@ -10,9 +10,7 @@ throughput is the accepted load at an offered load beyond saturation.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from itertools import count, repeat
 from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -20,8 +18,10 @@ import numpy as np
 from repro.engines import resolve_netsim_engine
 from repro.netsim import fast_core
 from repro.netsim.config import SimConfig
-from repro.netsim.network import NetworkModel, advance
-from repro.netsim.packet import Packet, PacketIds
+from repro.netsim.network import (
+    NetworkModel, advance, check_offers, offer_packets,
+)
+from repro.netsim.packet import PacketIds
 from repro.netsim.stats import RunEnd, RunStats
 from repro.netsim.telemetry import Telemetry
 from repro.netsim.traffic import BernoulliInjector, TrafficPattern, make_pattern
@@ -88,16 +88,18 @@ class Simulator:
         # in BernoulliInjector.stream), numbered from one block of ids
         # in stream order, and handed to whichever engine runs.
         measure_end = warmup_cycles + measure_cycles
-        when, src, dst = self.injector.stream(measure_end, network.n_terminals)
-        base = self.packet_ids.take(len(when))
-        size = self.packet_size_flits
+        rows = check_offers(
+            self.injector.stream(measure_end, network.n_terminals),
+            network.n_terminals,
+        )
+        base = self.packet_ids.take(len(rows))
         stats = RunStats(
             measure_start=warmup_cycles,
             measure_end=measure_end,
             n_terminals=network.n_terminals,
         )
-        stats.packets_created = int(np.count_nonzero(when >= warmup_cycles))
-        stats.flits_offered = stats.packets_created * size
+        stats.packets_created = int(np.count_nonzero(rows[:, 0] >= warmup_cycles))
+        stats.flits_offered = stats.packets_created * self.packet_size_flits
         # Engine selection happens once per run (repro.engines); both
         # engines produce bit-identical results
         # (tests/netsim/test_differential.py).
@@ -105,12 +107,9 @@ class Simulator:
             network, telemetry, engine=resolve_netsim_engine(engine)
         )
         if fast is not None:
-            fast.append(src, dst, size, when, base=base)
+            fast.append(rows, base=base)
             return fast._c_run_bernoulli(stats, drain_cycles)
-        offers = deque(map(
-            Packet, src.tolist(), dst.tolist(), repeat(size), when.tolist(),
-            count(base),
-        ))
+        offers = offer_packets(rows, base)
         if telemetry is not None:
             telemetry.attach(network)
             telemetry.begin_window("warmup", network.cycle)

@@ -20,37 +20,26 @@ communication signature:
   allreduce (recursive-doubling partners at power-of-two strides) plus
   nearest-neighbor gather/scatter.
 
-Each generator produces a deterministic event list ``(cycle, src, dst,
-size_flits)``; `duplicate_trace` replicates it onto a larger machine the
-way the paper does.
+Each generator returns a deterministic offer table (int64 rows
+``(cycle, src, dst, size)`` stably sorted by cycle, see
+:func:`repro.netsim.network.check_offers`); `duplicate_trace`
+replicates it onto a larger machine the way the paper does.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
-from repro.netsim.network import NetworkModel, advance
-from repro.netsim.packet import Packet, PacketIds
+import numpy as np
+
+from repro.netsim.network import (
+    NetworkModel, advance, check_offers, offer_packets,
+)
+from repro.netsim.packet import PacketIds
 from repro.netsim.stats import RunEnd, RunStats
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One message injection: ``src`` sends ``size_flits`` at ``cycle``."""
-
-    cycle: int
-    src: int
-    dst: int
-    size_flits: int
-
-    def __post_init__(self) -> None:
-        if self.cycle < 0 or self.size_flits < 1:
-            raise ValueError("invalid trace event")
-        if self.src == self.dst:
-            raise ValueError("trace event must cross the network")
 
 
 @dataclass(frozen=True)
@@ -82,114 +71,107 @@ def _grid_dims(n_nodes: int) -> tuple:
     return best
 
 
-def lulesh_trace(spec: SyntheticTraceSpec) -> List[TraceEvent]:
+def _rows(cycle, src, dst, size) -> np.ndarray:
+    """An offer table from four columns, broadcast together and read in
+    C order."""
+    columns = np.broadcast_arrays(cycle, src, dst, size)
+    return np.column_stack([c.ravel() for c in columns]).astype(np.int64)
+
+
+def _by_cycle(rows: np.ndarray) -> np.ndarray:
+    """``rows`` stably sorted by cycle."""
+    return rows[np.argsort(rows[:, 0], kind="stable")]
+
+
+def _iterate(
+    spec: SyntheticTraceSpec, iteration: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Every iteration's rows, iteration ``i`` (``iteration(i)``, in
+    cycles from its start) ``i * iteration_gap_cycles`` late."""
+    gap = spec.iteration_gap_cycles
+    return _by_cycle(np.concatenate([np.zeros((0, 4), dtype=np.int64)] + [
+        iteration(i) + [i * gap, 0, 0, 0] for i in range(spec.iterations)
+    ]))
+
+
+def lulesh_trace(spec: SyntheticTraceSpec) -> np.ndarray:
     """Bursty 3-D 26-neighbor halo exchange per iteration."""
     nx, ny, nz = _grid_dims(spec.n_nodes)
     rng = random.Random(spec.seed)
-    events: List[TraceEvent] = []
+    # Every node (x, y, z in C order) to each neighbor, (dx, dy, dz) in
+    # C order too; faces are big, edges smaller, corners tiny.
+    offsets = np.array(
+        [d for d in itertools.product((-1, 0, 1), repeat=3) if any(d)]
+    )
+    x, y, z = np.indices((nx, ny, nz)).reshape(3, -1, 1)
+    dx, dy, dz = offsets.T
+    dst = ((x + dx) % nx * ny + (y + dy) % ny) * nz + (z + dz) % nz
+    src = np.arange(spec.n_nodes)[:, None]
+    size = np.array([0, 8, 3, 1])[np.abs(offsets).sum(axis=1)]
+    halo = _rows(0, src, dst, size)[(dst != src).ravel()]
 
-    def node(x: int, y: int, z: int) -> int:
-        return (x % nx) * ny * nz + (y % ny) * nz + (z % nz)
+    def iteration(_):
+        jitter = [rng.randrange(4) for _ in range(len(halo))]
+        return halo + np.outer(jitter, [1, 0, 0, 0])
 
-    for it in range(spec.iterations):
-        base = it * spec.iteration_gap_cycles
-        for x in range(nx):
-            for y in range(ny):
-                for z in range(nz):
-                    src = node(x, y, z)
-                    for dx in (-1, 0, 1):
-                        for dy in (-1, 0, 1):
-                            for dz in (-1, 0, 1):
-                                if dx == dy == dz == 0:
-                                    continue
-                                dst = node(x + dx, y + dy, z + dz)
-                                if dst == src:
-                                    continue
-                                touching = abs(dx) + abs(dy) + abs(dz)
-                                # Faces are big, edges smaller, corners tiny.
-                                size = {1: 8, 2: 3, 3: 1}[touching]
-                                jitter = rng.randrange(4)
-                                events.append(
-                                    TraceEvent(base + jitter, src, dst, size)
-                                )
-    return sorted(events, key=lambda e: e.cycle)
+    return _iterate(spec, iteration)
 
 
-def mocfe_trace(spec: SyntheticTraceSpec) -> List[TraceEvent]:
+def mocfe_trace(spec: SyntheticTraceSpec) -> np.ndarray:
     """Angular sweep pipelines plus periodic small reductions."""
     n = spec.n_nodes
     rng = random.Random(spec.seed)
-    events: List[TraceEvent] = []
-    for it in range(spec.iterations):
-        base = it * spec.iteration_gap_cycles
-        # Four sweep directions, staggered as pipeline fronts.
-        for direction, step in enumerate((1, -1, 2, -2)):
-            for src in range(n):
-                dst = (src + step) % n
-                if dst == src:
-                    continue
-                stage_delay = (src if step > 0 else n - src) % 16
-                events.append(
-                    TraceEvent(
-                        base + direction * 8 + stage_delay, src, dst, 4
-                    )
-                )
+    src = np.arange(n)
+    # Four sweep directions, staggered as pipeline fronts.
+    sweeps = []
+    for direction, step in enumerate((1, -1, 2, -2)):
+        dst = (src + step) % n
+        stage_delay = (src if step > 0 else n - src) % 16
+        cycle = direction * 8 + stage_delay
+        sweeps.append(_rows(cycle, src, dst, 4)[dst != src])
+
+    def iteration(_):
         # Small global reduction at iteration end.
         root = rng.randrange(n)
-        for src in range(n):
-            if src != root:
-                events.append(
-                    TraceEvent(base + spec.iteration_gap_cycles // 2, src, root, 1)
-                )
-    return sorted(events, key=lambda e: e.cycle)
+        half = spec.iteration_gap_cycles // 2
+        return np.concatenate(sweeps + [_rows(half, src, root, 1)[src != root]])
+
+    return _iterate(spec, iteration)
 
 
-def multigrid_trace(spec: SyntheticTraceSpec) -> List[TraceEvent]:
+def multigrid_trace(spec: SyntheticTraceSpec) -> np.ndarray:
     """V-cycle: neighbor exchange at stride 2^level, shrinking sizes."""
     n = spec.n_nodes
     levels = max(1, (n - 1).bit_length() - 1)
-    events: List[TraceEvent] = []
-    for it in range(spec.iterations):
-        base = it * spec.iteration_gap_cycles
-        offset = 0
-        # Down the V then back up.
-        for level in list(range(levels)) + list(reversed(range(levels))):
-            stride = 1 << level
-            size = max(1, 8 >> level)
-            active = range(0, n, stride)
-            for src in active:
-                dst = (src + stride) % n
-                if dst == src:
-                    continue
-                events.append(TraceEvent(base + offset, src, dst, size))
-            offset += 6
-    return sorted(events, key=lambda e: e.cycle)
+    stages = []
+    # Down the V then back up, 6 cycles a level.
+    for k, level in enumerate([*range(levels), *reversed(range(levels))]):
+        stride = 1 << level
+        src = np.arange(0, n, stride)
+        dst = (src + stride) % n
+        stages.append(_rows(6 * k, src, dst, max(1, 8 >> level))[dst != src])
+    v_cycle = np.concatenate(stages)
+    return _iterate(spec, lambda _: v_cycle)
 
 
-def nekbone_trace(spec: SyntheticTraceSpec) -> List[TraceEvent]:
+def nekbone_trace(spec: SyntheticTraceSpec) -> np.ndarray:
     """CG solver: recursive-doubling allreduce + neighbor gather/scatter."""
     n = spec.n_nodes
-    if n & (n - 1):
-        raise ValueError("nekbone trace needs a power-of-two node count")
-    rounds = n.bit_length() - 1
-    events: List[TraceEvent] = []
-    for it in range(spec.iterations):
-        base = it * spec.iteration_gap_cycles
-        # Nearest-neighbor gather/scatter (spectral element faces).
-        for src in range(n):
-            events.append(TraceEvent(base, src, (src + 1) % n, 4))
-            events.append(TraceEvent(base, src, (src - 1) % n, 4))
-        # Recursive-doubling allreduce.
-        for r in range(rounds):
-            stride = 1 << r
-            for src in range(n):
-                events.append(
-                    TraceEvent(base + 10 + 4 * r, src, src ^ stride, 1)
-                )
-    return sorted(events, key=lambda e: e.cycle)
+    if n & (n - 1) or n == 1:
+        raise ValueError("nekbone trace needs a power-of-two node count > 1")
+    src = np.arange(n)
+    # Nearest-neighbor gather/scatter (spectral element faces): each
+    # source sends to src + 1, then to src - 1.
+    faces = np.stack(((src + 1) % n, (src - 1) % n), axis=1).ravel()
+    # Recursive-doubling allreduce.
+    iteration = np.concatenate([_rows(0, np.repeat(src, 2), faces, 4)] + [
+        _rows(10 + 4 * r, src, src ^ (1 << r), 1)
+        for r in range(n.bit_length() - 1)
+    ])
+    return _iterate(spec, lambda _: iteration)
 
 
-_GENERATORS: Dict[str, Callable[[SyntheticTraceSpec], List[TraceEvent]]] = {
+_GENERATORS: Dict[str, Callable[[SyntheticTraceSpec], np.ndarray]] = {
     "lulesh": lulesh_trace,
     "mocfe": mocfe_trace,
     "multigrid": multigrid_trace,
@@ -199,9 +181,7 @@ _GENERATORS: Dict[str, Callable[[SyntheticTraceSpec], List[TraceEvent]]] = {
 TRACE_NAMES = tuple(sorted(_GENERATORS))
 
 
-def synthetic_nersc_trace(
-    name: str, spec: SyntheticTraceSpec
-) -> List[TraceEvent]:
+def synthetic_nersc_trace(name: str, spec: SyntheticTraceSpec) -> np.ndarray:
     """Generate a synthetic mini-app trace by name."""
     try:
         generator = _GENERATORS[name]
@@ -212,43 +192,44 @@ def synthetic_nersc_trace(
     return generator(spec)
 
 
-def duplicate_trace(
-    events: Sequence[TraceEvent], copies: int, nodes_per_copy: int
-) -> List[TraceEvent]:
+def duplicate_trace(rows, copies: int, nodes_per_copy: int) -> np.ndarray:
     """Replicate a trace onto a larger machine (the paper's 2x/4x trick).
 
     Copy ``c`` runs on terminals ``[c * nodes_per_copy, (c+1) * ...)``.
     """
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    duplicated: List[TraceEvent] = []
-    for copy in range(copies):
-        offset = copy * nodes_per_copy
-        for event in events:
-            duplicated.append(
-                TraceEvent(
-                    event.cycle,
-                    event.src + offset,
-                    event.dst + offset,
-                    event.size_flits,
-                )
-            )
-    return sorted(duplicated, key=lambda e: e.cycle)
+    copied = np.tile(np.asarray(rows, dtype=np.int64), (copies, 1, 1))
+    copied[..., 1:3] += (np.arange(copies) * nodes_per_copy)[:, None, None]
+    return _by_cycle(copied.reshape(-1, 4))
+
+
+def compress_trace(rows: np.ndarray, compression: float) -> np.ndarray:
+    """The schedule :func:`replay_trace` runs: every cycle divided by
+    ``compression`` in float64, truncated toward zero and floored at 0,
+    with the rows stably sorted by the new cycle."""
+    if compression <= 0:
+        raise ValueError("compression must be positive")
+    schedule = rows.copy()
+    schedule[:, 0] = np.maximum(0, (rows[:, 0] / compression).astype(np.int64))
+    return _by_cycle(schedule)
 
 
 def replay_trace(
     network: NetworkModel,
-    events: Sequence[TraceEvent],
+    rows,
     compression: float = 1.0,
     max_cycles: int = 200_000,
     telemetry=None,
     engine: str = "auto",
     packet_ids: Optional[PacketIds] = None,
 ) -> RunStats:
-    """Replay a trace to completion and return its statistics.
+    """Replay an offer table to completion and return its statistics.
 
-    ``compression`` scales injection timestamps: 2.0 injects twice as
-    fast (the load knob for the Fig 24 curves). An optional
+    ``rows`` are checked (:func:`~repro.netsim.network.check_offers`)
+    before either engine runs; ``compression`` divides their cycles
+    (:func:`compress_trace`): 2.0 injects twice as fast (the load knob
+    for the Fig 24 curves). An optional
     :class:`~repro.netsim.telemetry.Telemetry` sink is driven through a
     single ``replay`` window spanning the whole run (trace replay has
     no warmup/measurement split — every packet counts). ``engine``
@@ -261,17 +242,14 @@ def replay_trace(
     schedule order; a ``max_cycles`` cutoff leaves the source just past
     the last packet offered.
     """
-    if compression <= 0:
-        raise ValueError("compression must be positive")
+    schedule = compress_trace(
+        check_offers(rows, network.n_terminals), compression
+    )
     network.require_fresh()
     packet_ids = packet_ids or PacketIds()
     from repro.engines import resolve_netsim_engine
     from repro.netsim import fast_core
 
-    schedule = sorted(
-        ((max(0, int(e.cycle / compression)), e) for e in events),
-        key=lambda pair: pair[0],
-    )
     # A capped replay steps at least once whenever there is anything
     # to run (the cap is checked after a step).
     limit = max(max_cycles, network.cycle + 1)
@@ -279,18 +257,9 @@ def replay_trace(
         network, telemetry, engine=resolve_netsim_engine(engine)
     )
     if fast is not None:
-        fast.append(
-            [event.src for _, event in schedule],
-            [event.dst for _, event in schedule],
-            [event.size_flits for _, event in schedule],
-            [cycle for cycle, _ in schedule],
-            base=packet_ids.next,
-        )
+        fast.append(schedule, base=packet_ids.next)
         return fast.run_replay(limit, packet_ids)
-    offers = deque(
-        Packet(event.src, event.dst, event.size_flits, cycle, packet_id)
-        for packet_id, (cycle, event) in enumerate(schedule, packet_ids.next)
-    )
+    offers = offer_packets(schedule, packet_ids.next)
     if telemetry is not None:
         telemetry.attach(network)
         telemetry.begin_window("replay", network.cycle)
@@ -302,7 +271,7 @@ def replay_trace(
         n_terminals=network.n_terminals,
     )
     stats.packets_created = offered
-    stats.flits_offered = sum(e.size_flits for _, e in schedule[:offered])
+    stats.flits_offered = int(schedule[:offered, 3].sum())
     if telemetry is not None:
         telemetry.finish(network.cycle)
     for terminal in network.terminals:

@@ -225,14 +225,15 @@ class BernoulliInjector:
         self.packet_size_flits = packet_size_flits
         self.rng = random.Random(seed)
 
-    def stream(self, cycles: int, n_terminals: int):
+    def stream(self, cycles: int, n_terminals: int) -> np.ndarray:
         """The offer stream of ``cycles`` cycles on ``n_terminals``.
 
         Per cycle, per terminal in order: one ``rng.random()`` draw
         against the packet probability, then, for a packet, its
-        destination draw. Returns int64 arrays ``(cycle, source,
-        destination)``, one entry per packet in offer order; ``rng`` is
-        left where that loop leaves it. A library pattern with a
+        destination draw. Returns an offer table (int64 rows ``(cycle,
+        src, dst, size)``, see :func:`repro.netsim.network.check_offers`),
+        one row per packet in offer order; ``rng`` is left where that
+        loop leaves it. A library pattern with a
         :attr:`TrafficPattern.c_draw` is drawn in C
         (:func:`repro.ckernel.draw_uniform`) when the kernel loads: a
         ``"table"`` pattern maps each hit through its destination per
@@ -241,6 +242,7 @@ class BernoulliInjector:
         pattern = self.pattern
         rng = self.rng
         destination = pattern.destination
+        size = self.packet_size_flits
         if pattern.c_draw is not None and pattern.n_terminals == n_terminals:
             table = None
             if pattern.c_draw == "table":
@@ -250,12 +252,12 @@ class BernoulliInjector:
                 table=table,
             )
             if drawn is not None:
-                return drawn
+                return np.column_stack((*drawn, np.full(len(drawn[0]), size)))
         draw = rng.random
         probability = self.packet_probability
-        flat = []  # (cycle, source, destination) triples, one list
+        flat = []  # (cycle, src, dst, size) rows, one list
         for cycle in range(cycles):
             for src in range(n_terminals):
                 if draw() < probability:
-                    flat += (cycle, src, destination(src, rng))
-        return tuple(np.array(flat, dtype=np.int64).reshape(-1, 3).T)
+                    flat += (cycle, src, destination(src, rng), size)
+        return np.array(flat, dtype=np.int64).reshape(-1, 4)

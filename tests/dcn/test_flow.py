@@ -123,7 +123,7 @@ def test_flow_node_interface_mirrors_partition():
         capacity_flits_per_cycle=4.0,
     )
     node = FlowWaferNode(curve, n_terminals=8)
-    node.enqueue([(0, 1, 2, 4, 7), (3, 0, 5, 2, 9)])
+    node.enqueue([(0, 1, 2, 4), (3, 0, 5, 2)], [7, 9])
     terms, tags, arrives, counters = node.advance(400)
     assert list(tags) == [7, 9]
     assert list(terms) == [2, 5]
@@ -148,7 +148,7 @@ def test_flow_node_rejects_unsorted_events():
     node = FlowWaferNode(curve, n_terminals=4)
     node.advance(10)
     with pytest.raises(ValueError):
-        node.enqueue([(5, 0, 1, 4, 1)])  # before current cycle
+        node.enqueue([(5, 0, 1, 4)], [1])  # before current cycle
 
 
 # -------------------------------------------------------------------- curves

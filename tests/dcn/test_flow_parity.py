@@ -50,19 +50,16 @@ def lib():
 
 
 def _epoch_events(rng, start, tag):
-    """A sorted injection batch; heavy enough, at times, to saturate."""
+    """A sorted injection batch, rows ``(cycle, entry, exit, size,
+    tag)``; heavy enough, at times, to saturate."""
     burst = rng.choice((0, 1, 3, 12, 40))
-    events = [
-        (
-            rng.randrange(start, start + EPOCH),
-            rng.randrange(TERMINALS),
-            rng.randrange(TERMINALS),
-            rng.choice((1, 4, 4, 16)),
-            tag + k,
-        )
-        for k in range(burst)
-    ]
-    return sorted(events)
+    events = []
+    for k in range(burst):
+        cycle = rng.randrange(start, start + EPOCH)
+        entry = rng.randrange(TERMINALS)
+        exit_term = (entry + rng.randrange(1, TERMINALS)) % TERMINALS
+        events.append((cycle, entry, exit_term, rng.choice((1, 4, 4, 16)), tag + k))
+    return np.array(sorted(events), dtype=np.int64).reshape(-1, 5)
 
 
 def _replay(seed, lib):
@@ -82,21 +79,19 @@ def _replay(seed, lib):
             tag += len(batches[w])
         for w in active:
             spans.append(end - nodes[w].cycle)
-            nodes[w].enqueue(batches[w])
+            nodes[w].enqueue(batches[w][:, :4], batches[w][:, 4])
             _, tags, arrives, _ = nodes[w].advance(end)
             expected.update(zip(tags.tolist(), arrives.tolist()))
-        flat = [event for w in active for event in batches[w]]
+        flat = np.concatenate(
+            [np.zeros((0, 5), dtype=np.int64)] + [batches[w] for w in active]
+        )
         offsets = np.zeros(len(nodes) + 1, dtype=np.int64)
         for w in active:
             offsets[w + 1:] += len(batches[w])
-        cycle, _, exit_term, size, tags = (
-            np.array([e[k] for e in flat], dtype=np.int64) for k in range(5)
-        )
         arrive = wafers.advance(
-            np.array(active, dtype=np.int64), offsets, cycle, exit_term,
-            size, end,
+            np.array(active, dtype=np.int64), offsets, flat[:, :4], end
         )
-        got.update(zip(tags.tolist(), arrive.tolist()))
+        got.update(zip(flat[:, 4].tolist(), arrive.tolist()))
     return nodes, wafers, expected, got, spans
 
 
@@ -130,17 +125,15 @@ def test_replay_covers_the_interesting_cases(lib):
 def test_out_of_bounds_batch_is_rejected(lib):
     """Nothing reaches the kernel that would index past its tables."""
     wafers = FlowWafers(lib, [LEAF, SPINE], CURVE_OF, TERMINALS)
-    events = [np.array([0], dtype=np.int64), np.array([4]), np.array([1])]
+    rows = np.array([[0, 0, 4, 1]])
     good = np.array([0, 1, 1, 1, 1, 1])
-    for active, offsets, exit_term in (
-        ([0], good[:-1], events[1]),  # offsets too short
-        ([5], good, events[1]),  # no wafer 5
-        ([0], good + 1, events[1]),  # offsets past the batch
-        ([0], good, np.array([TERMINALS])),  # no such exit
+    for active, offsets, batch in (
+        ([0], good[:-1], rows),  # offsets too short
+        ([5], good, rows),  # no wafer 5
+        ([0], good + 1, rows),  # offsets past the batch
+        ([0], good, np.array([[0, 0, TERMINALS, 1]])),  # no such exit
     ):
         with pytest.raises(ValueError):
-            wafers.advance(
-                np.array(active), offsets, events[0], exit_term, events[2], 40
-            )
-    assert wafers.advance(np.array([0]), good, *events, 40).tolist() == [1]
+            wafers.advance(np.array(active), offsets, batch, 40)
+    assert wafers.advance(np.array([0]), good, rows, 40).tolist() == [1]
     assert wafers.last.tolist() == [40, 0, 0, 0, 0]

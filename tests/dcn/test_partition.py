@@ -31,18 +31,18 @@ def _workload(duration=64, seed=9, n=16):
 
 
 def _drain(partition, events, epoch=16, deadline=5000):
-    """Feed ``events`` epoch by epoch and run until in-flight hits 0."""
+    """Feed ``events`` (rows ``(cycle, src, dst, size, tag)``) epoch by
+    epoch and run until in-flight hits 0."""
+    events = np.array(events, dtype=np.int64).reshape(-1, 5)
     bundles = []
     cursor = 0
     end = 0
     while cursor < len(events) or partition.inflight_flits:
         end += epoch
         assert end < deadline, "partition failed to drain"
-        batch = []
-        while cursor < len(events) and events[cursor][0] < end:
-            batch.append(events[cursor])
-            cursor += 1
-        partition.enqueue(batch)
+        due = int(np.searchsorted(events[:, 0], end))
+        batch, cursor = events[cursor:due], due
+        partition.enqueue(batch[:, :4], batch[:, 4])
         terms, tags, arrives, counters = partition.advance(end)
         bundles.append((terms, tags, arrives))
     return bundles, counters
@@ -50,15 +50,21 @@ def _drain(partition, events, epoch=16, deadline=5000):
 
 def test_enqueue_rejects_bad_schedules():
     partition = WaferPartition(_network())
-    partition.enqueue([(0, 0, 5, 4, 1), (3, 1, 6, 4, 2)])
+    partition.enqueue([(0, 0, 5, 4), (3, 1, 6, 4)], [1, 2])
     partition.advance(8)
     with pytest.raises(ValueError):
-        partition.enqueue([(2, 0, 5, 4, 3)])  # in the past
+        partition.enqueue([(2, 0, 5, 4)], [3])  # in the past
     with pytest.raises(ValueError):
-        partition.enqueue([(20, 0, 5, 4, 4), (9, 1, 6, 4, 5)])  # unsorted
-    partition.enqueue([(30, 0, 5, 4, 6)])
+        partition.enqueue([(20, 0, 5, 4), (9, 1, 6, 4)], [4, 5])  # unsorted
     with pytest.raises(ValueError):
-        partition.enqueue([(25, 1, 6, 4, 7)])  # behind prior schedule
+        partition.enqueue([(20, 0, 5, 4), (20, 0, 5, 4)], [5, 4])  # tags unsorted
+    partition.enqueue([(30, 0, 5, 4)], [6])
+    with pytest.raises(ValueError):
+        partition.enqueue([(25, 1, 6, 4)], [7])  # behind prior schedule
+    with pytest.raises(ValueError):
+        partition.enqueue([(30, 0, 5, 4)], [5])  # behind it by tag
+    with pytest.raises(ValueError):
+        partition.enqueue([(40, 0, 5, 4)], [8, 9])  # a tag per row
 
 
 def test_delivery_bundle_echoes_tags_sorted():

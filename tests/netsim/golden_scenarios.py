@@ -18,7 +18,7 @@ from __future__ import annotations
 import contextlib
 from unittest import mock
 
-from repro.engines import resolve_netsim_engine
+from repro.engines import netsim_engine_tag
 from repro.netsim import fast_core
 from repro.netsim.config import RouterConfig
 from repro.netsim.mesh_network import mesh_network
@@ -236,7 +236,7 @@ def run_failure_scenario(name: str, engine: str = "auto") -> dict:
     pattern = make_pattern(pattern_name, network.n_terminals)
     sim = Simulator(network, pattern, load, packet_size_flits=4, seed=seed)
     num_vcs = network.spec.config.num_vcs
-    if fast_core.engine_tag(resolve_netsim_engine(engine), num_vcs) == "c":
+    if netsim_engine_tag(engine, num_vcs) == "c":
         engine_for = fast_core.engine_for
 
         def sabotaged(*args, **kwargs):

@@ -40,7 +40,7 @@ from repro.netsim.packet import PacketIds
 from repro.netsim.partition import WaferPartition
 from repro.netsim.sim import Simulator, run_sim
 from repro.netsim.telemetry import Telemetry
-from repro.netsim.trace import TraceEvent, replay_trace
+from repro.netsim.trace import replay_trace
 from repro.netsim.traffic import BernoulliInjector, make_pattern
 
 #: Patterns drawn for the Bernoulli fuzz (a terminal count a pattern
@@ -269,9 +269,9 @@ def _telemetry_run(network, engine):
 
 
 def _replay_run(network, engine, telemetry=None):
-    events = [TraceEvent(*event) for event in _BACKLOG_EVENTS]
     replay_trace(
-        network, events, max_cycles=60, telemetry=telemetry, engine=engine
+        network, _BACKLOG_EVENTS, max_cycles=60, telemetry=telemetry,
+        engine=engine,
     )
 
 
@@ -281,9 +281,7 @@ def _replay_telemetry_run(network, engine):
 
 def _partition_run(network, engine):
     partition = WaferPartition(network, engine=engine)
-    partition.enqueue(
-        [event + (tag,) for tag, event in enumerate(_BACKLOG_EVENTS)]
-    )
+    partition.enqueue(_BACKLOG_EVENTS, range(len(_BACKLOG_EVENTS)))
     partition.advance(60)
 
 
@@ -442,7 +440,7 @@ def _replay_summaries(events, compression, max_cycles):
 def test_trace_replay_differential(workload, compression, max_cycles):
     """Random event schedules replay identically — truncation included."""
     events = [
-        TraceEvent(cycle, src, dst, size)
+        (cycle, src, dst, size)
         for src, dst, size, cycle in workload
         if src != dst
     ]
@@ -460,9 +458,7 @@ def test_truncated_replay_differential(max_cycles):
     source left at the offered count."""
     rng = random.Random(3)
     events = [
-        TraceEvent(
-            cycle, src, (src + rng.randrange(1, 32)) % 32, rng.randint(1, 6)
-        )
+        (cycle, src, (src + rng.randrange(1, 32)) % 32, rng.randint(1, 6))
         for cycle in range(20, 140, 3)
         for src in rng.sample(range(32), 4)
     ]
@@ -536,10 +532,10 @@ def test_bernoulli_replay_and_partitions_reach_the_kernel(monkeypatch):
     calls.append(["bernoulli", 0])
     run_sim(_build(spec), "uniform", 0.1, config=_BACKLOG_CONFIG)
     calls.append(["replay", 0])
-    replay_trace(_build(spec), [TraceEvent(0, 0, 1, 4)])
+    replay_trace(_build(spec), [(0, 0, 1, 4)])
     calls.append(["partition", 0])
     partition = WaferPartition(_build(spec))
-    partition.enqueue([(0, 0, 1, 4, 7)])
+    partition.enqueue([(0, 0, 1, 4)], [7])
     partition.advance(64)
     assert partition.engine_name == "c"
     assert calls == [["bernoulli", 3], ["replay", 1], ["partition", 1]]
@@ -575,7 +571,7 @@ def _gapped_replay(network, engine, telemetry):
     """Bursts with 50 or more idle cycles between them: stretches both
     engines jump without a sink and step with one."""
     events = [
-        TraceEvent(burst * 120 + offset, src, (src + 7) % 32, 2 + offset)
+        (burst * 120 + offset, src, (src + 7) % 32, 2 + offset)
         for burst in range(4)
         for offset in range(3)
         for src in range(burst, 32, 5)
@@ -631,7 +627,7 @@ def test_pregen_uniform_matches_python_rng(seed, load, cycles):
     reference_rng = random.Random()
     reference_rng.setstate(injector.rng.getstate())
 
-    ev_when, ev_term, ev_dst = injector.stream(cycles, n_terminals)
+    rows = injector.stream(cycles, n_terminals)
 
     expected = []
     probability = injector.packet_probability
@@ -641,8 +637,6 @@ def test_pregen_uniform_matches_python_rng(seed, load, cycles):
                 expected.append(
                     (now, term, pattern.destination(term, reference_rng))
                 )
-    got = list(
-        zip(ev_when.tolist(), ev_term.tolist(), ev_dst.tolist())
-    )
-    assert got == expected
+    assert rows[:, :3].tolist() == [list(e) for e in expected]
+    assert (rows[:, 3] == 4).all()
     assert injector.rng.getstate() == reference_rng.getstate()

@@ -153,8 +153,8 @@ def test_stream_matches_the_python_loop(name, n, with_kernel, monkeypatch):
     )
     drawn = injector.stream(53, n)
     expected = reference.stream(53, n)
-    assert all(column.dtype == "int64" for column in drawn)
-    assert [c.tolist() for c in drawn] == [c.tolist() for c in expected]
-    assert len(expected[0]) > 0
+    assert drawn.dtype == "int64" and drawn.shape[1] == 4
+    assert drawn.tolist() == expected.tolist()
+    assert len(expected) > 0
     assert injector.rng.getstate() == reference.rng.getstate()
     assert drawn_in_c == [ckernel.load_kernel() is not None]
