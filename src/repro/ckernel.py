@@ -16,7 +16,12 @@ a whole trace replay, or one partition epoch).
 The same source carries the mapping kernel (``map_load`` and
 ``map_sweep`` on a :class:`MapState`): one pass of the paper's
 Algorithm 1 per call, driven by :mod:`repro.mapping.fast_exchange` and
-held to the scalar oracle in :mod:`repro.mapping.exchange`. It also
+held to the scalar oracle in :mod:`repro.mapping.exchange`. A trial
+swap is skipped (equal signatures), rejected up front (no route of
+the pair crosses a watched max-load edge and the hops do not drop),
+aborted mid-move (an added route lifts an edge above the maximum), or
+moved and scanned in full; the first three settle only swaps the
+oracle rejects, so the accepted-swap sequence is the oracle's. It also
 steps every DCN flow wafer of an epoch in one ``flow_advance`` call
 (:class:`repro.dcn.flow.FlowWafers`, oracle ``FlowWaferNode``) and
 draws uniform traffic, ``elephant_mouse`` mice and the Bernoulli hits
@@ -176,6 +181,8 @@ class MapState(ctypes.Structure):
     _fields_ = (
         _fields(_I64, "rows cols sites edges eh nodes hops")
         + _fields(_I64Ptr, "loads site_of node_at site_sig")
+        # each site's row and column (a route never divides)
+        + _fields(_I64Ptr, "site_r site_c")
         # per-node links, CSR by node: the other end, its channels,
         # 1 where the node is the link's `a` end (routes run a -> b);
         # ext = external ports routed in from the boundary (0 unless
@@ -760,58 +767,95 @@ int64_t fast_run(FastState *s, int64_t drain, int64_t limit) {
 /* ---- Mapping kernel: Algorithm 1 pairwise exchange ---------------
    A transliteration of the scalar oracle in repro.mapping.exchange:
    a trial swap moves the two occupants' link and boundary routes in
-   place on the flat load vector, and a rejected trial swaps back. */
+   place on the flat load vector, and a rejected trial swaps back.
+   Sites are split into (row, col) by the site_r/site_c tables, so no
+   route divides. map_sweep settles some trials without the full move
+   and max scan, but only ones the oracle rejects too. */
 
-static void map_route(MapState *m, int64_t a, int64_t b, int64_t w) {
-    /* XY route a -> b: along a's row to b's column, then down/up it */
-    int64_t cols = m->cols;
-    int64_t ra = a / cols, ca = a - ra * cols;
-    int64_t rb = b / cols, cb = b - rb * cols;
+static int64_t map_route(MapState *m, int64_t a, int64_t b, int64_t w) {
+    /* XY route a -> b: along a's row to b's column, then down/up it.
+       Returns the highest load it leaves on an edge (0 if none). */
+    int64_t cols = m->cols, top = 0;
+    int64_t ra = m->site_r[a], ca = m->site_c[a];
+    int64_t rb = m->site_r[b], cb = m->site_c[b];
     int64_t lo = ca < cb ? ca : cb, hi = ca < cb ? cb : ca;
     int64_t *e = m->loads + ra * (cols - 1);
-    for (int64_t c = lo; c < hi; c++) e[c] += w;
+    for (int64_t c = lo; c < hi; c++) {
+        e[c] += w;
+        if (e[c] > top) top = e[c];
+    }
     int64_t n = hi - lo;
     lo = ra < rb ? ra : rb;
     hi = ra < rb ? rb : ra;
     e = m->loads + m->eh + cb;
-    for (int64_t r = lo; r < hi; r++) e[r * cols] += w;
+    for (int64_t r = lo; r < hi; r++) {
+        e[r * cols] += w;
+        if (e[r * cols] > top) top = e[r * cols];
+    }
     m->hops += w * (n + hi - lo);
+    return top;
 }
 
-static void map_boundary(MapState *m, int64_t site, int64_t w) {
-    /* From the nearest substrate edge; ties top, bottom, left, right */
-    int64_t cols = m->cols, r = site / cols, c = site - r * cols;
-    int64_t d[4] = {r, m->rows - 1 - r, c, cols - 1 - c};
+static int map_side(const MapState *m, int64_t site, int64_t *dist) {
+    /* The substrate edge nearest the site (0 top, 1 bottom, 2 left,
+       3 right; ties in that order) and its distance */
+    int64_t r = m->site_r[site], c = m->site_c[site];
+    int64_t d[4] = {r, m->rows - 1 - r, c, m->cols - 1 - c};
     int side = 0;
     for (int k = 1; k < 4; k++)
         if (d[k] < d[side]) side = k;
-    int64_t *e, step;
+    *dist = d[side];
+    return side;
+}
+
+static int64_t map_boundary(MapState *m, int64_t site, int64_t w) {
+    /* From the nearest substrate edge to the site; returns the highest
+       load it leaves on an edge (0 if none) */
+    int64_t cols = m->cols, r = m->site_r[site], c = m->site_c[site];
+    int64_t d, top = 0, *e, step;
+    int side = map_side(m, site, &d);
     if (side == 0) { e = m->loads + m->eh + c; step = cols; }
     else if (side == 1) { e = m->loads + m->eh + r * cols + c; step = cols; }
     else if (side == 2) { e = m->loads + r * (cols - 1); step = 1; }
     else { e = m->loads + r * (cols - 1) + c; step = 1; }
-    for (int64_t k = 0; k < d[side]; k++) e[k * step] += w;
-    m->hops += w * d[side];
+    for (int64_t k = 0; k < d; k++) {
+        e[k * step] += w;
+        if (e[k * step] > top) top = e[k * step];
+    }
+    m->hops += w * d;
+    return top;
 }
 
-static void map_node(MapState *m, int64_t u, int64_t skip, int64_t sign) {
-    /* Add (sign 1) or remove (-1) node u's routes, except its link to
-       `skip` (the other swapped node, whose pass already moved it). */
-    int64_t su = m->site_of[u];
+static int64_t map_node(MapState *m, int64_t u, int64_t skip, int64_t sign,
+                        int64_t bound, int64_t limit, int *over) {
+    /* Add (sign 1) or remove (-1) the first `limit` of node u's routes:
+       its links in adjacency order, except those to `skip` (the other
+       swapped node, whose pass moves them), then its boundary path.
+       Stops early, setting *over, right after a route leaves an edge
+       above `bound`. Returns the number of routes walked. */
+    int64_t su = m->site_of[u], walked = 0;
     for (int64_t k = m->adj_off[u]; k < m->adj_off[u + 1]; k++) {
         int64_t o = m->adj_other[k];
         if (o == skip) continue;
+        if (walked == limit) return walked;
         int64_t so = m->site_of[o], w = sign * m->adj_ch[k];
-        if (m->adj_is_a[k]) map_route(m, su, so, w);
-        else map_route(m, so, su, w);
+        walked++;
+        if ((m->adj_is_a[k] ? map_route(m, su, so, w)
+                            : map_route(m, so, su, w)) > bound) {
+            *over = 1;
+            return walked;
+        }
     }
-    if (m->ext[u]) map_boundary(m, su, sign * m->ext[u]);
+    if (m->ext[u] && walked < limit) {
+        walked++;
+        if (map_boundary(m, su, sign * m->ext[u]) > bound) *over = 1;
+    }
+    return walked;
 }
 
-static void map_swap(MapState *m, int64_t i, int64_t j) {
+static void map_place(MapState *m, int64_t i, int64_t j) {
+    /* Exchange the occupants of sites i and j, and their signatures */
     int64_t u = m->node_at[i], v = m->node_at[j];
-    if (u >= 0) map_node(m, u, -1, -1);
-    if (v >= 0) map_node(m, v, u, -1);
     m->node_at[i] = v;
     m->node_at[j] = u;
     if (u >= 0) m->site_of[u] = j;
@@ -819,22 +863,131 @@ static void map_swap(MapState *m, int64_t i, int64_t j) {
     int64_t sig = m->site_sig[i];
     m->site_sig[i] = m->site_sig[j];
     m->site_sig[j] = sig;
-    if (u >= 0) map_node(m, u, -1, 1);
-    if (v >= 0) map_node(m, v, u, 1);
 }
 
-static int64_t map_max(const MapState *m, int64_t bound, int64_t *at_max) {
-    /* Max edge load and how many edges carry it; stops early (and
-       returns bound + 1) once an edge exceeds `bound`. */
-    int64_t top = 0, n = 0;
+static int map_move(MapState *m, int64_t i, int64_t j, int64_t bound) {
+    /* Swap the occupants u (at i) and v (at j), routes and all, and
+       return 0. Once every old route is out, loads only rise, so as
+       soon as an added route lifts an edge above `bound` (the current
+       maximum) the trial is sure to fail: the routes added so far come
+       out, the sites are restored, the old routes go back and the
+       call returns 1. */
+    const int64_t all = INT64_MAX;
+    int64_t u = m->node_at[i], v = m->node_at[j], nu = 0, nv = 0;
+    int over = 0;
+    if (u >= 0) map_node(m, u, -1, -1, all, all, &over);
+    if (v >= 0) map_node(m, v, u, -1, all, all, &over);
+    map_place(m, i, j);
+    if (u >= 0) nu = map_node(m, u, -1, 1, bound, all, &over);
+    if (v >= 0 && !over) nv = map_node(m, v, u, 1, bound, all, &over);
+    if (!over) return 0;
+    if (u >= 0) map_node(m, u, -1, -1, all, nu, &over);
+    if (v >= 0) map_node(m, v, u, -1, all, nv, &over);
+    map_place(m, i, j);
+    if (u >= 0) map_node(m, u, -1, 1, all, all, &over);
+    if (v >= 0) map_node(m, v, u, 1, all, all, &over);
+    return 1;
+}
+
+static int64_t map_max(const MapState *m, int64_t bound, int64_t *at_max,
+                       int64_t *first) {
+    /* Max edge load, how many edges carry it and the first of them
+       (-1 when the max is 0); stops early (and returns bound + 1) once
+       an edge exceeds `bound`. */
+    int64_t top = 0, n = 0, at = -1;
     for (int64_t e = 0; e < m->edges; e++) {
         int64_t l = m->loads[e];
         if (l > bound) return bound + 1;
-        if (l > top) { top = l; n = 1; }
+        if (l > top) { top = l; n = 1; at = e; }
         else if (l == top) n++;
     }
     *at_max = n;
+    *first = at;
     return top;
+}
+
+/* One edge at the maximum load: kind 1 horizontal, 2 vertical, 0 none
+   (every load is 0), at (r, c) as in repro.mapping.routing.Edge */
+typedef struct { int64_t kind, r, c; } MapEdge;
+
+static MapEdge map_edge(const MapState *m, int64_t e) {
+    MapEdge x = {0, 0, 0};
+    if (e < 0) return x;
+    int64_t w = m->cols - 1;                /* flat ids, see MapState */
+    x.kind = 1;
+    if (e >= m->eh) { e -= m->eh; w = m->cols; x.kind = 2; }
+    x.r = e / w;
+    x.c = e - x.r * w;
+    return x;
+}
+
+static int map_crosses(const MapState *m, MapEdge x, int64_t a, int64_t b) {
+    /* Whether the XY route a -> b runs over edge x */
+    if (x.kind == 1) {
+        int64_t ca = m->site_c[a], cb = m->site_c[b];
+        return m->site_r[a] == x.r
+               && (ca < cb ? ca <= x.c && x.c < cb : cb <= x.c && x.c < ca);
+    }
+    if (x.kind == 2) {
+        int64_t ra = m->site_r[a], rb = m->site_r[b];
+        return m->site_c[b] == x.c
+               && (ra < rb ? ra <= x.r && x.r < rb : rb <= x.r && x.r < ra);
+    }
+    return 0;
+}
+
+static int map_enters(const MapState *m, MapEdge x, int64_t site) {
+    /* Whether the boundary path to the site runs over edge x */
+    int64_t d, r = m->site_r[site], c = m->site_c[site];
+    int side = map_side(m, site, &d);
+    if (side < 2)
+        return x.kind == 2 && x.c == c && (side == 0 ? x.r < r : x.r >= r);
+    return x.kind == 1 && x.r == r && (side == 2 ? x.c < c : x.c >= c);
+}
+
+static int64_t map_dist(const MapState *m, int64_t a, int64_t b) {
+    int64_t dr = m->site_r[a] - m->site_r[b], dc = m->site_c[a] - m->site_c[b];
+    return (dr < 0 ? -dr : dr) + (dc < 0 ? -dc : dc);
+}
+
+static int map_hopeless(const MapState *m, int64_t i, int64_t j, MapEdge x,
+                        int64_t escalate) {
+    /* Whether swapping the occupants of sites i and j is sure to fail,
+       judged without moving anything, in O(degree): no current route of
+       theirs runs over x, an edge at the maximum, so the maximum cannot
+       drop; and the total hops rise (or stay, with escalation off).
+       The hop change is the routes' change in length; u-v links keep
+       theirs and are left out of it. */
+    int64_t node[2] = {m->node_at[i], m->node_at[j]};
+    int64_t from[2] = {i, j}, dh = 0, d_from, d_to;
+    for (int s = 0; s < 2; s++) {
+        int64_t u = node[s], a = from[s];
+        if (u < 0) continue;
+        for (int64_t k = m->adj_off[u]; k < m->adj_off[u + 1]; k++) {
+            int64_t o = m->adj_other[k];
+            if (s == 1 && o == node[0]) continue;    /* seen from u */
+            int64_t so = m->site_of[o];
+            if (m->adj_is_a[k] ? map_crosses(m, x, a, so)
+                               : map_crosses(m, x, so, a)) return 0;
+        }
+        if (m->ext[u] && map_enters(m, x, a)) return 0;
+    }
+    for (int s = 0; s < 2; s++) {
+        int64_t u = node[s], a = from[s], b = from[1 - s];
+        if (u < 0) continue;
+        for (int64_t k = m->adj_off[u]; k < m->adj_off[u + 1]; k++) {
+            int64_t o = m->adj_other[k];
+            if (o == node[1 - s]) continue;
+            int64_t so = m->site_of[o];
+            dh += m->adj_ch[k] * (map_dist(m, b, so) - map_dist(m, a, so));
+        }
+        if (m->ext[u]) {
+            map_side(m, a, &d_from);
+            map_side(m, b, &d_to);
+            dh += m->ext[u] * (d_to - d_from);
+        }
+    }
+    return dh > 0 || (dh == 0 && !escalate);
 }
 
 void map_load(MapState *m) {
@@ -858,9 +1011,12 @@ int64_t map_sweep(MapState *m, int64_t escalate) {
                    start of the pass) against every other site, keeping
                    a swap iff (max load, total hops, #edges at max)
                    strictly drops.
-       Two sites with equal signatures are skipped: their swap moves no
-       load (repro.mapping.fast_exchange). */
-    int64_t at_max, top = map_max(m, INT64_MAX - 1, &at_max), n_i = m->sites;
+       A trial ends at the first of: two sites with equal signatures
+       (their swap moves no load, repro.mapping.fast_exchange); rejected
+       up front (map_hopeless); aborted mid-move (map_move); or moved,
+       scanned in full and kept or swapped back. */
+    int64_t at_max, first, n_i = m->sites;
+    int64_t top = map_max(m, INT64_MAX - 1, &at_max, &first);
     if (escalate) {
         if (m->edges == 0) return 0;
         int64_t *mark = m->crit, cols = m->cols, n_h = m->eh;
@@ -878,22 +1034,25 @@ int64_t map_sweep(MapState *m, int64_t escalate) {
         for (int64_t s = 0; s < m->sites; s++)
             if (mark[s] && m->node_at[s] >= 0) mark[n_i++] = s;
     }
+    MapEdge x = map_edge(m, first);
     int64_t accepted = 0;
     for (int64_t k = 0; k < n_i; k++) {
         int64_t i = escalate ? m->crit[k] : k;
         for (int64_t j = escalate ? 0 : i + 1; j < m->sites; j++) {
             if (m->site_sig[j] == m->site_sig[i]) continue;   /* or j == i */
+            if (map_hopeless(m, i, j, x, escalate)) continue;
             int64_t hops = m->hops, n = 0;
-            map_swap(m, i, j);
-            int64_t t = map_max(m, top, &n);
+            if (map_move(m, i, j, top)) continue;
+            int64_t t = map_max(m, top, &n, &first);
             int keep = t < top || (t == top && (m->hops < hops
                        || (escalate && m->hops == hops && n < at_max)));
             if (!keep) {
-                map_swap(m, i, j);
+                map_move(m, i, j, INT64_MAX);
                 continue;
             }
             top = t;
             at_max = n;
+            x = map_edge(m, first);
             if (m->rec_i) {
                 m->rec_i[accepted] = i;
                 m->rec_j[accepted] = j;

@@ -17,7 +17,7 @@ from repro.mapping.exchange import (
 )
 from repro.mapping.grid import grid_for
 from repro.mapping.routing import IOStyle, available_bandwidth_per_port_gbps
-from repro.mapping.store import MappingStore, record_stat
+from repro.mapping.store import MappingStore, entry_key, record_stat
 from repro.tech.external_io import ExternalIOTechnology, IOPlacement
 from repro.tech.wsi import WSITechnology
 
@@ -77,7 +77,8 @@ def cached_mapping(
         "engine": engine,
     }
     store = MappingStore()
-    result = store.load(topology, grid, io_style, params)
+    store_key = entry_key(topology, grid, io_style, params)
+    result = store.load(store_key, topology)
     if result is not None:
         record_stat("store_hits")
     else:
@@ -91,7 +92,7 @@ def cached_mapping(
         )
         record_stat("optimized")
         record_stat("optimize_seconds", time.perf_counter() - started)
-        store.store(result, topology, params)
+        store.store(store_key, result)
     _MAPPING_CACHE[key] = result
     return result.copy()
 

@@ -50,20 +50,21 @@ class ResultCache:
     """Stores :class:`ExperimentResult` tables in the ``results`` namespace.
 
     ``root`` pins the cache root (default: :func:`repro.cas.cache_root`).
-    ``load`` returns None on any miss or unreadable entry.
+    Entries are addressed by a :func:`cache_key` the caller computes
+    once and passes to both ``load`` and ``store``. ``load`` returns
+    None on any miss or unreadable entry.
     """
 
     def __init__(self, root: Optional[cas.PathLike] = None):
         self.entries = cas.Store("results", root)
 
-    def load(self, experiment_id: str, fast: bool) -> Optional[ExperimentResult]:
+    def load(self, key: str) -> Optional[ExperimentResult]:
         return self.entries.get(
-            cache_key(experiment_id, fast),
-            lambda payload: ExperimentResult.from_dict(payload["result"]),
+            key, lambda payload: ExperimentResult.from_dict(payload["result"])
         )
 
-    def store(self, experiment_id: str, fast: bool, result: ExperimentResult) -> Path:
-        return self.entries.put(cache_key(experiment_id, fast), {"result": result.to_dict()})
+    def store(self, key: str, result: ExperimentResult) -> Path:
+        return self.entries.put(key, {"result": result.to_dict()})
 
     def clear(self) -> int:
         """Delete every result entry; returns the number removed."""

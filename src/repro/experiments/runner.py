@@ -28,7 +28,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from repro.experiments.base import EXPERIMENT_IDS, ExperimentResult, get_spec
-from repro.experiments.cache import ResultCache
+from repro.experiments.cache import ResultCache, cache_key
 from repro.experiments.scheduler import execute
 
 
@@ -54,10 +54,14 @@ def run_experiments(
     specs = [get_spec(experiment_id) for experiment_id in selected]
 
     results = {}
+    keys = {}
     to_run = []
     for spec in specs:
         load_start = time.perf_counter()
-        cached = cache.load(spec.experiment_id, fast) if cache else None
+        cached = None
+        if cache is not None:
+            keys[spec.experiment_id] = cache_key(spec.experiment_id, fast)
+            cached = cache.load(keys[spec.experiment_id])
         if cached is not None:
             results[spec.experiment_id] = cached
             if profile_out is not None:
@@ -84,7 +88,7 @@ def run_experiments(
         ),
     ):
         if cache is not None:
-            cache.store(spec.experiment_id, fast, result)
+            cache.store(keys[spec.experiment_id], result)
         results[spec.experiment_id] = result
 
     return [results[experiment_id] for experiment_id in selected]

@@ -3,16 +3,32 @@
 The kernel is ``map_sweep`` in :mod:`repro.ckernel`, built, cached
 and loaded by the same :func:`~repro.ckernel.load_kernel` as the
 netsim step kernel. Each call runs one pass of the scalar oracle
-in :mod:`repro.mapping.exchange`: a trial swap moves the two occupants'
-routes in place on an ``int64`` load vector and swaps back if rejected.
-Same pair order, same acceptance rule, same integer loads, so the
-accepted-swap sequence, the placement, the loads, ``sweeps`` and
-``swaps_accepted`` are the oracle's, with escalation off and on.
+in :mod:`repro.mapping.exchange`: same pair order, same acceptance
+rule, same integer loads, so the accepted-swap sequence, the
+placement, the loads, ``sweeps`` and ``swaps_accepted`` are the
+oracle's, with escalation off and on. Sites are split into (row, col)
+by tables built here (``site_r``/``site_c``), so no route divides.
 
-One provably neutral shortcut: two occupants with identical
-*connectivity signatures* (the same directed neighbor/channel multiset
-and external-port count) move no load when swapped, which the oracle
-would evaluate and reject, so the kernel skips such pairs unevaluated.
+A trial swap of the occupants u (at site i) and v (at site j) ends in
+one of four ways, cheapest first. Every way but the last settles only
+swaps the oracle rejects:
+
+1. **Skipped**: u and v have identical *connectivity signatures* (the
+   same directed neighbor/channel multiset and external-port count),
+   so the swap moves no load.
+2. **Rejected up front**, without moving anything: no current route
+   of u or v crosses one watched edge at the maximum load (re-picked
+   after each accepted swap), so the maximum cannot drop; and the hop
+   change, summed in O(degree) from Manhattan and boundary distances
+   (the u-v link keeps its length), is positive, or zero with
+   escalation off.
+3. **Aborted mid-move**: once the old routes are out, loads only rise
+   while the new ones go in, so the first added route that lifts an
+   edge above the maximum dooms the trial. The routes added so far
+   come out, the sites are restored and the old routes go back, with
+   no further adds and no max scan.
+4. **Moved and scanned**: the new routes are in, a full max scan
+   decides, and a rejected swap is moved back.
 
 With no C toolchain (``load_kernel()`` is ``None``) this runs the
 oracle itself: the same mapping, only slower.
@@ -70,12 +86,15 @@ def pairwise_exchange_fast(
         key = (ext[node], tuple(sorted(entries)))
         site_sig[placement.site_of[node]] = sig_ids.setdefault(key, len(sig_ids))
     flat = [entry for entries in per_node for entry in entries]
+    site_r, site_c = np.divmod(np.arange(grid.sites, dtype=np.int64), grid.cols)
 
     arrays = {
         "loads": np.zeros(grid.edge_count, dtype=np.int64),
         "site_of": _int64(placement.site_of),
         "node_at": _int64(placement.node_at),
         "site_sig": site_sig,
+        "site_r": site_r,
+        "site_c": site_c,
         "adj_off": _int64(np.cumsum([0] + [len(e) for e in per_node])),
         "adj_other": _int64([e[0] for e in flat]),
         "adj_ch": _int64([e[1] for e in flat]),

@@ -139,32 +139,21 @@ class MappingStore:
     """Stores :class:`MappingResult` placements in the ``mappings`` namespace.
 
     ``root`` pins the cache root (default: :func:`repro.cas.cache_root`).
-    Loaded results are freshly built objects — callers own them
-    outright and may mutate them freely.
+    Entries are addressed by an :func:`entry_key` the caller computes
+    once and passes to both ``load`` and ``store``. Loaded results are
+    freshly built objects — callers own them outright and may mutate
+    them freely.
     """
 
     def __init__(self, root: Optional[cas.PathLike] = None):
         self.entries = cas.Store("mappings", root)
 
-    def load(
-        self,
-        topology: LogicalTopology,
-        grid: WaferGrid,
-        io_style: IOStyle,
-        params: Dict,
-    ) -> Optional[MappingResult]:
+    def load(self, key: str, topology: LogicalTopology) -> Optional[MappingResult]:
         return self.entries.get(
-            entry_key(topology, grid, io_style, params),
-            lambda payload: MappingResult.from_dict(payload, topology),
+            key, lambda payload: MappingResult.from_dict(payload, topology)
         )
 
-    def store(
-        self,
-        result: MappingResult,
-        topology: LogicalTopology,
-        params: Dict,
-    ) -> Path:
-        key = entry_key(topology, result.placement.grid, result.io_style, params)
+    def store(self, key: str, result: MappingResult) -> Path:
         return self.entries.put(key, result.to_dict())
 
     def clear(self) -> int:

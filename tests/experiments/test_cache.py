@@ -29,25 +29,25 @@ def test_result_round_trips_through_dict():
 
 def test_store_then_load_hits(tmp_path):
     cache = ResultCache(tmp_path)
-    assert cache.load("fig01", fast=True) is None
-    path = cache.store("fig01", fast=True, result=_toy_result())
+    assert cache.load(cache_key("fig01", fast=True)) is None
+    path = cache.store(cache_key("fig01", fast=True), _toy_result())
     assert path.is_file()
-    assert cache.load("fig01", fast=True) == _toy_result()
+    assert cache.load(cache_key("fig01", fast=True)) == _toy_result()
 
 
 def test_fast_and_full_modes_are_distinct_entries(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("fig01", fast=True, result=_toy_result())
-    assert cache.load("fig01", fast=False) is None
+    cache.store(cache_key("fig01", fast=True), _toy_result())
+    assert cache.load(cache_key("fig01", fast=False)) is None
     assert cache_key("fig01", fast=True) != cache_key("fig01", fast=False)
 
 
 def test_clear_removes_entries(tmp_path):
     cache = ResultCache(tmp_path)
-    cache.store("fig01", fast=True, result=_toy_result())
-    cache.store("fig01", fast=False, result=_toy_result())
+    cache.store(cache_key("fig01", fast=True), _toy_result())
+    cache.store(cache_key("fig01", fast=False), _toy_result())
     assert cache.clear() == 2
-    assert cache.load("fig01", fast=True) is None
+    assert cache.load(cache_key("fig01", fast=True)) is None
 
 
 def test_transitive_modules_track_real_dependencies():
@@ -84,8 +84,8 @@ def test_source_edit_changes_fingerprint(tmp_path, monkeypatch):
 def test_source_edit_busts_cache_key(tmp_path, monkeypatch):
     """A changed dependency fingerprint makes the old entry unreachable."""
     cache = ResultCache(tmp_path)
-    cache.store("fig01", fast=True, result=_toy_result())
-    assert cache.load("fig01", fast=True) is not None
+    cache.store(cache_key("fig01", fast=True), _toy_result())
+    assert cache.load(cache_key("fig01", fast=True)) is not None
 
     original = fingerprint.source_fingerprint
     monkeypatch.setattr(
@@ -93,7 +93,7 @@ def test_source_edit_busts_cache_key(tmp_path, monkeypatch):
         "source_fingerprint",
         lambda names: "edited" + original(names),
     )
-    assert cache.load("fig01", fast=True) is None
+    assert cache.load(cache_key("fig01", fast=True)) is None
 
 
 def test_runner_serves_cached_result_without_recompute(tmp_path, monkeypatch):
@@ -128,13 +128,13 @@ def test_runner_without_cache_recomputes(monkeypatch):
 
 def test_default_cache_dir_honours_env(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "alt"))
-    path = ResultCache().store("fig01", fast=True, result=_toy_result())
+    path = ResultCache().store(cache_key("fig01", fast=True), _toy_result())
     assert path.parent == tmp_path / "alt" / "results"
 
 
 def test_entry_names_are_human_readable(tmp_path):
     cache = ResultCache(tmp_path)
-    path = cache.store("fig01", fast=True, result=_toy_result())
+    path = cache.store(cache_key("fig01", fast=True), _toy_result())
     assert path.name.startswith("fig01-fast-")
 
 

@@ -23,6 +23,12 @@ PARAMS = {
 }
 
 
+def _key(topology):
+    """The store key of ``topology``'s periphery mapping under PARAMS."""
+    grid = grid_for(topology.chiplet_count)
+    return entry_key(topology, grid, IOStyle.PERIPHERY, PARAMS)
+
+
 @pytest.fixture(scope="module")
 def clos_1024():
     return folded_clos(1024)
@@ -32,8 +38,9 @@ def test_round_trip_is_bit_identical(tmp_path, clos_1024):
     store = MappingStore(tmp_path)
     grid = grid_for(clos_1024.chiplet_count)
     result = optimize_mapping(clos_1024, grid=grid, restarts=1)
-    store.store(result, clos_1024, PARAMS)
-    loaded = store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS)
+    key = _key(clos_1024)
+    store.store(key, result)
+    loaded = store.load(key, clos_1024)
     assert loaded is not None
     assert loaded.placement.site_of == result.placement.site_of
     assert (loaded.loads.h == result.loads.h).all()
@@ -50,9 +57,10 @@ def test_loads_are_fresh_objects_per_load(tmp_path, clos_1024):
     store = MappingStore(tmp_path)
     grid = grid_for(clos_1024.chiplet_count)
     result = optimize_mapping(clos_1024, grid=grid, restarts=1)
-    store.store(result, clos_1024, PARAMS)
-    first = store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS)
-    second = store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS)
+    key = _key(clos_1024)
+    store.store(key, result)
+    first = store.load(key, clos_1024)
+    second = store.load(key, clos_1024)
     first.placement.swap_sites(0, 1)
     assert second.placement.site_of != first.placement.site_of
 
@@ -87,10 +95,10 @@ def test_kernel_source_is_in_the_mapping_fingerprint():
 def test_clear_removes_entries(tmp_path, clos_1024):
     store = MappingStore(tmp_path)
     result = optimize_mapping(clos_1024, restarts=1)
-    store.store(result, clos_1024, PARAMS)
+    key = _key(clos_1024)
+    store.store(key, result)
     assert store.clear() == 1
-    grid = grid_for(clos_1024.chiplet_count)
-    assert store.load(clos_1024, grid, IOStyle.PERIPHERY, PARAMS) is None
+    assert store.load(key, clos_1024) is None
 
 
 _SUBPROCESS_SCRIPT = """

@@ -24,12 +24,14 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 def _entry(namespace, root):
     """(key, load) of one entry of a cache, loaded through its public API."""
     if namespace == "results":
-        return cache_key("fig01", True), lambda: ResultCache(root).load("fig01", True)
+        key = cache_key("fig01", True)
+        return key, lambda: ResultCache(root).load(key)
     if namespace == "mappings":
         topology = folded_clos(1024)
         grid = grid_for(topology.chiplet_count)
         args = (topology, grid, IOStyle.PERIPHERY, {"restarts": 1, "seed": 0})
-        return entry_key(*args), lambda: MappingStore(root).load(*args)
+        key = entry_key(*args)
+        return key, lambda: MappingStore(root).load(key, topology)
     if namespace == "serve":
         return "0" * 24, lambda: ResponseCache(root).load("0" * 24)
     key = _curve_cache_key(8, 8, 4, 16, 4)
@@ -58,11 +60,12 @@ def test_clear_touches_only_its_own_namespace(tmp_path):
 
 def test_cache_clear_command_clears_only_results(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cas.CACHE_DIR_ENV, str(tmp_path))
-    ResultCache().store("fig01", True, ExperimentResult("fig01", "t", ("a",), [(1,)]))
+    key = cache_key("fig01", True)
+    ResultCache().store(key, ExperimentResult("fig01", "t", ("a",), [(1,)]))
     cas.Store("serve", tmp_path).put("k", {"kept": True})
     assert cli_main(["experiments", "--cache-clear"]) == 0
     assert "cleared 1 cache entry" in capsys.readouterr().out
-    assert ResultCache().load("fig01", True) is None
+    assert ResultCache().load(key) is None
     assert cas.Store("serve", tmp_path).get("k") == {"kept": True}
 
 
